@@ -9,8 +9,8 @@ std::uint64_t AsU64(std::int64_t v) { return static_cast<std::uint64_t>(v); }
 
 Tuple MakeAckInit(std::uint64_t root, std::uint64_t xor_val,
                   WorkerId spout_worker) {
-  return Tuple{static_cast<std::int64_t>(AckKind::kInit), AsI64(root),
-               AsI64(xor_val), AsI64(spout_worker)};
+  return Tuple{static_cast<std::int64_t>(AckKind::kInit), AsI64(spout_worker),
+               AsI64(root), AsI64(xor_val)};
 }
 
 Tuple MakeAck(std::uint64_t root, std::uint64_t xor_val) {
@@ -20,6 +20,21 @@ Tuple MakeAck(std::uint64_t root, std::uint64_t xor_val) {
 
 Tuple MakeAckComplete(std::uint64_t root) {
   return Tuple{static_cast<std::int64_t>(AckKind::kComplete), AsI64(root)};
+}
+
+void AckBuffer::fold() {
+  if (entries_.size() < 2) return;
+  std::sort(entries_.begin(), entries_.end(),
+            [](const Entry& a, const Entry& b) { return a.root < b.root; });
+  std::size_t out = 0;
+  for (std::size_t i = 1; i < entries_.size(); ++i) {
+    if (entries_[i].root == entries_[out].root) {
+      entries_[out].xor_val ^= entries_[i].xor_val;
+    } else {
+      entries_[++out] = entries_[i];
+    }
+  }
+  entries_.resize(out + 1);
 }
 
 void AckerBolt::prepare(const WorkerContext&) {
@@ -33,42 +48,55 @@ void AckerBolt::sweep(common::TimePoint now) {
 }
 
 void AckerBolt::execute(const Tuple& input, const TupleMeta&, Emitter& out) {
-  if (input.size() < 2) return;
+  if (input.empty()) return;
   const auto kind = static_cast<AckKind>(input.i64(0));
-  const std::uint64_t root = AsU64(input.i64(1));
-
-  Tree& tree = trees_[root];
-  if (tree.first_seen == common::TimePoint{}) {
-    tree.first_seen = common::Now();
-  }
-
+  std::size_t first = 1;  // index of the first [root][xor] entry
+  WorkerId init_spout = 0;
   switch (kind) {
     case AckKind::kInit:
-      if (input.size() < 4) return;
-      tree.value ^= AsU64(input.i64(2));
-      tree.spout = AsU64(input.i64(3));
-      tree.init_seen = true;
+      if (input.size() < 2) return;
+      init_spout = AsU64(input.i64(1));
+      first = 2;
       break;
     case AckKind::kAck:
-      if (input.size() < 3) return;
-      tree.value ^= AsU64(input.i64(2));
       break;
-    case AckKind::kComplete:
-      return;  // not addressed to ackers
+    default:
+      return;  // completions are not addressed to ackers
   }
 
-  if (tree.init_seen && tree.value == 0) {
-    const WorkerId spout = tree.spout;
-    trees_.erase(root);
-    out.emit_direct(spout, kAckStream, MakeAckComplete(root));
-  }
-
-  if ((++executes_ & 0x3ff) == 0) {
-    const common::TimePoint now = common::Now();
-    if (now - last_sweep_ > std::chrono::seconds(5)) {
-      last_sweep_ = now;
-      sweep(now);
+  // One completion message per spout, listing every root this message
+  // finished for it. Input messages are capped at kMaxAckEntries entries,
+  // so completion messages are too.
+  std::vector<std::pair<WorkerId, Tuple>> done;
+  const common::TimePoint now = common::Now();
+  for (std::size_t i = first; i + 1 < input.size(); i += 2) {
+    const std::uint64_t root = AsU64(input.i64(i));
+    Tree& tree = trees_[root];
+    if (tree.first_seen == common::TimePoint{}) tree.first_seen = now;
+    tree.value ^= AsU64(input.i64(i + 1));
+    if (kind == AckKind::kInit) {
+      tree.spout = init_spout;
+      tree.init_seen = true;
     }
+    if (tree.init_seen && tree.value == 0) {
+      auto it = std::find_if(done.begin(), done.end(), [&](const auto& d) {
+        return d.first == tree.spout;
+      });
+      if (it == done.end()) {
+        done.emplace_back(tree.spout, MakeAckComplete(root));
+      } else {
+        it->second.push(AsI64(root));
+      }
+      trees_.erase(root);
+    }
+  }
+  for (auto& [spout, msg] : done) {
+    out.emit_direct(spout, kAckStream, std::move(msg));
+  }
+
+  if (now - last_sweep_ > std::chrono::seconds(5)) {
+    last_sweep_ = now;
+    sweep(now);
   }
 }
 

@@ -10,8 +10,10 @@
 // replica — N copies contribute N distinct mix values.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/hash.h"
@@ -24,20 +26,67 @@ inline std::uint64_t AckContribution(std::uint64_t edge_id, WorkerId dst) {
   return common::HashCombine(edge_id, dst);
 }
 
-// Ack message layout on kAckStream (plain data tuples):
-//   [i64 kind][i64 root][i64 xor]           kind = kInit | kAck
-//   [i64 kind][i64 root][i64 spout_worker]  extra field for kInit
-//   [i64 kind][i64 root]                    kind = kComplete / kFailNotice
+// Ack messages on kAckStream are plain data tuples of i64 values. Each
+// carries n >= 1 entries of one kind behind a short prefix:
+//   [kInit][spout_worker] ([root][xor])...  spout registered n tuple trees
+//   [kAck] ([root][xor])...                 bolt hops, XOR-folded per root
+//   [kComplete] [root]...                   acker -> spout: trees finished
+// The Make* builders below produce the one-entry case.
 enum class AckKind : std::int64_t {
-  kInit = 0,      // spout registered a new tuple tree
-  kAck = 1,       // bolt processed one hop
-  kComplete = 2,  // acker -> spout: tree fully processed
+  kInit = 0,      // spout registered new tuple trees
+  kAck = 1,       // bolt processed hops
+  kComplete = 2,  // acker -> spout: trees fully processed
 };
+
+// Entries per ack message. The largest message (kInit, 512 entries) is
+// ~9.3 KB on the wire, so every ack message fits one packet (16 KB
+// max_payload) and is never segmented or reassembled.
+inline constexpr std::size_t kMaxAckEntries = 512;
 
 Tuple MakeAckInit(std::uint64_t root, std::uint64_t xor_val,
                   WorkerId spout_worker);
 Tuple MakeAck(std::uint64_t root, std::uint64_t xor_val);
 Tuple MakeAckComplete(std::uint64_t root);
+
+// The (root, xor) entries one worker produces between two flush points.
+// flush() folds the entries of each root into one (exact: XOR is
+// associative and commutative) and hands out n-entry messages.
+class AckBuffer {
+ public:
+  void add(std::uint64_t root, std::uint64_t xor_val) {
+    entries_.push_back({root, xor_val});
+  }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+
+  // Hands the folded entries to send(Tuple) as `kind` (kInit or kAck)
+  // messages of at most kMaxAckEntries entries; `spout` is the sender a
+  // kInit names. Leaves the buffer empty.
+  template <typename Send>
+  void flush(AckKind kind, WorkerId spout, Send&& send) {
+    fold();
+    for (std::size_t i = 0; i < entries_.size(); i += kMaxAckEntries) {
+      const std::size_t end = std::min(entries_.size(), i + kMaxAckEntries);
+      Tuple msg{static_cast<std::int64_t>(kind)};
+      msg.reserve(2 + 2 * (end - i));
+      if (kind == AckKind::kInit) msg.push(static_cast<std::int64_t>(spout));
+      for (std::size_t j = i; j < end; ++j) {
+        msg.push(static_cast<std::int64_t>(entries_[j].root));
+        msg.push(static_cast<std::int64_t>(entries_[j].xor_val));
+      }
+      send(std::move(msg));
+    }
+    entries_.clear();
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t root;
+    std::uint64_t xor_val;
+  };
+  void fold();
+
+  std::vector<Entry> entries_;
+};
 
 // The acker node's computation logic, deployed like any bolt under the
 // reserved node name kAckerNodeName.
@@ -62,7 +111,6 @@ class AckerBolt : public Bolt {
   std::unordered_map<std::uint64_t, Tree> trees_;
   common::TimePoint last_sweep_;
   std::chrono::milliseconds tree_timeout_{30000};
-  std::uint64_t executes_ = 0;
 };
 
 inline constexpr const char* kAckerNodeName = "__acker";

@@ -17,6 +17,8 @@ Worker::Worker(WorkerOptions opts)
       failed_(metrics_.counter("failed")),
       input_rate_(0.0),
       rng_(common::HashCombine(opts_.ctx.worker, 0x7970686f6f6eull)),
+      acking_(opts_.reliable && opts_.acker != 0),
+      is_acker_(opts_.ctx.node_name == kAckerNodeName),
       active_(opts_.start_active) {
   opts_.ctx.metrics = &metrics_;
 }
@@ -39,10 +41,9 @@ void Worker::stop() {
 void Worker::emit(Tuple t) { emit(kDefaultStream, std::move(t)); }
 
 void Worker::emit(StreamId stream, Tuple t) {
-  const bool acking = opts_.reliable && opts_.acker != 0;
   std::uint64_t root = 0;
   bool spout_root = false;
-  if (acking) {
+  if (acking_) {
     if (opts_.is_spout) {
       root = rng_.next() | 1;  // never zero
       spout_root = true;
@@ -112,8 +113,7 @@ void Worker::emit(StreamId stream, Tuple t) {
   if (spout_root && sent_any) {
     pending_[root] = PendingRoot{common::Now()};
     opts_.spout->anchored(root);
-    opts_.transport->send(MakeAckInit(root, init_xor, opts_.ctx.worker),
-                          kAckStream, 0, 0, {opts_.acker}, false);
+    acks_.add(root, init_xor);
   }
 }
 
@@ -231,18 +231,31 @@ void Worker::handle_control(const ControlTuple& ct) {
 }
 
 void Worker::handle_ack_stream(const Tuple& t) {
-  if (t.size() < 2) return;
-  if (static_cast<AckKind>(t.i64(0)) != AckKind::kComplete) return;
-  const auto root = static_cast<std::uint64_t>(t.i64(1));
-  auto it = pending_.find(root);
-  if (it == pending_.end()) return;
-  const std::int64_t latency_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          common::Now() - it->second.emitted_at)
-          .count();
-  pending_.erase(it);
-  acked_.inc();
-  opts_.spout->ack(root, latency_us);
+  if (t.empty() || static_cast<AckKind>(t.i64(0)) != AckKind::kComplete) {
+    return;
+  }
+  const common::TimePoint now = common::Now();
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    const auto root = static_cast<std::uint64_t>(t.i64(i));
+    auto it = pending_.find(root);
+    if (it == pending_.end()) continue;
+    const std::int64_t latency_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            now - it->second.emitted_at)
+            .count();
+    pending_.erase(it);
+    acked_.inc();
+    opts_.spout->ack(root, latency_us);
+  }
+}
+
+void Worker::flush_acks() {
+  if (acks_.empty()) return;
+  acks_.flush(opts_.is_spout ? AckKind::kInit : AckKind::kAck,
+              opts_.ctx.worker, [&](Tuple msg) {
+                opts_.transport->send(msg, kAckStream, 0, 0, {opts_.acker},
+                                      false);
+              });
 }
 
 void Worker::handle_item(ReceivedItem& item) {
@@ -255,7 +268,6 @@ void Worker::handle_item(ReceivedItem& item) {
     std::this_thread::sleep_for(std::chrono::microseconds(slow));
   }
   received_.inc();
-  const bool is_acker = opts_.ctx.node_name == kAckerNodeName;
   if (item.meta.stream == kAckStream && opts_.is_spout) {
     handle_ack_stream(item.tuple);
     return;
@@ -277,12 +289,10 @@ void Worker::handle_item(ReceivedItem& item) {
   }
   current_trace_ = trace::TraceContext{};
 
-  if (!is_acker && opts_.reliable && opts_.acker != 0 &&
-      item.meta.root_id != 0) {
-    const std::uint64_t ack_val =
-        AckContribution(item.meta.edge_id, opts_.ctx.worker) ^ child_xor_;
-    opts_.transport->send(MakeAck(item.meta.root_id, ack_val), kAckStream, 0,
-                          0, {opts_.acker}, false);
+  if (acking_ && !is_acker_ && item.meta.root_id != 0) {
+    acks_.add(item.meta.root_id,
+              AckContribution(item.meta.edge_id, opts_.ctx.worker) ^
+                  child_xor_);
   }
   current_root_ = 0;
 }
@@ -433,6 +443,9 @@ void Worker::run() {
         break;
       }
     }
+    // One ack message per drain pass (bolts) or spout turn (spouts); both
+    // land before the flush_interval timer below ships the packet.
+    flush_acks();
 
     const common::TimePoint now = common::Now();
     if (now - last_flush >= opts_.flush_interval) {
@@ -458,6 +471,7 @@ void Worker::run() {
 
   if (crashed_.load()) return;  // mark_crashed already published DEAD
 
+  flush_acks();
   opts_.transport->flush();
   try {
     if (opts_.is_spout) {

@@ -29,6 +29,7 @@
 #include "common/metrics.h"
 #include "common/rate_limiter.h"
 #include "coordinator/coordinator.h"
+#include "stream/acker.h"
 #include "stream/api.h"
 #include "stream/routing.h"
 #include "stream/transport.h"
@@ -131,6 +132,7 @@ class Worker final : public Emitter {
   void handle_item(ReceivedItem& item);
   void handle_control(const ControlTuple& ct);
   void handle_ack_stream(const Tuple& t);
+  void flush_acks();
   void publish_stats(common::TimePoint now);
   void sweep_pending(common::TimePoint now);
   bool spout_turn();
@@ -143,6 +145,14 @@ class Worker final : public Emitter {
   common::Counter& failed_;
   common::RateLimiter input_rate_;
   common::Rng rng_;
+
+  // Guaranteed processing is on (reliable, acker deployed); the acker's
+  // own worker acks nothing.
+  const bool acking_;
+  const bool is_acker_;
+  // Ack entries since the last flush point: tree inits on a spout, hop
+  // acks on a bolt. flush_acks() sends them as n-entry ack messages.
+  AckBuffer acks_;
 
   // Guaranteed-processing state for the in-flight tuple tree being built by
   // the current execute()/next() call.
