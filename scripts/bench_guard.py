@@ -11,12 +11,22 @@ Usage:
                    --key delta_reconfig_us_512 --direction lower \
                    --max-regress 0.75
 
+    bench_guard.py --current build/BENCH_hotpath.json \
+                   --baseline bench/baselines/BENCH_hotpath.json \
+                   --key allocs_per_tuple --direction lower \
+                   --max-value 0.02
+
 Compares ``current[key]`` against ``baseline[key]`` (both plain JSON files of
 scalars). ``--direction higher`` (default, throughput-style) fails when the
 current value fell more than ``max-regress`` (fraction) below the baseline;
 ``--direction lower`` (latency-style) fails when it rose more than
 ``max-regress`` above it. Improvements always pass; print both values either
 way so the job log doubles as a coarse perf time-series.
+
+``--max-value`` replaces the ratio with an absolute ceiling: the check fails
+when the current value exceeds it. Use it for lower-is-better counts whose
+baseline is at or near zero (allocations per tuple), where a ratio is
+undefined or pure noise; the baseline is still printed.
 """
 
 import argparse
@@ -57,10 +67,26 @@ def main() -> int:
     ap.add_argument("--max-regress", type=float, default=0.15,
                     help="max allowed fractional regression vs baseline "
                          "(default 0.15 = 15%%)")
+    ap.add_argument("--max-value", type=float, default=None,
+                    help="absolute ceiling for a lower-is-better metric; "
+                         "replaces the ratio check (for baselines near 0)")
     args = ap.parse_args()
 
     current = load_metric(args.current, args.key)
     baseline = load_metric(args.baseline, args.key)
+    if args.max_value is not None:
+        if args.direction != "lower":
+            sys.exit("bench_guard: --max-value is a ceiling and needs "
+                     "--direction lower")
+        status = "OK" if current <= args.max_value else "REGRESSION"
+        print(f"bench_guard: {args.key} (ceiling): current={current:.4f} "
+              f"baseline={baseline:.4f} max={args.max_value:.4f} "
+              f"-> {status}")
+        if status != "OK":
+            print(f"bench_guard: {args.key} = {current:.4f} exceeds the "
+                  f"ceiling {args.max_value:.4f}", file=sys.stderr)
+            return 1
+        return 0
     if baseline <= 0:
         sys.exit(f"bench_guard: baseline {args.key} = {baseline} "
                  "is not positive; refusing to divide")

@@ -1,12 +1,13 @@
 #include "net/tunnel.h"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <iterator>
 #include <span>
 #include <thread>
 #include <vector>
-
-#include "common/hash.h"
 
 namespace typhoon::net {
 
@@ -14,26 +15,81 @@ namespace {
 
 constexpr std::size_t kChecksumBytes = kFrameChecksumBytes;
 
+// ---- frame checksum -------------------------------------------------------
+// A word-at-a-time fold: every step consumes one little-endian 64-bit word,
+// h = rotl((h ^ w) * kPrime, 31). For a fixed word the step is a bijection
+// of h (xor, multiply by an odd constant and rotate are all invertible), and
+// for a fixed h it is injective in w. So a change confined to one 8-byte
+// word changes the lane that folds it and stays changed through every later
+// step: any such change — a single flipped byte in particular — is always
+// detected, not merely with high probability.
+
+constexpr std::uint64_t kPrime = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kSeed = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kLaneSeed1 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kLaneSeed2 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kLaneSeed3 = 0x27d4eb2f165667c5ull;
+
+std::uint64_t FoldStep(std::uint64_t h, std::uint64_t w) {
+  return std::rotl((h ^ w) * kPrime, 31);
+}
+
+std::uint64_t LoadLe64(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
+// Folds one segment. Four independent lanes take 32-byte blocks (so the
+// multiplies overlap), then collapse into one; whole words and the zero-
+// padded tail follow, then the length. The seed enters lane 0 only, which
+// chains segments: Fold(b, Fold(a, s)) is how a split frame is hashed.
+std::uint64_t Fold(std::span<const std::uint8_t> data, std::uint64_t seed) {
+  const std::uint8_t* p = data.data();
+  const std::size_t n = data.size();
+  std::uint64_t l0 = seed;
+  std::uint64_t l1 = kLaneSeed1;
+  std::uint64_t l2 = kLaneSeed2;
+  std::uint64_t l3 = kLaneSeed3;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    l0 = FoldStep(l0, LoadLe64(p + i));
+    l1 = FoldStep(l1, LoadLe64(p + i + 8));
+    l2 = FoldStep(l2, LoadLe64(p + i + 16));
+    l3 = FoldStep(l3, LoadLe64(p + i + 24));
+  }
+  std::uint64_t h = FoldStep(FoldStep(FoldStep(l0, l1), l2), l3);
+  for (; i + 8 <= n; i += 8) h = FoldStep(h, LoadLe64(p + i));
+  std::uint8_t tail[8] = {};
+  if (n > i) std::memcpy(tail, p + i, n - i);
+  h = FoldStep(h, LoadLe64(tail));
+  return FoldStep(h, n);
+}
+
+// Checksum of a contiguous frame body ([header][payload]): the header and
+// the payload are folded as two chained segments, exactly as FrameChecksum
+// folds a packet it never materializes.
+std::uint64_t BodyChecksum(std::span<const std::uint8_t> body) {
+  const std::size_t hdr = std::min(body.size(), Packet::kHeaderWireSize);
+  return Fold(body.subspan(hdr), Fold(body.first(hdr), kSeed));
+}
+
+std::uint64_t StoredChecksum(std::span<const std::uint8_t> trailer) {
+  std::uint64_t stored = 0;
+  for (std::size_t i = 0; i < kChecksumBytes; ++i) {
+    stored |= static_cast<std::uint64_t>(trailer[i]) << (i * 8);
+  }
+  return stored;
+}
+
 void AppendChecksum(common::Bytes& frame) {
-  const std::uint64_t sum =
-      common::Fnv1a(std::span<const std::uint8_t>(frame.data(), frame.size()));
+  const std::uint64_t sum = BodyChecksum(frame);
   for (std::size_t i = 0; i < kChecksumBytes; ++i) {
     frame.push_back(static_cast<std::uint8_t>(sum >> (i * 8)));
   }
-}
-
-bool VerifyAndStripChecksum(common::Bytes& frame) {
-  if (frame.size() < kChecksumBytes) return false;
-  const std::size_t body = frame.size() - kChecksumBytes;
-  std::uint64_t stored = 0;
-  for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-    stored |= static_cast<std::uint64_t>(frame[body + i]) << (i * 8);
-  }
-  const std::uint64_t sum =
-      common::Fnv1a(std::span<const std::uint8_t>(frame.data(), body));
-  if (sum != stored) return false;
-  frame.resize(body);
-  return true;
 }
 
 // Verify the trailer over a borrowed frame view without mutating it.
@@ -41,13 +97,18 @@ bool VerifyAndStripChecksum(common::Bytes& frame) {
 std::optional<std::span<const std::uint8_t>> VerifyChecksumView(
     std::span<const std::uint8_t> frame) {
   if (frame.size() < kChecksumBytes) return std::nullopt;
-  const std::size_t body = frame.size() - kChecksumBytes;
-  std::uint64_t stored = 0;
-  for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-    stored |= static_cast<std::uint64_t>(frame[body + i]) << (i * 8);
+  const auto body = frame.first(frame.size() - kChecksumBytes);
+  if (BodyChecksum(body) != StoredChecksum(frame.subspan(body.size()))) {
+    return std::nullopt;
   }
-  if (common::Fnv1a(frame.first(body)) != stored) return std::nullopt;
-  return frame.first(body);
+  return body;
+}
+
+bool VerifyAndStripChecksum(common::Bytes& frame) {
+  const auto body = VerifyChecksumView(frame);
+  if (!body) return false;
+  frame.resize(body->size());
+  return true;
 }
 
 }  // namespace
@@ -55,9 +116,7 @@ std::optional<std::span<const std::uint8_t>> VerifyChecksumView(
 std::uint64_t FrameChecksum(const Packet& p) {
   std::uint8_t hdr[Packet::kHeaderWireSize];
   EncodeFrameHeader(p, hdr);
-  return common::Fnv1a(
-      std::span<const std::uint8_t>(p.payload.data(), p.payload.size()),
-      common::Fnv1a(std::span<const std::uint8_t>(hdr, sizeof hdr)));
+  return Fold(p.payload, Fold(hdr, kSeed));
 }
 
 TunnelEndpoint::~TunnelEndpoint() = default;

@@ -6,9 +6,10 @@
 //
 // Frames are serialized to bytes on send and parsed on receive, preserving
 // the real marshaling cost of crossing a host boundary. Every frame carries
-// an FNV-1a checksum trailer; a frame that fails verification on receive is
-// dropped and counted (`rx_corrupt_drops`) instead of surfacing garbage —
-// the wire can be corrupted by an attached fault-injection Impairment.
+// an 8-byte checksum trailer (a word-at-a-time fold, see FrameChecksum); a
+// frame that fails verification on receive is dropped and counted
+// (`rx_corrupt_drops`) instead of surfacing garbage — the wire can be
+// corrupted by an attached fault-injection Impairment.
 //
 // Burst I/O: try_send_burst enqueues a whole vector of frames under one
 // ring-lock round (the DPDK tx-burst analog) and try_recv_burst drains up
@@ -49,15 +50,22 @@
 
 namespace typhoon::net {
 
-// Width of the FNV-1a checksum trailer appended to every wire frame.
+// Width of the checksum trailer appended to every wire frame.
 // Transports that build records without materializing the frame (the
 // vectored socket TX path, the shm burst writer) need the trailer width to
 // size their records; the checksum value itself rides in TxFrameInfo.
 inline constexpr std::size_t kFrameChecksumBytes = 8;
 
 // Checksum of a packet's encoded frame ([header][payload]) computed without
-// materializing the frame: FNV-1a chained header-then-payload. Byte-
-// identical to hashing EncodeFrame's output.
+// materializing the frame. The header and the payload are folded as two
+// chained segments, 8 bytes per step: four independent
+// h = rotl((h ^ w) * prime, 31) lanes over 32-byte blocks, then whole
+// words, the zero-padded tail word and the length; only lane 0 of the
+// payload fold is seeded with the header's sum. Receivers split a
+// contiguous frame at the fixed header width and fold it the same way, so
+// this equals the RX check over EncodeFrame's output. Each step is a
+// bijection of its lane, so any change confined to one of the 8-byte words
+// the fold consumes (every single-byte flip included) is always detected.
 std::uint64_t FrameChecksum(const Packet& p);
 
 // Per-frame metadata precomputed by the burst sender and handed to the

@@ -26,7 +26,7 @@ TyphoonTransport::TyphoonTransport(
                       // switch can always deliver to us — otherwise two full
                       // rings in opposite directions deadlock until the
                       // switch's egress hold expires.
-                      if (inbound_.size() < kBlockedStageCap) {
+                      if (staged() < kBlockedStageCap) {
                         if (auto rp = port_->recv()) {
                           depacketizer_.consume(*rp);
                           continue;
@@ -81,19 +81,23 @@ void TyphoonTransport::send_to_controller(const ControlTuple& ct) {
 
 std::size_t TyphoonTransport::poll(std::vector<ReceivedItem>& out,
                                    std::size_t max) {
-  {
+  // Compact: drop the records delivered by earlier polls so the buffer
+  // holds only live ones (usually none, making this a clear()).
+  inbound_.erase(inbound_.begin(),
+                 inbound_.begin() + static_cast<std::ptrdiff_t>(inbound_head_));
+  inbound_head_ = 0;
+  if (has_injected_.load(std::memory_order_acquire)) {
     std::lock_guard lk(injected_mu_);
-    while (!injected_.empty()) {
-      inbound_.push_back(std::move(injected_.front()));
-      injected_.pop_front();
-    }
+    for (net::TupleRecord& rec : injected_) inbound_.push_back(std::move(rec));
+    injected_.clear();
+    has_injected_.store(false, std::memory_order_relaxed);
   }
   // Drain only enough packets to cover this poll's delivery budget. The
   // surplus stays in the RX ring, where the switch sees it as pressure and
   // holds further deliveries — that is what propagates back-pressure to
   // senders. An unconditional bulk drain would stage unbounded tuples here
   // and absorb congestion invisibly.
-  while (inbound_.size() < max) {
+  while (inbound_.size() < max) {  // inbound_head_ == 0 here
     auto p = port_->recv();
     if (!p) break;
     // PacketPtr overload: unsegmented tuples arrive as views into the
@@ -101,13 +105,17 @@ std::size_t TyphoonTransport::poll(std::vector<ReceivedItem>& out,
     depacketizer_.consume(*p);
   }
   std::size_t n = 0;
-  while (!inbound_.empty() && n < max) {
-    net::TupleRecord rec = std::move(inbound_.front());
-    inbound_.pop_front();
-    ReceivedItem item;
+  while (inbound_head_ < inbound_.size() && n < max) {
+    net::TupleRecord& rec = inbound_[inbound_head_++];
+    // Decode straight into the caller's slot; a record that fails to
+    // decode gives the slot back.
+    ReceivedItem& item = out.emplace_back();
     if (rec.control || rec.stream_id == kControlStream) {
       item.is_control = true;
-      if (!DecodeControl(rec.payload(), item.control)) continue;
+      if (!DecodeControl(rec.payload(), item.control)) {
+        out.pop_back();
+        continue;
+      }
     } else {
       item.meta.src_worker = rec.src.worker;
       item.meta.stream = rec.stream_id;
@@ -123,7 +131,10 @@ std::size_t TyphoonTransport::poll(std::vector<ReceivedItem>& out,
         ok = DeserializeTyphoon(rec.payload(), item.tuple, item.meta.root_id,
                                 item.meta.edge_id);
       }
-      if (!ok) continue;
+      if (!ok) {
+        out.pop_back();
+        continue;
+      }
       item.meta.trace_id = rec.trace_id;
       item.meta.trace_hop = rec.trace_hop;
       if (rec.trace_id != 0 && recorder_ != nullptr) {
@@ -132,7 +143,6 @@ std::size_t TyphoonTransport::poll(std::vector<ReceivedItem>& out,
                            0});
       }
     }
-    out.push_back(std::move(item));
     ++n;
   }
   return n;
@@ -154,7 +164,7 @@ std::size_t TyphoonTransport::input_queue_depth() const {
   // back-pressure and scaling decisions.
   return port_->rx_queue_depth() * std::max<std::size_t>(
                                        1, packetizer_.batch_tuples()) +
-         inbound_.size();
+         staged();
 }
 
 TransportIoStats TyphoonTransport::io_stats() const {
@@ -176,6 +186,7 @@ void TyphoonTransport::inject_control(const ControlTuple& ct) {
   rec.data = EncodeControl(ct);
   std::lock_guard lk(injected_mu_);
   injected_.push_back(std::move(rec));
+  has_injected_.store(true, std::memory_order_release);
 }
 
 }  // namespace typhoon::stream

@@ -10,9 +10,10 @@
 // broadcast worker address; replication happens in the switch.
 #pragma once
 
-#include <deque>
+#include <atomic>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "net/packetizer.h"
 #include "stream/transport.h"
@@ -53,19 +54,28 @@ class TyphoonTransport : public Transport {
   std::shared_ptr<trace::FlightRecorder> recorder_;
   net::Packetizer packetizer_;
   net::Depacketizer depacketizer_;
-  // Tuples staged between RX-ring drain and delivery to the worker. Kept
-  // near the per-poll budget by poll(); only the blocked-send drain may
-  // grow it, up to kBlockedStageCap.
+  // Tuples staged between RX-ring drain and delivery to the worker: the
+  // live records are inbound_[inbound_head_..]. Kept near the per-poll
+  // budget by poll(); only the blocked-send drain may grow it, up to
+  // kBlockedStageCap. The buffer keeps its capacity across polls, so
+  // staging allocates nothing per tuple.
   static constexpr std::size_t kBlockedStageCap = 65536;
-  std::deque<net::TupleRecord> inbound_;
+  std::vector<net::TupleRecord> inbound_;
+  std::size_t inbound_head_ = 0;
+  [[nodiscard]] std::size_t staged() const {
+    return inbound_.size() - inbound_head_;
+  }
   // Scratch record reused across send() calls (send is only invoked from
   // the owning worker thread): the serialization buffer keeps its capacity,
   // so steady-state emission allocates nothing per tuple.
   net::TupleRecord send_scratch_;
   std::uint64_t drops_ = 0;
 
+  // Control tuples handed in by inject_control; the flag lets poll() skip
+  // the lock when nothing was injected.
   std::mutex injected_mu_;
-  std::deque<net::TupleRecord> injected_;
+  std::atomic<bool> has_injected_{false};
+  std::vector<net::TupleRecord> injected_;
 };
 
 }  // namespace typhoon::stream

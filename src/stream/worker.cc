@@ -382,8 +382,10 @@ void Worker::run() {
     publish_stats(common::Now());
   }
 
+  // One poll batch, consumed in place: `next` indexes the first unhandled
+  // item, so a throttled or crashing item stays put for the next pass.
   std::vector<ReceivedItem> buf;
-  std::deque<ReceivedItem> backlog;
+  std::size_t next = 0;
   common::TimePoint last_flush = common::Now();
   common::TimePoint last_hb = last_flush;
   common::TimePoint last_sweep = last_flush;
@@ -408,14 +410,14 @@ void Worker::run() {
       }
     }
 
-    if (backlog.empty()) {
+    if (next == buf.size()) {
       buf.clear();
+      next = 0;
       opts_.transport->poll(buf, 256);
-      for (ReceivedItem& item : buf) backlog.push_back(std::move(item));
     }
-    while (!backlog.empty() &&
+    while (next < buf.size() &&
            !stop_requested_.load(std::memory_order_relaxed)) {
-      ReceivedItem& item = backlog.front();
+      ReceivedItem& item = buf[next];
       // INPUT_RATE throttling applies to data tuples; control tuples are
       // processed unconditionally so the throttle itself can be lifted.
       if (!item.is_control && !opts_.is_spout && input_rate_.rate() > 0 &&
@@ -429,7 +431,7 @@ void Worker::run() {
         mark_crashed();
         break;
       }
-      backlog.pop_front();
+      ++next;
       ++work;
     }
     if (crashed_.load()) break;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -889,6 +890,137 @@ TEST(TransportEquivalence, BurstPathsAreByteIdenticalAcrossTransports) {
   ASSERT_TRUE(sb != nullptr);
   EXPECT_EQ(run_burst(*sa, *sb), expect);
   ShmRingTunnel::UnlinkSegment(seg);
+}
+
+// ------------------------------------------- frame checksum (property)
+
+// Reaches the protected wire primitives, so a test can read the exact frame
+// a sender put on the wire and inject a mangled copy of it into the same
+// transport. Never instantiated; the member pointers dispatch virtually.
+struct WireAccess : TunnelEndpoint {
+  static bool push(TunnelEndpoint& ep, common::Bytes frame) {
+    return (ep.*(&WireAccess::wire_push))(std::move(frame));
+  }
+  static std::optional<common::Bytes> pop(TunnelEndpoint& ep) {
+    return (ep.*(&WireAccess::wire_pop_for))(std::chrono::seconds(5));
+  }
+};
+
+// Frame bodies ([header][payload]) around every boundary of the checksum
+// fold: header only, a partial tail word, whole words, the 32-byte block
+// edge, and a large ack-message-sized frame.
+constexpr std::size_t kCorruptBodySizes[] = {27, 28, 34,  35,  59,
+                                             60, 61, 515, 9300};
+
+Packet BodySizedPacket(std::size_t body) {
+  Packet p;
+  p.src = Addr(3);
+  p.dst = Addr(4);
+  p.payload.resize(body - Packet::kHeaderWireSize);
+  for (std::size_t i = 0; i < p.payload.size(); ++i) {
+    p.payload[i] = static_cast<std::uint8_t>(i * 31 + body);
+  }
+  return p;
+}
+
+// Sends `p` through tx's public API, takes the frame off rx's wire and
+// checks it is [EncodeFrame(p)][FrameChecksum(p), little-endian]. Then
+// re-sends that frame once per byte offset with exactly that byte flipped:
+// every copy must be a counted corrupt drop and none may be delivered.
+// The pristine frame re-sent last must still arrive.
+void ExpectEverySingleByteFlipDropped(TunnelEndpoint& tx, TunnelEndpoint& rx,
+                                      const Packet& p, bool burst) {
+  SCOPED_TRACE(::testing::Message()
+               << "body " << p.wire_size() << (burst ? " burst" : " send"));
+  if (burst) {
+    const PacketPtr pkts[] = {MakePacket(p)};
+    ASSERT_EQ(tx.try_send_burst(std::span<const PacketPtr>(pkts)), 1u);
+  } else {
+    ASSERT_TRUE(tx.send(p));
+  }
+  const std::optional<common::Bytes> wire = WireAccess::pop(rx);
+  ASSERT_TRUE(wire.has_value());
+  common::Bytes body;
+  EncodeFrame(p, body);
+  ASSERT_EQ(wire->size(), body.size() + kFrameChecksumBytes);
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), wire->begin()));
+  std::uint64_t trailer = 0;
+  for (std::size_t i = 0; i < kFrameChecksumBytes; ++i) {
+    trailer |= static_cast<std::uint64_t>((*wire)[body.size() + i]) << (8 * i);
+  }
+  EXPECT_EQ(trailer, FrameChecksum(p));
+
+  auto pool = PacketPool::Create();
+  std::vector<Packet*> slots;
+  for (int i = 0; i < 64; ++i) slots.push_back(pool->acquire_raw());
+  std::size_t delivered = 0;
+  const std::uint64_t drops_before = rx.rx_corrupt_drops();
+  std::uint64_t injected = 0;
+  // Returns early once a mangled frame gets through: that is the failure
+  // the checks below report, and its drop would never come.
+  auto drain_until = [&](std::uint64_t drops) {
+    return WaitFor(
+        [&] {
+          delivered += rx.try_recv_burst(std::span<Packet*>(slots));
+          return delivered != 0 ||
+                 rx.rx_corrupt_drops() - drops_before >= drops;
+        },
+        std::chrono::seconds(10));
+  };
+  for (std::size_t off = 0; off < wire->size(); ++off) {
+    common::Bytes bad = *wire;
+    bad[off] ^= static_cast<std::uint8_t>(off % 255 + 1);  // never zero
+    ASSERT_TRUE(WireAccess::push(tx, std::move(bad)));
+    // Drain in rounds that fit the smallest (shm) ring.
+    if (++injected % 32 == 0) ASSERT_TRUE(drain_until(injected));
+  }
+  ASSERT_TRUE(drain_until(injected));
+  EXPECT_EQ(rx.rx_corrupt_drops() - drops_before, wire->size());
+  EXPECT_EQ(delivered, 0u);
+
+  ASSERT_TRUE(WireAccess::push(tx, *wire));
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        delivered += rx.try_recv_burst(std::span<Packet*>(slots).first(1));
+        return delivered != 0;
+      },
+      std::chrono::seconds(10)));
+  EXPECT_EQ(slots[0]->payload, p.payload);
+  EXPECT_EQ(rx.rx_corrupt_drops() - drops_before, wire->size());
+  for (Packet* s : slots) PacketPtr::adopt(s);
+}
+
+void ExpectChecksumCatchesEverySingleByteFlip(TunnelEndpoint& tx,
+                                              TunnelEndpoint& rx) {
+  for (const bool burst : {false, true}) {
+    for (const std::size_t body : kCorruptBodySizes) {
+      ExpectEverySingleByteFlipDropped(tx, rx, BodySizedPacket(body), burst);
+    }
+  }
+}
+
+TEST(FrameChecksum, EverySingleByteFlipIsDroppedInMemory) {
+  auto [a, b] = CreateTunnel(256);
+  ExpectChecksumCatchesEverySingleByteFlip(*a, *b);
+}
+
+TEST(FrameChecksum, EverySingleByteFlipIsDroppedOverShm) {
+  const std::string seg = "/typhoon-test-csum-" + std::to_string(::getpid());
+  ShmRingTunnel::UnlinkSegment(seg);
+  ASSERT_TRUE(ShmRingTunnel::CreateSegment(seg, 1 << 20));
+  auto sa = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kA);
+  auto sb = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kB);
+  ASSERT_TRUE(sa != nullptr);
+  ASSERT_TRUE(sb != nullptr);
+  ExpectChecksumCatchesEverySingleByteFlip(*sa, *sb);
+  ShmRingTunnel::UnlinkSegment(seg);
+}
+
+TEST(FrameChecksum, EverySingleByteFlipIsDroppedOverSocket) {
+  SocketPair t;
+  ExpectChecksumCatchesEverySingleByteFlip(*t.active, *t.passive);
+  t.active->close();
+  t.passive->close();
 }
 
 // View-based shm RX with a ring small enough that records straddle the

@@ -58,7 +58,9 @@ TEST(Reconfig, ScaleUpLosesNoTuples) {
 
   auto state = std::make_shared<SinkState>();
   constexpr std::int64_t kLimit = 60000;
-  ASSERT_TRUE(cluster.submit(ScalableTopo(state, kLimit, 2)).ok());
+  // Paced so emission spans the scale-up (~1.2 s at 50k/s): unpaced, a
+  // fast pipeline delivers every tuple before the new workers exist.
+  ASSERT_TRUE(cluster.submit(ScalableTopo(state, kLimit, 2, 50000.0)).ok());
   ASSERT_TRUE(WaitFor([&] { return state->received.load() > 3000; }, 10s));
 
   ReconfigRequest req;

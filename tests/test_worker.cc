@@ -3,6 +3,10 @@
 // (pause/resume), ack bookkeeping, crash semantics, and stats publishing.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
+#include <mutex>
+
 #include "coordinator/coordinator.h"
 #include "openflow/flow.h"
 #include "stream/acker.h"
@@ -300,6 +304,127 @@ TEST_F(WorkerFixture, InputRateThrottlesBoltProcessing) {
   traw->inject_control(unlimited);
   ASSERT_TRUE(WaitFor([&] { return w->received() >= 3000; }, 5s))
       << w->received();
+}
+
+// A transport that hands the worker scripted poll batches, one per poll,
+// so a test controls exactly what each batch holds.
+class ScriptedTransport : public stream::Transport {
+ public:
+  void add_batch(std::vector<ReceivedItem> batch) {
+    std::lock_guard lk(mu_);
+    batches_.push_back(std::move(batch));
+  }
+  std::size_t poll(std::vector<ReceivedItem>& out, std::size_t max) override {
+    std::lock_guard lk(mu_);
+    if (batches_.empty()) return 0;
+    std::vector<ReceivedItem>& batch = batches_.front();
+    const std::size_t n = batch.size();
+    EXPECT_LE(n, max);
+    for (ReceivedItem& item : batch) out.push_back(std::move(item));
+    batches_.pop_front();
+    return n;
+  }
+  void send(const Tuple&, StreamId, std::uint64_t, std::uint64_t,
+            const std::vector<WorkerId>&, bool,
+            trace::TraceContext) override {}
+  void send_to_controller(const ControlTuple&) override {}
+  void flush() override {}
+  [[nodiscard]] std::size_t input_queue_depth() const override { return 0; }
+
+ private:
+  std::mutex mu_;
+  std::deque<std::vector<ReceivedItem>> batches_;
+};
+
+// Records the order in which data sequence numbers and SIGNALs (as -1)
+// reach the application layer.
+class OrderRecordingBolt : public Bolt {
+ public:
+  struct Log {
+    std::mutex mu;
+    std::vector<std::int64_t> seen;
+  };
+  explicit OrderRecordingBolt(std::shared_ptr<Log> log)
+      : log_(std::move(log)) {}
+  void execute(const Tuple& input, const TupleMeta&, Emitter&) override {
+    std::lock_guard lk(log_->mu);
+    log_->seen.push_back(input.i64(0));
+  }
+  void on_signal(const std::string&, Emitter&) override {
+    std::lock_guard lk(log_->mu);
+    log_->seen.push_back(-1);
+  }
+
+ private:
+  std::shared_ptr<Log> log_;
+};
+
+ReceivedItem DataItem(std::int64_t seq) {
+  ReceivedItem item;
+  item.tuple = Tuple{seq};
+  return item;
+}
+
+ReceivedItem ControlItem(ControlTuple ct) {
+  ReceivedItem item;
+  item.is_control = true;
+  item.control = std::move(ct);
+  return item;
+}
+
+ReceivedItem RateItem(double rate) {
+  ControlTuple ct;
+  ct.type = ControlType::kInputRate;
+  ct.input_rate = rate;
+  return ControlItem(std::move(ct));
+}
+
+// One full 256-item poll batch drained under an INPUT_RATE cap: the
+// throttle stops mid-batch again and again, and every stop must resume on
+// the very item it stopped at — no tuple skipped, none handled twice, none
+// reordered — including a SIGNAL queued behind throttled data.
+TEST(WorkerReceive, ThrottledBatchKeepsOrderAcrossRateStops) {
+  auto script = std::make_unique<ScriptedTransport>();
+  ScriptedTransport* sraw = script.get();
+  auto log = std::make_shared<OrderRecordingBolt::Log>();
+
+  // Batch 1 sets the cap; batch 2 is one full poll: data 0..199, a SIGNAL,
+  // data 200..254; batch 3 lifts the cap and carries data 255..299.
+  sraw->add_batch({RateItem(1000.0)});
+  std::vector<ReceivedItem> full;
+  for (std::int64_t i = 0; i < 200; ++i) full.push_back(DataItem(i));
+  ControlTuple signal;
+  signal.type = ControlType::kSignal;
+  signal.signal_tag = "flush";
+  full.push_back(ControlItem(signal));
+  for (std::int64_t i = 200; i < 255; ++i) full.push_back(DataItem(i));
+  ASSERT_EQ(full.size(), 256u);
+  sraw->add_batch(std::move(full));
+  std::vector<ReceivedItem> rest{RateItem(0.0)};
+  for (std::int64_t i = 255; i < 300; ++i) rest.push_back(DataItem(i));
+  sraw->add_batch(std::move(rest));
+
+  WorkerOptions wo = BaseOptions(2, "rec", false);
+  wo.bolt = std::make_unique<OrderRecordingBolt>(log);
+  wo.transport = std::move(script);
+  Worker w(std::move(wo));
+  w.start();
+
+  // At 1k tuples/s the full batch takes ~255 ms: part-way through, the cap
+  // still holds the bolt short of the SIGNAL.
+  common::SleepMillis(60);
+  EXPECT_LT(w.received(), 200) << "rate cap not applied mid-batch";
+  ASSERT_TRUE(WaitFor([&] { return w.received() >= 300; }, 10s))
+      << w.received();
+  w.stop();
+
+  std::vector<std::int64_t> expect;
+  for (std::int64_t i = 0; i < 200; ++i) expect.push_back(i);
+  expect.push_back(-1);
+  for (std::int64_t i = 200; i < 300; ++i) expect.push_back(i);
+  std::lock_guard lk(log->mu);
+  EXPECT_EQ(log->seen, expect);
+  EXPECT_EQ(w.received(), 300);
 }
 
 TEST_F(WorkerFixture, SignalReachesApplicationLayer) {
