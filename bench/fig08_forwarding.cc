@@ -13,11 +13,13 @@
 // pre-PR baseline for the ≥2x speedup check (DESIGN.md "Forwarding fast
 // path").
 //
-// `--hotpath` runs the zero-copy hot-path benchmark (~3s): the fig 8(a)
+// `--hotpath` runs the zero-copy hot-path benchmark (~5s): the fig 8(a)
 // LOCAL single-flow cluster run against the pre-zero-copy baseline, plus a
 // transport-level pump under a global operator-new hook that reports heap
 // allocations per tuple on the steady-state emit -> switch -> receive ->
-// decode path. Results go to BENCH_hotpath.json.
+// decode path, and the same pump across two switches joined by an
+// in-process tunnel, reporting heap allocations per tunnel frame. Results
+// go to BENCH_hotpath.json.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +27,7 @@
 #include <new>
 #include <thread>
 
+#include "net/tunnel.h"
 #include "stream/transport_typhoon.h"
 #include "switchd/soft_switch.h"
 #include "util/components.h"
@@ -470,38 +473,27 @@ int RunShardSweep() {
 // midpoint used as the speedup denominator.
 constexpr double kBaselinePr3LocalTuplesPerSec = 1.41e6;
 
-int RunHotpath() {
-  // Stage 1: the same measurement the fig 8(a) table takes — full cluster,
-  // LOCAL placement, batch 1000 — so the speedup is apples-to-apples
-  // against the PR 3 recorded range.
-  std::printf("\nStage 1: fig 8(a) LOCAL single-flow cluster run\n");
-  const double cluster_pps =
-      RunOnce({TransportMode::kTyphoon, 1000, false, false});
-  const double speedup = cluster_pps / kBaselinePr3LocalTuplesPerSec;
+// Most tuples MeasurePump lets be in flight before it waits for them.
+constexpr std::uint64_t kPumpWindowTuples = 4096;
 
-  // Stage 2: transport-level pump with the operator-new hook. Everything
-  // per-iteration is hoisted, so the counted allocations are the data
-  // plane's own: pool checkouts, staging churn, decode.
-  std::printf("\nStage 2: transport hot path under allocation accounting\n");
-  switchd::SoftSwitchConfig scfg;
-  scfg.host = 1;
-  switchd::SoftSwitch sw(scfg);
-  sw.start();
-  auto port1 = sw.attach_port(101);
-  auto port2 = sw.attach_port(102);
-  net::PacketizerConfig pcfg;
-  pcfg.batch_tuples = 100;
-  const WorkerAddress a1{1, 1};
-  const WorkerAddress a2{1, 2};
-  stream::TyphoonTransport t1(a1, port1, pcfg);
-  stream::TyphoonTransport t2(a2, port2, pcfg);
-  sw.handle_flow_mod({openflow::FlowModCommand::kAdd,
-                      ExactRule(101, a1, a2,
-                                {openflow::ActionOutput{PortId{102}}})});
+// Pumps tuples from `t1` to `t2` (256 sends, one flush, then drain, in a
+// loop) for a 0.4 s warm-up and a 1.0 s measured phase, counting heap
+// allocations over the measured phase. Everything per-iteration is
+// hoisted, so the counted allocations are the data plane's own: pool
+// checkouts, staging churn, tunnel framing, decode. With a `tunnel`, also
+// counts the frames it sent over the measured phase.
+struct PumpResult {
+  double tuples_per_sec = 0.0;
+  double allocs_per_tuple = 0.0;
+  double allocs_per_frame = 0.0;  // with a tunnel only
+};
 
+PumpResult MeasurePump(stream::TyphoonTransport& t1,
+                       stream::TyphoonTransport& t2, WorkerId dest,
+                       const net::TunnelEndpoint* tunnel = nullptr) {
   const stream::Tuple payload{std::int64_t{42}, std::string(48, 'x'),
                               std::int64_t{7}};
-  const std::vector<WorkerId> dests{2};
+  const std::vector<WorkerId> dests{dest};
   std::vector<stream::ReceivedItem> got;
   got.reserve(128);
   std::uint64_t sent = 0;
@@ -516,9 +508,18 @@ int RunHotpath() {
         ++sent;
       }
       t1.flush();
+      // Drain what has arrived, and keep draining while more than a
+      // window of tuples is in flight. The window (~40 packets, well under
+      // the frame pools' 256-packet free lists) keeps the pools' high-water
+      // mark a property of the pump rather than of how the scheduler
+      // happened to share the cores, so a pool miss means a real leak.
       for (;;) {
         got.clear();
-        if (t2.poll(got, 64) == 0) break;
+        if (t2.poll(got, 64) == 0) {
+          if (sent - received <= kPumpWindowTuples) break;
+          std::this_thread::yield();
+          continue;
+        }
         received += got.size();
       }
     }
@@ -535,6 +536,8 @@ int RunHotpath() {
 
   pump_for(0.4);  // warm-up: pool, high-water reservations, microflow cache
   const std::uint64_t sent_before = sent;
+  const std::uint64_t frames_before =
+      tunnel != nullptr ? tunnel->frames_sent() : 0;
   const std::uint64_t allocs_before =
       g_heap_allocs.load(std::memory_order_relaxed);
   const auto m0 = std::chrono::steady_clock::now();
@@ -545,9 +548,57 @@ int RunHotpath() {
   const std::uint64_t measured = sent - sent_before;
   const std::uint64_t allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
-  const double transport_pps = static_cast<double>(measured) / elapsed;
-  const double allocs_per_tuple =
+  const std::uint64_t frames =
+      tunnel != nullptr ? tunnel->frames_sent() - frames_before : 0;
+  std::printf("  %llu allocs / %llu tuples",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(measured));
+  if (tunnel != nullptr) {
+    std::printf(" / %llu tunnel frames",
+                static_cast<unsigned long long>(frames));
+  }
+  std::printf("\n");
+  PumpResult r;
+  r.tuples_per_sec = static_cast<double>(measured) / elapsed;
+  r.allocs_per_tuple =
       static_cast<double>(allocs) / static_cast<double>(measured);
+  if (frames != 0) {
+    r.allocs_per_frame =
+        static_cast<double>(allocs) / static_cast<double>(frames);
+  }
+  return r;
+}
+
+int RunHotpath() {
+  // Stage 1: the same measurement the fig 8(a) table takes — full cluster,
+  // LOCAL placement, batch 1000 — so the speedup is apples-to-apples
+  // against the PR 3 recorded range.
+  std::printf("\nStage 1: fig 8(a) LOCAL single-flow cluster run\n");
+  const double cluster_pps =
+      RunOnce({TransportMode::kTyphoon, 1000, false, false});
+  const double speedup = cluster_pps / kBaselinePr3LocalTuplesPerSec;
+
+  // Stage 2: transport-level pump through one switch with the
+  // operator-new hook.
+  std::printf("\nStage 2: transport hot path under allocation accounting\n");
+  switchd::SoftSwitchConfig scfg;
+  scfg.host = 1;
+  switchd::SoftSwitch sw(scfg);
+  sw.start();
+  auto port1 = sw.attach_port(101);
+  auto port2 = sw.attach_port(102);
+  net::PacketizerConfig pcfg;
+  pcfg.batch_tuples = 100;
+  const WorkerAddress a1{1, 1};
+  const WorkerAddress a2{1, 2};
+  stream::TyphoonTransport t1(a1, port1, pcfg);
+  stream::TyphoonTransport t2(a2, port2, pcfg);
+  sw.handle_flow_mod({openflow::FlowModCommand::kAdd,
+                      ExactRule(101, a1, a2,
+                                {openflow::ActionOutput{PortId{102}}})});
+  const PumpResult local = MeasurePump(t1, t2, a2.worker);
+  const double transport_pps = local.tuples_per_sec;
+  const double allocs_per_tuple = local.allocs_per_tuple;
 
   const stream::TransportIoStats tx = t1.io_stats();
   const stream::TransportIoStats rx = t2.io_stats();
@@ -557,14 +608,45 @@ int RunHotpath() {
       pool_total == 0 ? 0.0 : static_cast<double>(tx.pool_hits) / pool_total;
   sw.stop();
 
-  std::printf("\nZero-copy hot path (~3s)\n");
+  // Stage 3: the same pump across two switches joined by an in-process
+  // tunnel (the fig 8(a) REMOTE data path): tunnel TX and RX join the
+  // accounted path, reported per tunnel frame.
+  std::printf("\nStage 3: cross-host hot path under allocation accounting\n");
+  switchd::SoftSwitchConfig rcfg1;
+  rcfg1.host = 1;
+  switchd::SoftSwitchConfig rcfg2;
+  rcfg2.host = 2;
+  switchd::SoftSwitch rsw1(rcfg1);
+  switchd::SoftSwitch rsw2(rcfg2);
+  auto [e1, e2] = net::CreateTunnel();
+  rsw1.add_tunnel(2, e1);
+  rsw2.add_tunnel(1, e2);
+  rsw1.start();
+  rsw2.start();
+  stream::TyphoonTransport rt1(a1, rsw1.attach_port(101), pcfg);
+  stream::TyphoonTransport rt2(a2, rsw2.attach_port(102), pcfg);
+  rsw1.handle_flow_mod(
+      {openflow::FlowModCommand::kAdd,
+       ExactRule(101, a1, a2,
+                 {openflow::ActionSetTunDst{2},
+                  openflow::ActionOutput{switchd::SoftSwitch::kTunnelPort}})});
+  rsw2.handle_flow_mod(
+      {openflow::FlowModCommand::kAdd,
+       ExactRule(switchd::SoftSwitch::kTunnelPort, a1, a2,
+                 {openflow::ActionOutput{PortId{102}}})});
+  const PumpResult remote = MeasurePump(rt1, rt2, a2.worker, e1.get());
+  rsw1.stop();
+  rsw2.stop();
+
+  std::printf("\nZero-copy hot path (~5s)\n");
   std::printf("  fig8a LOCAL cluster  %12.0f tuples/s\n", cluster_pps);
   std::printf("  speedup vs PR 3      %12.2fx (baseline %.0f tuples/s)\n",
               speedup, kBaselinePr3LocalTuplesPerSec);
   std::printf("  transport hot path   %12.0f tuples/s\n", transport_pps);
-  std::printf("  heap allocs/tuple    %12.4f (%llu allocs / %llu tuples)\n",
-              allocs_per_tuple, static_cast<unsigned long long>(allocs),
-              static_cast<unsigned long long>(measured));
+  std::printf("  heap allocs/tuple    %12.4f\n", allocs_per_tuple);
+  std::printf("  remote hot path      %12.0f tuples/s\n",
+              remote.tuples_per_sec);
+  std::printf("  remote allocs/frame  %12.4f\n", remote.allocs_per_frame);
   std::printf("  frame pool hit rate  %12.4f\n", pool_hit_rate);
   std::printf("  rx bytes copied      %12llu\n",
               static_cast<unsigned long long>(rx.bytes_copied_rx));
@@ -582,11 +664,14 @@ int RunHotpath() {
                "  \"transport_tuples_per_sec\": %.0f,\n"
                "  \"allocs_per_tuple\": %.4f,\n"
                "  \"pool_hit_rate\": %.4f,\n"
-               "  \"rx_bytes_copied\": %llu\n"
+               "  \"rx_bytes_copied\": %llu,\n"
+               "  \"remote_tuples_per_sec\": %.0f,\n"
+               "  \"remote_allocs_per_frame\": %.4f\n"
                "}\n",
                kBaselinePr3LocalTuplesPerSec, cluster_pps, speedup,
                transport_pps, allocs_per_tuple, pool_hit_rate,
-               static_cast<unsigned long long>(rx.bytes_copied_rx));
+               static_cast<unsigned long long>(rx.bytes_copied_rx),
+               remote.tuples_per_sec, remote.allocs_per_frame);
   std::fclose(f);
   std::printf("  wrote BENCH_hotpath.json\n");
   return 0;

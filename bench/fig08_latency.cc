@@ -25,7 +25,7 @@ using testutil::SinkState;
 class LatencySpout final : public stream::Spout {
  public:
   LatencySpout(std::shared_ptr<common::LatencyRecorder> rec, double rate)
-      : rec_(std::move(rec)), limiter_(rate) {}
+      : rec_(std::move(rec)), limiter_(rate, common::kTupleBurstFloor) {}
 
   bool next(stream::Emitter& out) override {
     if (!limiter_.try_acquire(16)) return false;
@@ -40,7 +40,7 @@ class LatencySpout final : public stream::Spout {
 
  private:
   std::shared_ptr<common::LatencyRecorder> rec_;
-  common::RateLimiter limiter_;
+  common::TokenBucket limiter_;
   std::int64_t seq_ = 0;
 };
 

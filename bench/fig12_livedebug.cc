@@ -38,7 +38,8 @@ constexpr double kSourceRate = 0.0;
 class DebuggableSpout final : public stream::Spout {
  public:
   explicit DebuggableSpout(std::shared_ptr<std::atomic<bool>> debug_on)
-      : debug_on_(std::move(debug_on)), limiter_(kSourceRate) {}
+      : debug_on_(std::move(debug_on)),
+        limiter_(kSourceRate, common::kTupleBurstFloor) {}
 
   bool next(stream::Emitter& out) override {
     if (!limiter_.try_acquire(16)) return false;
@@ -57,7 +58,7 @@ class DebuggableSpout final : public stream::Spout {
 
  private:
   std::shared_ptr<std::atomic<bool>> debug_on_;
-  common::RateLimiter limiter_;
+  common::TokenBucket limiter_;
   std::int64_t seq_ = 0;
 };
 

@@ -30,7 +30,7 @@
 #include "common/ids.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
-#include "net/shm_ring_tunnel.h"
+#include "net/ring_tunnel.h"
 #include "net/socket_tunnel.h"
 #include "net/tunnel.h"
 
@@ -266,18 +266,18 @@ PathRun RunShm() {
   PathRun out;
   const std::string seg =
       "/typhoon-bench-procpath-" + std::to_string(::getpid());
-  net::ShmRingTunnel::UnlinkSegment(seg);
-  if (!net::ShmRingTunnel::CreateSegment(seg, 1 << 20)) return out;
+  net::RingTunnel::UnlinkSegment(seg);
+  if (!net::RingTunnel::CreateSegment(seg, 1 << 20)) return out;
 
   int ctl[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, ctl) != 0) {
-    net::ShmRingTunnel::UnlinkSegment(seg);
+    net::RingTunnel::UnlinkSegment(seg);
     return out;
   }
   const pid_t pid = ::fork();
   if (pid == 0) {
     ::close(ctl[0]);
-    auto ep = net::ShmRingTunnel::Attach(seg, net::ShmRingTunnel::Side::kB);
+    auto ep = net::RingTunnel::Attach(seg, net::RingTunnel::Side::kB);
     if (ep == nullptr) ::_exit(1);
     ChildReport rep;
     SinkLoop(*ep, rep);
@@ -288,13 +288,13 @@ PathRun RunShm() {
   }
   ::close(ctl[1]);
 
-  auto ep = net::ShmRingTunnel::Attach(seg, net::ShmRingTunnel::Side::kA);
+  auto ep = net::RingTunnel::Attach(seg, net::RingTunnel::Side::kA);
   if (ep == nullptr) {
     ::kill(pid, SIGKILL);
     int st = 0;
     ::waitpid(pid, &st, 0);
     ::close(ctl[0]);
-    net::ShmRingTunnel::UnlinkSegment(seg);
+    net::RingTunnel::UnlinkSegment(seg);
     return out;
   }
   PumpFrames(*ep);
@@ -302,7 +302,7 @@ PathRun RunShm() {
   ChildReport rep;
   const bool got = AwaitReport(ctl[0], pid, rep);
   ::close(ctl[0]);
-  net::ShmRingTunnel::UnlinkSegment(seg);
+  net::RingTunnel::UnlinkSegment(seg);
   if (!got) {
     std::printf("  shm child did not finish\n");
     return out;

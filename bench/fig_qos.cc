@@ -46,7 +46,8 @@ struct LatencyLog {
 class StampingSpout : public stream::Spout {
  public:
   explicit StampingSpout(double rate_per_sec, int payload_len)
-      : payload_(payload_len, 'p'), rate_(rate_per_sec) {}
+      : payload_(payload_len, 'p'),
+        rate_(rate_per_sec, common::kTupleBurstFloor) {}
 
   bool next(stream::Emitter& out) override {
     if (!rate_.try_acquire(4)) return false;
@@ -58,7 +59,7 @@ class StampingSpout : public stream::Spout {
 
  private:
   std::string payload_;
-  common::RateLimiter rate_;
+  common::TokenBucket rate_;
   std::int64_t seq_ = 0;
 };
 

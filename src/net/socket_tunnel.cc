@@ -30,7 +30,7 @@ constexpr std::size_t kTxBurstRecs = 256;
 // frames counted lost when a connection drops mid-flight.
 constexpr std::size_t kTxStageMax = 1024;
 // Arena bytes per record: [len u32] + frame header + checksum trailer
-// (legacy byte records use only the 4-byte prefix).
+// (wire_push records use only the 4-byte prefix).
 constexpr std::size_t kArenaPerRec =
     4 + Packet::kHeaderWireSize + kFrameChecksumBytes;
 
@@ -193,35 +193,6 @@ bool SocketTunnel::wire_push(common::Bytes frame) {
   return ok;
 }
 
-bool SocketTunnel::wire_try_push(common::Bytes frame) {
-  TxRec rec;
-  tx_bytes_copied_.fetch_add(frame.size(), std::memory_order_relaxed);
-  rec.bytes = std::move(frame);
-  const bool ok = tx_q_.try_push(std::move(rec));
-  if (ok) poke_if_waiting();
-  return ok;
-}
-
-std::size_t SocketTunnel::wire_try_push_bulk(
-    std::vector<common::Bytes>& frames) {
-  std::vector<TxRec> recs;
-  recs.reserve(frames.size());
-  for (common::Bytes& f : frames) {
-    TxRec rec;
-    tx_bytes_copied_.fetch_add(f.size(), std::memory_order_relaxed);
-    rec.bytes = std::move(f);
-    recs.push_back(std::move(rec));
-  }
-  const std::size_t n = tx_q_.try_push_bulk(recs.begin(), recs.size());
-  // Frames the full ring rejected stay with the caller (contract); move
-  // them back since we pilfered the whole range up front.
-  for (std::size_t i = n; i < recs.size(); ++i) {
-    frames[i] = std::move(recs[i].bytes);
-  }
-  if (n != 0) poke_if_waiting();
-  return n;
-}
-
 std::size_t SocketTunnel::wire_try_push_pkts(
     std::span<const PacketPtr> pkts, std::span<const TxFrameInfo> info) {
   // The vectored path: stage refcounted packets; the IO thread frames them
@@ -240,36 +211,6 @@ std::size_t SocketTunnel::wire_try_push_pkts(
   recs.clear();  // drop refs on any rejected tail
   if (n != 0) poke_if_waiting();
   return n;
-}
-
-common::Bytes SocketTunnel::ref_to_bytes(const RxFrameRef& ref) {
-  return common::Bytes(ref.data, ref.data + ref.len);
-}
-
-std::optional<common::Bytes> SocketTunnel::wire_try_pop() {
-  auto ref = rx_q_.try_pop();
-  if (!ref) return std::nullopt;
-  rx_bytes_copied_.fetch_add(ref->len, std::memory_order_relaxed);
-  return ref_to_bytes(*ref);
-}
-
-std::size_t SocketTunnel::wire_pop_bulk(std::vector<common::Bytes>& out,
-                                        std::size_t max) {
-  std::vector<RxFrameRef> refs;
-  const std::size_t n = rx_q_.pop_bulk(std::back_inserter(refs), max);
-  for (const RxFrameRef& r : refs) {
-    rx_bytes_copied_.fetch_add(r.len, std::memory_order_relaxed);
-    out.push_back(ref_to_bytes(r));
-  }
-  return n;
-}
-
-std::optional<common::Bytes> SocketTunnel::wire_pop_for(
-    std::chrono::milliseconds timeout) {
-  auto ref = rx_q_.pop_for(timeout);
-  if (!ref) return std::nullopt;
-  rx_bytes_copied_.fetch_add(ref->len, std::memory_order_relaxed);
-  return ref_to_bytes(*ref);
 }
 
 std::size_t SocketTunnel::wire_pop_views(std::vector<FrameView>& out,
@@ -294,11 +235,6 @@ void SocketTunnel::wire_close() {
   if (live >= 0) ::shutdown(live, SHUT_RDWR);
   fd_cv_.notify_all();
   poke();
-}
-
-void SocketTunnel::wire_fire_tx_notify() {
-  // The RX pump on the peer fires its local hook; nothing to do on the
-  // sending side.
 }
 
 void SocketTunnel::retarget(std::string host, std::uint16_t port) {
@@ -473,7 +409,7 @@ std::uint64_t SocketTunnel::pump(int fd) {
 
   // Frame the front of `pending` into iovecs: per packet record an arena
   // block [len u32][27B header] + the payload straight from the packet +
-  // an arena [8B checksum] block; per legacy record [len u32] + the bytes.
+  // an arena [8B checksum] block; per wire_push record [len u32] + the bytes.
   auto build_batch = [&] {
     iov.clear();
     arena.clear();

@@ -1,8 +1,8 @@
 // SocketTunnel — the TunnelEndpoint transport for multi-process deployments:
 // a real TCP connection between two host processes (DESIGN.md Sec 17).
 //
-// The endpoint keeps the in-memory transport's non-blocking burst contract
-// (the sharded SoftSwitch hot path is unchanged): send/try_send_burst stage
+// The endpoint keeps the TunnelEndpoint burst contract (the sharded
+// SoftSwitch hot path is unchanged): send/try_send_burst stage
 // records into a bounded TX ring and try_recv_burst drains a bounded RX
 // ring. One IO thread per endpoint owns the socket and moves records
 // between the rings and the wire as length-prefixed records
@@ -123,29 +123,21 @@ class SocketTunnel final : public TunnelEndpoint {
     std::uint64_t wake_writes = 0;     // eventfd pokes by submitters
     std::uint64_t tx_records = 0;      // records fully written to the wire
     std::uint64_t rx_records = 0;      // records sliced out of slabs
-    std::uint64_t tx_bytes_copied = 0; // staged via the legacy Bytes path
-    std::uint64_t rx_bytes_copied = 0; // slab-boundary stitches + Bytes pops
+    std::uint64_t tx_bytes_copied = 0; // frames staged whole by wire_push
+                                       // (send(), shaper output)
+    std::uint64_t rx_bytes_copied = 0; // slab-boundary record stitches
   };
   [[nodiscard]] IoStats io_stats() const;
 
  protected:
-  bool wire_push(common::Bytes frame) override;
-  bool wire_try_push(common::Bytes frame) override;
-  std::size_t wire_try_push_bulk(std::vector<common::Bytes>& frames) override;
   std::size_t wire_try_push_pkts(std::span<const PacketPtr> pkts,
                                  std::span<const TxFrameInfo> info) override;
-  std::optional<common::Bytes> wire_try_pop() override;
-  std::size_t wire_pop_bulk(std::vector<common::Bytes>& out,
-                            std::size_t max) override;
-  std::optional<common::Bytes> wire_pop_for(
-      std::chrono::milliseconds timeout) override;
-  [[nodiscard]] bool wire_supports_views() const override { return true; }
+  bool wire_push(common::Bytes frame) override;
   std::size_t wire_pop_views(std::vector<FrameView>& out,
                              std::size_t max) override;
   void wire_release_views() override;
   [[nodiscard]] std::size_t wire_rx_depth() const override;
   void wire_close() override;
-  void wire_fire_tx_notify() override;
 
  private:
   SocketTunnel(bool active, std::string host, std::uint16_t port, HostId self,
@@ -153,12 +145,12 @@ class SocketTunnel final : public TunnelEndpoint {
 
   // One staged outbound record. Either a refcounted packet (vectored path:
   // the IO thread frames it from iovecs, payload uncopied) or an opaque
-  // pre-framed byte blob (blocking send / shaper output / bulk-Bytes push).
+  // pre-framed byte blob (wire_push: blocking send / shaper output).
   struct TxRec {
     PacketPtr pkt;
     std::uint32_t body_len = 0;   // pkt path: header+payload bytes
     std::uint64_t checksum = 0;   // pkt path: frame checksum trailer
-    common::Bytes bytes;          // legacy path: whole checksummed frame
+    common::Bytes bytes;          // wire_push: whole checksummed frame
   };
 
   // One received record sliced in place out of a pooled RX slab. The
@@ -182,7 +174,6 @@ class SocketTunnel final : public TunnelEndpoint {
   void poke();
   // Poke only if the IO thread is (or may be going) to sleep.
   void poke_if_waiting();
-  static common::Bytes ref_to_bytes(const RxFrameRef& ref);
 
   const bool active_;
   std::string peer_host_;       // guarded by fd_mu_ (retarget)

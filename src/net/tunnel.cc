@@ -4,7 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <iterator>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -104,13 +104,6 @@ std::optional<std::span<const std::uint8_t>> VerifyChecksumView(
   return body;
 }
 
-bool VerifyAndStripChecksum(common::Bytes& frame) {
-  const auto body = VerifyChecksumView(frame);
-  if (!body) return false;
-  frame.resize(body->size());
-  return true;
-}
-
 }  // namespace
 
 std::uint64_t FrameChecksum(const Packet& p) {
@@ -133,7 +126,7 @@ bool TunnelEndpoint::send(const Packet& p) {
   // Capacity cap: wait for token credit before the frame reaches the wire
   // (blocking-send = TCP back-pressure, so saturation stalls the sender).
   // The wait always terminates — a positive rate keeps refilling, and a
-  // concurrently closed queue just rejects the push afterward.
+  // concurrently closed wire just rejects the push afterward.
   while (tx_limited_.load(std::memory_order_acquire) &&
          !tx_bucket_.try_spend(static_cast<double>(body_bytes))) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -172,61 +165,12 @@ bool TunnelEndpoint::send(const Packet& p) {
   return ok;
 }
 
-std::size_t TunnelEndpoint::try_send_burst(
-    std::span<const Packet* const> pkts) {
+std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
   if (pkts.empty()) return 0;
   if (impaired_.load(std::memory_order_acquire)) {
     // Impaired links keep the per-frame path so the shaper's deterministic
     // draw schedule (one admit per frame) is byte-identical with and
     // without bursting.
-    std::size_t n = 0;
-    for (const Packet* p : pkts) {
-      if (!send(*p)) break;
-      ++n;
-    }
-    return n;
-  }
-  std::vector<common::Bytes> frames;
-  frames.reserve(pkts.size());
-  std::size_t body_bytes_total = 0;
-  std::vector<std::size_t> body_bytes;
-  body_bytes.reserve(pkts.size());
-  const bool capped = tx_limited_.load(std::memory_order_acquire);
-  for (const Packet* p : pkts) {
-    common::Bytes frame;
-    frame.reserve(p->wire_size() + kChecksumBytes);
-    EncodeFrame(*p, frame);
-    // On a capped link the burst stops at the first frame the bucket
-    // cannot cover yet; the caller keeps the tail (its fallback is the
-    // blocking send, which waits for credit).
-    if (capped && !tx_bucket_.try_spend(static_cast<double>(frame.size()))) {
-      break;
-    }
-    body_bytes.push_back(frame.size());
-    AppendChecksum(frame);
-    frames.push_back(std::move(frame));
-  }
-  const std::size_t pushed = wire_try_push_bulk(frames);
-  if (capped) {
-    // Refund credit for frames the full ring rejected — they were charged
-    // on admission but never reached the wire (the caller will re-pay when
-    // it retries them).
-    for (std::size_t i = pushed; i < frames.size(); ++i) {
-      tx_bucket_.spend(-static_cast<double>(body_bytes[i]));
-    }
-  }
-  for (std::size_t i = 0; i < pushed; ++i) body_bytes_total += body_bytes[i];
-  bytes_.fetch_add(body_bytes_total, std::memory_order_relaxed);
-  sent_.fetch_add(pushed, std::memory_order_relaxed);
-  if (pushed != 0) wire_fire_tx_notify();
-  return pushed;
-}
-
-std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
-  if (pkts.empty()) return 0;
-  if (impaired_.load(std::memory_order_acquire)) {
-    // Same as the raw-pointer overload: impaired links keep the per-frame
-    // path so the shaper's draw schedule stays byte-identical.
     std::size_t n = 0;
     for (const PacketPtr& p : pkts) {
       if (!send(*p)) break;
@@ -234,10 +178,11 @@ std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
     }
     return n;
   }
-  // Precompute framing metadata; on a capped link admit frames against the
-  // bucket one by one, stopping at the first the bucket cannot cover.
-  std::vector<TxFrameInfo> info;
-  info.reserve(pkts.size());
+  // Precompute framing metadata into per-thread scratch (several shards may
+  // burst into one endpoint at once); on a capped link admit frames against
+  // the bucket one by one, stopping at the first the bucket cannot cover.
+  thread_local std::vector<TxFrameInfo> info;
+  info.clear();
   const bool capped = tx_limited_.load(std::memory_order_acquire);
   for (const PacketPtr& p : pkts) {
     const std::size_t body = p->wire_size();
@@ -249,6 +194,9 @@ std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
       wire_try_push_pkts(pkts.first(info.size()),
                          std::span<const TxFrameInfo>(info));
   if (capped) {
+    // Refund credit for frames the full ring rejected — they were charged
+    // on admission but never reached the wire (the caller will re-pay when
+    // it retries them).
     for (std::size_t i = pushed; i < info.size(); ++i) {
       tx_bucket_.spend(-static_cast<double>(info[i].body_len));
     }
@@ -261,103 +209,27 @@ std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
   return pushed;
 }
 
-std::size_t TunnelEndpoint::wire_try_push_pkts(
-    std::span<const PacketPtr> pkts, std::span<const TxFrameInfo> info) {
-  // Fallback for transports without a vectored TX path: materialize the
-  // checksummed frames and reuse the bulk byte push.
-  std::vector<common::Bytes> frames;
-  frames.reserve(pkts.size());
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    common::Bytes frame;
-    frame.reserve(info[i].body_len + kChecksumBytes);
-    EncodeFrame(*pkts[i], frame);
-    const std::uint64_t sum = info[i].checksum;
-    for (std::size_t b = 0; b < kChecksumBytes; ++b) {
-      frame.push_back(static_cast<std::uint8_t>(sum >> (b * 8)));
-    }
-    frames.push_back(std::move(frame));
-  }
-  return wire_try_push_bulk(frames);
-}
-
-std::optional<Packet> TunnelEndpoint::decode_checked(common::Bytes frame) {
-  if (!VerifyAndStripChecksum(frame)) {
-    corrupt_rx_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  return DecodeFrame(frame);
-}
-
-bool TunnelEndpoint::decode_checked_into(common::Bytes frame, Packet& out) {
-  if (!VerifyAndStripChecksum(frame)) {
-    corrupt_rx_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return DecodeFrameInto(frame, out);
-}
-
-bool TunnelEndpoint::try_recv_into(Packet& out) {
-  while (auto frame = wire_try_pop()) {
-    if (decode_checked_into(std::move(*frame), out)) return true;
-  }
-  return false;
-}
-
 std::size_t TunnelEndpoint::try_recv_burst(std::span<Packet*> out) {
   if (out.empty()) return 0;
-  if (wire_supports_views()) {
-    // View path: the transport lends spans into its RX slabs/rings; verify
-    // and decode in place, making the payload copy into the caller's pooled
-    // packet the only copy past the kernel boundary.
-    view_scratch_.clear();
-    const std::size_t got = wire_pop_views(view_scratch_, out.size());
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < got; ++i) {
-      const auto body = VerifyChecksumView(view_scratch_[i].bytes);
-      if (!body) {
-        corrupt_rx_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (DecodeFrameInto(*body, *out[n])) ++n;
-    }
-    view_scratch_.clear();
-    wire_release_views();
-    return n;
-  }
-  rx_scratch_.clear();
-  wire_pop_bulk(rx_scratch_, out.size());
+  // The transport lends spans into its RX rings/slabs; verify and decode in
+  // place, making the payload copy into the caller's pooled packet the only
+  // copy on the way in.
+  view_scratch_.clear();
+  const std::size_t got = wire_pop_views(view_scratch_, out.size());
   std::size_t n = 0;
-  for (common::Bytes& frame : rx_scratch_) {
+  for (std::size_t i = 0; i < got; ++i) {
     // Corrupt frames are counted link drops; the decode slot is reused for
     // the next frame so the caller still gets a dense prefix.
-    if (decode_checked_into(std::move(frame), *out[n])) ++n;
+    const auto body = VerifyChecksumView(view_scratch_[i].bytes);
+    if (!body) {
+      corrupt_rx_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (DecodeFrameInto(*body, *out[n])) ++n;
   }
-  rx_scratch_.clear();
+  view_scratch_.clear();
+  wire_release_views();
   return n;
-}
-
-std::optional<Packet> TunnelEndpoint::try_recv() {
-  // Corrupt frames are link drops: count them and keep draining so the
-  // caller never mistakes a mangled frame for an empty queue.
-  while (auto frame = wire_try_pop()) {
-    if (auto p = decode_checked(std::move(*frame))) return p;
-  }
-  return std::nullopt;
-}
-
-std::optional<Packet> TunnelEndpoint::recv_for(
-    std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    auto frame = wire_pop_for(remaining > std::chrono::milliseconds::zero()
-                                  ? remaining
-                                  : std::chrono::milliseconds::zero());
-    if (!frame) return std::nullopt;
-    if (auto p = decode_checked(std::move(*frame))) return p;
-    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-  }
 }
 
 void TunnelEndpoint::set_tx_rate(double bytes_per_sec) {
@@ -375,18 +247,29 @@ faultinject::Impairment* TunnelEndpoint::set_impairment(
   return &shaper_->impairment();
 }
 
-void TunnelEndpoint::clear_impairment() {
-  std::lock_guard lk(impair_mu_);
-  if (shaper_ != nullptr) {
-    // Best-effort drain of held frames so a cleared link does not strand
-    // reordered traffic.
-    std::vector<common::Bytes> out;
-    shaper_->flush(out);
-    for (common::Bytes& f : out) (void)wire_try_push(std::move(f));
-    wire_fire_tx_notify();
+void TunnelEndpoint::clear_impairment() { release_impairment(true); }
+
+void TunnelEndpoint::release_impairment(bool deliver) {
+  std::unique_ptr<faultinject::Shaper<common::Bytes>> shaper;
+  {
+    std::lock_guard lk(impair_mu_);
+    shaper = std::move(shaper_);
+    impaired_.store(false, std::memory_order_release);
   }
-  impaired_.store(false, std::memory_order_release);
-  shaper_.reset();
+  if (shaper == nullptr) return;
+  // The held frames already count in frames_sent(), so none may vanish
+  // silently: each goes out through the blocking push, and whatever the
+  // wire refuses (closed) is a counted drop. The push runs outside the
+  // lock, so a close() racing a flush blocked on a full ring closes the
+  // wire and unblocks it.
+  std::vector<common::Bytes> held;
+  shaper->flush(held);
+  std::uint64_t dropped = 0;
+  for (common::Bytes& f : held) {
+    if (!deliver || !wire_push(std::move(f))) ++dropped;
+  }
+  if (deliver && dropped != held.size()) wire_fire_tx_notify();
+  count_peer_drops(dropped);
 }
 
 faultinject::Impairment* TunnelEndpoint::impairment() {
@@ -395,59 +278,8 @@ faultinject::Impairment* TunnelEndpoint::impairment() {
 }
 
 void TunnelEndpoint::close() {
-  clear_impairment();
   wire_close();
-}
-
-// ---- InMemoryTunnel -------------------------------------------------------
-
-bool InMemoryTunnel::wire_push(common::Bytes frame) {
-  return tx_->q.push(std::move(frame));
-}
-
-bool InMemoryTunnel::wire_try_push(common::Bytes frame) {
-  return tx_->q.try_push(std::move(frame));
-}
-
-std::size_t InMemoryTunnel::wire_try_push_bulk(
-    std::vector<common::Bytes>& frames) {
-  return tx_->q.try_push_bulk(frames.begin(), frames.size());
-}
-
-std::optional<common::Bytes> InMemoryTunnel::wire_try_pop() {
-  return rx_->q.try_pop();
-}
-
-std::size_t InMemoryTunnel::wire_pop_bulk(std::vector<common::Bytes>& out,
-                                          std::size_t max) {
-  return rx_->q.pop_bulk(std::back_inserter(out), max);
-}
-
-std::optional<common::Bytes> InMemoryTunnel::wire_pop_for(
-    std::chrono::milliseconds timeout) {
-  return rx_->q.pop_for(timeout);
-}
-
-std::size_t InMemoryTunnel::wire_rx_depth() const { return rx_->q.size(); }
-
-void InMemoryTunnel::wire_close() {
-  tx_->q.close();
-  rx_->q.close();
-}
-
-void InMemoryTunnel::wire_fire_tx_notify() { tx_->notify.fire(); }
-
-void InMemoryTunnel::wire_set_rx_notify(std::function<void()> fn) {
-  rx_->notify.set(std::move(fn));
-}
-
-std::pair<std::shared_ptr<TunnelEndpoint>, std::shared_ptr<TunnelEndpoint>>
-CreateTunnel(std::size_t capacity) {
-  auto a_to_b = std::make_shared<InMemoryTunnel::Channel>(capacity);
-  auto b_to_a = std::make_shared<InMemoryTunnel::Channel>(capacity);
-  std::shared_ptr<TunnelEndpoint> a(new InMemoryTunnel(a_to_b, b_to_a));
-  std::shared_ptr<TunnelEndpoint> b(new InMemoryTunnel(b_to_a, a_to_b));
-  return {a, b};
+  release_impairment(false);
 }
 
 }  // namespace typhoon::net

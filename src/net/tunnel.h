@@ -4,33 +4,32 @@
 // set_tun_dst action, and the peer's switch re-injects them into its pipeline
 // (Table 3, remote transfer rules).
 //
-// Frames are serialized to bytes on send and parsed on receive, preserving
-// the real marshaling cost of crossing a host boundary. Every frame carries
-// an 8-byte checksum trailer (a word-at-a-time fold, see FrameChecksum); a
-// frame that fails verification on receive is dropped and counted
-// (`rx_corrupt_drops`) instead of surfacing garbage — the wire can be
-// corrupted by an attached fault-injection Impairment.
-//
-// Burst I/O: try_send_burst enqueues a whole vector of frames under one
-// ring-lock round (the DPDK tx-burst analog) and try_recv_burst drains up
-// to N frames the same way, decoding into caller-provided pooled packets.
-// Send may be called from several switch shards concurrently (frame
-// counters are atomics); burst receive is single-consumer — the one shard
-// that owns this tunnel's RX polling.
+// One contract. Frames go out as a burst of refcounted packets
+// (try_send_burst) or one at a time through the blocking send(), and come
+// in as a burst decoded into the caller's pooled packets (try_recv_burst).
+// Every frame is [header][payload][8-byte checksum] on the wire (a
+// word-at-a-time fold, see FrameChecksum); a frame that fails verification
+// on receive is dropped and counted (`rx_corrupt_drops`) instead of
+// surfacing garbage — the wire can be corrupted by an attached
+// fault-injection Impairment. Send may be called from several switch shards
+// concurrently (frame counters are atomics); burst receive is single-
+// consumer — the one shard that owns this tunnel's RX polling.
 //
 // TunnelEndpoint is a transport-agnostic base: framing, checksums, the
-// impairment shaper, the tx rate cap, and all counters live here, above a
-// small set of wire primitives (`wire_*`). Transports only move opaque
-// checksummed frames:
-//   - InMemoryTunnel (this header + CreateTunnel): a pair of in-process
-//     frame rings — the single-process deployment.
+// impairment shaper, the tx rate cap, and all counters live here, above
+// four data primitives (`wire_*`): a non-blocking vectored burst push, a
+// blocking push of one pre-checksummed frame, and a borrowed-view burst
+// pop with its release. Transports only move opaque checksummed frames:
+//   - RingTunnel (net/ring_tunnel.h): two SPSC byte rings with two
+//     backings of the same segment layout — one heap block shared by an
+//     in-process endpoint pair (CreateTunnel, the single-process
+//     deployment), or a POSIX shm segment mapped by two host processes.
 //   - SocketTunnel (net/socket_tunnel.h): a real TCP connection between
 //     host processes.
-//   - ShmRingTunnel (net/shm_ring_tunnel.h): shared-memory SPSC byte rings
-//     for same-machine host-process pairs.
-// Because everything above the wire is shared, the three transports are
-// behaviourally equivalent by construction (locked down by the seeded
-// transport-equivalence property test in tests/test_net.cc).
+// Because everything above the wire is shared, and in-memory and shm are
+// one ring implementation, the transports are behaviourally equivalent by
+// construction (locked down by the seeded transport-equivalence property
+// test in tests/test_net.cc).
 #pragma once
 
 #include <atomic>
@@ -38,12 +37,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "common/mpmc_queue.h"
 #include "common/token_bucket.h"
 #include "faultinject/impairment.h"
 #include "net/packet.h"
@@ -51,9 +48,9 @@
 namespace typhoon::net {
 
 // Width of the checksum trailer appended to every wire frame.
-// Transports that build records without materializing the frame (the
-// vectored socket TX path, the shm burst writer) need the trailer width to
-// size their records; the checksum value itself rides in TxFrameInfo.
+// Transports build records without materializing the frame (the vectored
+// socket TX path, the ring burst writer), so they need the trailer width
+// to size their records; the checksum value itself rides in TxFrameInfo.
 inline constexpr std::size_t kFrameChecksumBytes = 8;
 
 // Checksum of a packet's encoded frame ([header][payload]) computed without
@@ -91,30 +88,18 @@ class TunnelEndpoint {
 
   // Blocking send (TCP back-pressure semantics). False once closed.
   bool send(const Packet& p);
-  // Non-blocking burst send: encodes and enqueues frames in order under one
-  // ring-lock round, stopping at the first rejection (full ring). Returns
-  // the number enqueued; the unsent tail `pkts[n..]` stays with the caller
-  // (retry, hold, or fall back to the blocking send).
-  std::size_t try_send_burst(std::span<const Packet* const> pkts);
-  // PacketPtr burst send — the cross-process fast path. Same ordering and
-  // tail semantics as the raw-pointer overload, but hands the refcounted
-  // handles to the wire so a transport with its own I/O thread (socket) can
-  // keep the packets alive and write [header iovec][payload iovec] pairs
-  // without ever copying the payload into an intermediate frame buffer.
+  // Non-blocking burst send — the data path. Hands the refcounted packets
+  // to the wire in order, stopping at the first the wire cannot take (full
+  // ring, or a capped link out of credit). Returns the number accepted; the
+  // unsent tail `pkts[n..]` stays with the caller (retry, hold, or fall
+  // back to the blocking send). Transports frame each packet straight from
+  // its header and payload, never through an intermediate frame buffer.
   std::size_t try_send_burst(std::span<const PacketPtr> pkts);
-  // Non-blocking receive of one decoded frame.
-  std::optional<Packet> try_recv();
-  // Non-blocking receive into an existing packet, reusing its payload
-  // capacity (pooled RX path — no per-frame Packet allocation).
-  bool try_recv_into(Packet& out);
-  // Non-blocking burst receive: drains up to out.size() frames under one
-  // ring-lock round and decodes them into the caller's packets (payload
-  // capacity reused, same as try_recv_into). Returns the number decoded;
-  // corrupt frames are counted and skipped, never surfaced. Single
-  // consumer: only the owning poller may call this.
+  // Non-blocking burst receive: decodes up to out.size() frames into the
+  // caller's packets (payload capacity reused). Returns the number
+  // decoded; corrupt frames are counted and skipped, never surfaced.
+  // Single consumer: only the owning poller may call this.
   std::size_t try_recv_burst(std::span<Packet*> out);
-  // Blocking receive with timeout.
-  std::optional<Packet> recv_for(std::chrono::milliseconds timeout);
 
   // Frames queued toward this endpoint, not yet received. Used by pollers
   // deciding whether to park.
@@ -138,9 +123,11 @@ class TunnelEndpoint {
   [[nodiscard]] std::uint64_t rx_corrupt_drops() const {
     return corrupt_rx_.load(std::memory_order_relaxed);
   }
-  // Frames accepted by send()/try_send_burst() but discarded by the
-  // transport because the peer was gone (connection down / process dead).
-  // Always 0 for the in-memory transport, whose peer cannot vanish.
+  // Frames accepted by send()/try_send_burst() but never delivered: the
+  // transport discarded them because the peer was gone (connection down /
+  // process dead), or the endpoint closed while the impairment shaper
+  // still held them. 0 on an unimpaired in-process tunnel, whose peer
+  // cannot vanish.
   [[nodiscard]] std::uint64_t peer_drops() const {
     return peer_drops_.load(std::memory_order_relaxed);
   }
@@ -152,6 +139,9 @@ class TunnelEndpoint {
   // clear_impairment() or endpoint destruction. Thread-safe.
   faultinject::Impairment* set_impairment(
       const faultinject::ImpairmentConfig& cfg);
+  // Detach the impairment stage. Frames it still holds back go out through
+  // the blocking wire push, so each is delivered or counted in
+  // peer_drops(); close() counts them as dropped instead of waiting.
   void clear_impairment();
   [[nodiscard]] faultinject::Impairment* impairment();
 
@@ -169,59 +159,39 @@ class TunnelEndpoint {
   TunnelEndpoint() = default;
 
   // ---- wire primitives, implemented per transport -----------------------
-  // Frames handed down are opaque checksummed byte blobs; transports move
-  // them verbatim and never look inside.
+  // Transports move opaque checksummed frames verbatim and never look
+  // inside.
 
-  // Blocking enqueue toward the peer. False once the wire is closed.
-  virtual bool wire_push(common::Bytes frame) = 0;
-  // Non-blocking enqueue; false when the wire is full or closed.
-  virtual bool wire_try_push(common::Bytes frame) = 0;
-  // Non-blocking bulk enqueue under one lock round. Returns the number
-  // accepted from the front of `frames`; the tail stays with the caller.
-  virtual std::size_t wire_try_push_bulk(
-      std::vector<common::Bytes>& frames) = 0;
-  // Non-blocking bulk enqueue of refcounted packets plus their precomputed
-  // framing metadata (info[i] describes pkts[i]). Default: materialize each
-  // frame and fall back to wire_try_push_bulk — transports with a vectored
-  // TX path (socket, shm) override to skip the intermediate copy. Returns
-  // the accepted prefix length.
+  // Non-blocking burst enqueue of refcounted packets plus their precomputed
+  // framing metadata (info[i] describes pkts[i]); the transport frames
+  // [header][payload][checksum] itself. Returns the accepted prefix length;
+  // 0 once the wire is closed.
   virtual std::size_t wire_try_push_pkts(std::span<const PacketPtr> pkts,
-                                         std::span<const TxFrameInfo> info);
-  // Non-blocking dequeue of one frame from the peer.
-  virtual std::optional<common::Bytes> wire_try_pop() = 0;
-  // Bulk dequeue of up to `max` frames under one lock round.
-  virtual std::size_t wire_pop_bulk(std::vector<common::Bytes>& out,
-                                    std::size_t max) = 0;
-  // Blocking dequeue with timeout.
-  virtual std::optional<common::Bytes> wire_pop_for(
-      std::chrono::milliseconds timeout) = 0;
-  // View-based RX: transports that hold received records in slabs/rings can
-  // hand out borrowed spans instead of copying each frame into a Bytes.
-  // wire_pop_views appends up to `max` views (valid until the matching
-  // wire_release_views) and returns the count; try_recv_burst decodes
-  // straight from the views into the caller's pooled packets, making the
-  // decode the only copy on the RX path. Single consumer, and the two
-  // calls must pair up (no other RX call in between).
-  [[nodiscard]] virtual bool wire_supports_views() const { return false; }
+                                         std::span<const TxFrameInfo> info) = 0;
+  // Blocking enqueue of one pre-checksummed frame toward the peer. False
+  // once the wire is closed.
+  virtual bool wire_push(common::Bytes frame) = 0;
+  // Borrowed-view dequeue: appends up to `max` views of received frames
+  // (valid until the matching wire_release_views) and returns the count.
+  // try_recv_burst verifies and decodes straight from the views into the
+  // caller's pooled packets, making the decode the only copy on the RX
+  // path. Single consumer, and the two calls must pair up.
   virtual std::size_t wire_pop_views(std::vector<FrameView>& out,
-                                     std::size_t max) {
-    (void)out;
-    (void)max;
-    return 0;
-  }
-  virtual void wire_release_views() {}
+                                     std::size_t max) = 0;
+  virtual void wire_release_views() = 0;
+
   // Frames queued toward this endpoint, not yet popped.
   [[nodiscard]] virtual std::size_t wire_rx_depth() const = 0;
-  // Tear the wire down; all subsequent pushes/pops fail fast.
+  // Tear the wire down; all subsequent pushes fail fast.
   virtual void wire_close() = 0;
-  // Fired once after a send/burst handed frames to the wire. The in-memory
-  // transport pokes the peer's rx-notify hook here; transports with their
-  // own RX pump (socket/shm) fire the local hook from the pump instead.
+  // Fired once after a send/burst handed frames to the wire. The in-process
+  // ring pokes the peer's rx-notify hook here; transports with their own RX
+  // pump (socket) fire the local hook from the pump instead.
   virtual void wire_fire_tx_notify() {}
 
   // Receiver-side notify hook. The default implementation stores the hook
-  // endpoint-locally (for transports whose RX pump fires it); InMemoryTunnel
-  // overrides it to store the hook on the shared channel, where the peer's
+  // endpoint-locally (for transports whose RX pump fires it); RingTunnel
+  // overrides it to store the hook next to the ring, where the peer's
   // sender fires it directly.
   virtual void wire_set_rx_notify(std::function<void()> fn) {
     rx_hook_.set(std::move(fn));
@@ -253,17 +223,16 @@ class TunnelEndpoint {
   NotifyHook rx_hook_;
 
  private:
-  std::optional<Packet> decode_checked(common::Bytes frame);
-  bool decode_checked_into(common::Bytes frame, Packet& out);
+  // Detach the shaper; its held frames go out through wire_push (deliver)
+  // or are counted as peer drops (!deliver).
+  void release_impairment(bool deliver);
 
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> corrupt_rx_{0};
   std::atomic<std::uint64_t> peer_drops_{0};
 
-  // Single-consumer scratch for try_recv_burst (frames popped in bulk,
-  // decoded outside the ring lock).
-  std::vector<common::Bytes> rx_scratch_;
+  // Single-consumer scratch for try_recv_burst.
   std::vector<FrameView> view_scratch_;
 
   // Wire shaper, present only while impaired. The flag keeps the unimpaired
@@ -274,49 +243,13 @@ class TunnelEndpoint {
 
   // TX capacity cap (bytes/s); the bucket has internal locking and the
   // flag gates the uncapped fast path.
-  common::ByteBucket tx_bucket_;
+  common::TokenBucket tx_bucket_{0.0, common::kByteBurstFloor};
   std::atomic<bool> tx_limited_{false};
 };
 
-// The in-process transport: two MPMC frame rings shared by the endpoint
-// pair, with the receiver's wake-up hook living on the ring so the sender
-// can fire it directly after enqueueing.
-class InMemoryTunnel final : public TunnelEndpoint {
- protected:
-  bool wire_push(common::Bytes frame) override;
-  bool wire_try_push(common::Bytes frame) override;
-  std::size_t wire_try_push_bulk(std::vector<common::Bytes>& frames) override;
-  std::optional<common::Bytes> wire_try_pop() override;
-  std::size_t wire_pop_bulk(std::vector<common::Bytes>& out,
-                            std::size_t max) override;
-  std::optional<common::Bytes> wire_pop_for(
-      std::chrono::milliseconds timeout) override;
-  [[nodiscard]] std::size_t wire_rx_depth() const override;
-  void wire_close() override;
-  void wire_fire_tx_notify() override;
-  void wire_set_rx_notify(std::function<void()> fn) override;
-
- private:
-  friend std::pair<std::shared_ptr<TunnelEndpoint>,
-                   std::shared_ptr<TunnelEndpoint>>
-  CreateTunnel(std::size_t capacity);
-
-  // One direction of the wire: the frame queue plus the receiver-side
-  // wake-up hook fired by the sender after enqueueing.
-  struct Channel {
-    explicit Channel(std::size_t cap) : q(cap) {}
-    common::MpmcQueue<common::Bytes> q;
-    NotifyHook notify;
-  };
-
-  InMemoryTunnel(std::shared_ptr<Channel> tx, std::shared_ptr<Channel> rx)
-      : tx_(std::move(tx)), rx_(std::move(rx)) {}
-
-  std::shared_ptr<Channel> tx_;
-  std::shared_ptr<Channel> rx_;
-};
-
-// Create a bidirectional in-memory tunnel; returns the two endpoints.
+// Create a bidirectional in-process tunnel (a heap-backed RingTunnel pair)
+// that queues at most `capacity` frames per direction; returns the two
+// endpoints.
 std::pair<std::shared_ptr<TunnelEndpoint>, std::shared_ptr<TunnelEndpoint>>
 CreateTunnel(std::size_t capacity = 4096);
 

@@ -15,7 +15,6 @@ Worker::Worker(WorkerOptions opts)
       received_(metrics_.counter("received")),
       acked_(metrics_.counter("acked")),
       failed_(metrics_.counter("failed")),
-      input_rate_(0.0),
       rng_(common::HashCombine(opts_.ctx.worker, 0x7970686f6f6eull)),
       acking_(opts_.reliable && opts_.acker != 0),
       is_acker_(opts_.ctx.node_name == kAckerNodeName),

@@ -27,7 +27,7 @@
 #include "common/clock.h"
 #include "common/hash.h"
 #include "common/metrics.h"
-#include "common/rate_limiter.h"
+#include "common/token_bucket.h"
 #include "coordinator/coordinator.h"
 #include "stream/acker.h"
 #include "stream/api.h"
@@ -143,7 +143,7 @@ class Worker final : public Emitter {
   common::Counter& received_;
   common::Counter& acked_;
   common::Counter& failed_;
-  common::RateLimiter input_rate_;
+  common::TokenBucket input_rate_{0.0, common::kTupleBurstFloor};
   common::Rng rng_;
 
   // Guaranteed processing is on (reliable, acker deployed); the acker's

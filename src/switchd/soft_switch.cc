@@ -634,29 +634,28 @@ void SoftSwitch::flush_port_bin(Shard& sh, PortBin& bin) {
 }
 
 void SoftSwitch::flush_tunnel_bin(Shard& sh, TunnelBin& bin) {
-  // Hand the refcounted bin straight to the tunnel: the socket transport
-  // stages the PacketPtrs and frames them from iovecs on its IO thread, so
-  // a cross-process burst stays a burst (and stays uncopied) end to end.
-  const std::size_t sent = bin.ep->try_send_burst(
-      std::span<const net::PacketPtr>(bin.pkts.data(), bin.pkts.size()));
+  // Hand the refcounted bin straight to the tunnel: the transport frames
+  // each packet from its header and payload (the socket on its IO thread,
+  // from iovecs), so a cross-host burst stays a burst, uncopied, end to end.
+  const std::span<const net::PacketPtr> pkts(bin.pkts.data(), bin.pkts.size());
   const bool tracing = sh.index == 0 && cfg_.trace_recorder != nullptr;
+  const auto span_out = [&](const net::PacketPtr& p) {
+    if (tracing && p->trace_id != 0) {
+      record_span(p->trace_id, p->trace_hop, trace::Stage::kSwitchOut);
+    }
+  };
   std::size_t i = 0;
-  for (; i < sent; ++i) {
-    const net::PacketPtr& p = bin.pkts[i];
-    if (tracing && p->trace_id != 0) {
-      record_span(p->trace_id, p->trace_hop, trace::Stage::kSwitchOut);
-    }
-  }
-  // A full tunnel ring falls back to the blocking per-frame send — the TCP
-  // back-pressure semantics tunnels had before bursting. As on the old
-  // per-packet path, only frames the tunnel actually accepted get a span;
-  // a closed tunnel's rejections are dropped without one.
-  for (; i < bin.pkts.size(); ++i) {
-    const net::PacketPtr& p = bin.pkts[i];
-    if (!bin.ep->send(*p)) continue;
-    if (tracing && p->trace_id != 0) {
-      record_span(p->trace_id, p->trace_hop, trace::Stage::kSwitchOut);
-    }
+  while (i < pkts.size()) {
+    const std::size_t sent = bin.ep->try_send_burst(pkts.subspan(i));
+    for (std::size_t k = i; k < i + sent; ++k) span_out(pkts[k]);
+    i += sent;
+    if (i == pkts.size()) break;
+    // A full tunnel ring falls back to the blocking send for the frame at
+    // its head — the TCP back-pressure semantics — then resumes bursting.
+    // As on the burst path, only frames the tunnel actually accepted get a
+    // span; a closed tunnel's rejections are dropped without one.
+    if (bin.ep->send(*pkts[i])) span_out(pkts[i]);
+    ++i;
   }
   bin.pkts.clear();
 }

@@ -39,9 +39,9 @@
 // A full egress ring does not drop: the shard holds the packet and pauses
 // its ingress polling so the pressure reaches senders' back-pressure loops;
 // only a backlog older than `egress_hold` reverts to the at-most-once drop
-// (see DESIGN.md "End-to-end back-pressure"). Tunnel bins fall back from
-// try_send_burst to the blocking per-frame send on a full tunnel, keeping
-// the pre-shard TCP back-pressure semantics.
+// (see DESIGN.md "End-to-end back-pressure"). A tunnel bin that meets a
+// full tunnel sends the frame at its head with the blocking send, then
+// resumes bursting, keeping the pre-shard TCP back-pressure semantics.
 //
 // Idle shards park: after a short spin-then-backoff ramp, a shard blocks on
 // its WakeupGate, signaled by worker ring pushes, peer tunnel enqueues, and
@@ -297,8 +297,9 @@ class SoftSwitch : public SwitchControl {
   // has internal locking (set_rate races the polling shard); counters are
   // relaxed atomics written by the owning shard only.
   struct PortRateShaper {
-    explicit PortRateShaper(double bps) : bucket(bps) {}
-    common::ByteBucket bucket;
+    explicit PortRateShaper(double bps)
+        : bucket(bps, common::kByteBurstFloor) {}
+    common::TokenBucket bucket;
     std::atomic<std::uint64_t> shaped_bytes{0};
     std::atomic<std::uint64_t> defers{0};
   };

@@ -180,9 +180,9 @@ bool HostProcess::connect_tunnels(const PeersMsg& peers) {
     if (p.host == opts_.host) continue;
     std::shared_ptr<net::TunnelEndpoint> ep;
     if (configure_.transport == ProcTransport::kShmRing) {
-      const auto side = opts_.host < p.host ? net::ShmRingTunnel::Side::kA
-                                            : net::ShmRingTunnel::Side::kB;
-      ep = net::ShmRingTunnel::Attach(
+      const auto side = opts_.host < p.host ? net::RingTunnel::Side::kA
+                                            : net::RingTunnel::Side::kB;
+      ep = net::RingTunnel::Attach(
           ShmSegmentName(configure_.shm_prefix, opts_.host, p.host), side);
     } else if (p.host < opts_.host) {
       // Dial lower-id peers; higher-id peers dial our listener.

@@ -29,7 +29,7 @@
 #include <string>
 #include <thread>
 
-#include "net/shm_ring_tunnel.h"
+#include "net/ring_tunnel.h"
 #include "net/socket_tunnel.h"
 #include "stream/app_registry.h"
 #include "stream/transport_storm.h"

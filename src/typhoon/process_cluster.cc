@@ -17,7 +17,7 @@
 #include "controller/apps/fault_detector.h"
 #include "controller/apps/live_debugger.h"
 #include "controller/apps/load_balancer.h"
-#include "net/shm_ring_tunnel.h"
+#include "net/ring_tunnel.h"
 #include "stream/scheduler.h"
 
 namespace typhoon::proc {
@@ -472,8 +472,8 @@ common::Status ProcessCluster::start() {
     for (std::size_t a = 0; a < host_ids_.size(); ++a) {
       for (std::size_t b = a + 1; b < host_ids_.size(); ++b) {
         const std::string name = shm_name(host_ids_[a], host_ids_[b]);
-        net::ShmRingTunnel::UnlinkSegment(name);  // stale from a crash
-        if (!net::ShmRingTunnel::CreateSegment(name, cfg_.shm_ring_bytes)) {
+        net::RingTunnel::UnlinkSegment(name);  // stale from a crash
+        if (!net::RingTunnel::CreateSegment(name, cfg_.shm_ring_bytes)) {
           stop();
           return common::Internal("shm segment create failed: " + name);
         }
@@ -622,7 +622,7 @@ void ProcessCluster::stop() {
     echo_watch_ = 0;
   }
   for (const std::string& name : shm_segments_) {
-    net::ShmRingTunnel::UnlinkSegment(name);
+    net::RingTunnel::UnlinkSegment(name);
   }
   shm_segments_.clear();
   manager_.reset();

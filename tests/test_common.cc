@@ -11,7 +11,7 @@
 #include "common/latency_recorder.h"
 #include "common/metrics.h"
 #include "common/mpmc_queue.h"
-#include "common/rate_limiter.h"
+#include "common/token_bucket.h"
 #include "common/result.h"
 #include "common/spsc_ring.h"
 #include "common/token_bucket.h"
@@ -209,12 +209,12 @@ TEST(MpmcQueue, PopForTimesOut) {
 }
 
 TEST(RateLimiter, UnlimitedAlwaysAllows) {
-  RateLimiter rl(0.0);
+  TokenBucket rl(0.0, kTupleBurstFloor);
   for (int i = 0; i < 1000; ++i) EXPECT_TRUE(rl.try_acquire());
 }
 
 TEST(RateLimiter, EnforcesApproximateRate) {
-  RateLimiter rl(1000.0);  // 1k/s
+  TokenBucket rl(1000.0, kTupleBurstFloor);  // 1k/s
   // Drain the initial burst.
   while (rl.try_acquire()) {
   }
@@ -229,7 +229,7 @@ TEST(RateLimiter, EnforcesApproximateRate) {
 }
 
 TEST(RateLimiter, SetRateTakesEffect) {
-  RateLimiter rl(1.0);
+  TokenBucket rl(1.0, kTupleBurstFloor);
   while (rl.try_acquire()) {
   }
   EXPECT_FALSE(rl.try_acquire());
@@ -242,7 +242,7 @@ TEST(RateLimiter, RateCutRescalesLeftoverTokens) {
   // (clamped only to the new burst), letting a throttled worker coast far
   // past the new rate for a whole burst window. set_rate must re-seed the
   // balance proportionally so the cut binds within one refill interval.
-  RateLimiter rl(1'000'000.0);
+  TokenBucket rl(1'000'000.0, kTupleBurstFloor);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));  // fill burst
   rl.set_rate(100.0);
   // Proportional re-seed leaves ~20000 * (100 / 1e6) = ~2 tokens — not the
@@ -253,14 +253,14 @@ TEST(RateLimiter, RateCutRescalesLeftoverTokens) {
 }
 
 TEST(ByteBucket, UnlimitedAdmitsEverything) {
-  ByteBucket b(0.0);
+  TokenBucket b(0.0, kByteBurstFloor);
   EXPECT_TRUE(b.ready());
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(b.try_spend(1e9));
   EXPECT_DOUBLE_EQ(b.rate(), 0.0);
 }
 
 TEST(ByteBucket, DebtAdmissionChargesTrueWeight) {
-  ByteBucket b(100'000.0);  // burst = 4096 bytes
+  TokenBucket b(100'000.0, kByteBurstFloor);  // burst = 4096 bytes
   std::this_thread::sleep_for(std::chrono::milliseconds(60));  // fill burst
   // One oversized frame is admitted on positive credit and overdraws the
   // bucket into debt...
@@ -278,7 +278,7 @@ TEST(ByteBucket, DebtAdmissionChargesTrueWeight) {
 }
 
 TEST(ByteBucket, RefundRestoresCredit) {
-  ByteBucket b(100'000.0);
+  TokenBucket b(100'000.0, kByteBurstFloor);
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   EXPECT_TRUE(b.try_spend(50'000.0));
   EXPECT_FALSE(b.ready());
@@ -287,21 +287,21 @@ TEST(ByteBucket, RefundRestoresCredit) {
 }
 
 TEST(ByteBucket, RateCutBindsWithinOneRefillInterval) {
-  ByteBucket b(10'000'000.0);  // burst = 200 kB
+  TokenBucket b(10'000'000.0, kByteBurstFloor);  // burst = 200 kB
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   b.set_rate(10'000.0);
   // Proportional re-seed: 200 kB of credit at 10 MB/s becomes ~200 B at
   // 10 kB/s — not a 200 kB coast-through.
   EXPECT_LT(b.tokens(), 1'000.0);
   // And an uncapped->capped transition starts empty (no start-up burst).
-  ByteBucket fresh(0.0);
+  TokenBucket fresh(0.0, kByteBurstFloor);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   fresh.set_rate(10'000.0);
   EXPECT_LE(fresh.tokens(), 100.0);
 }
 
 TEST(ByteBucket, ReadyIsPureRead) {
-  ByteBucket b(1'000'000.0);
+  TokenBucket b(1'000'000.0, kByteBurstFloor);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   // However often polled, ready() must not consume or refill-reset state:
   // a subsequent spend sees the full accumulated credit.

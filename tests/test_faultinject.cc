@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "faultinject/fault_plan.h"
@@ -16,6 +17,7 @@
 #include "switchd/soft_switch.h"
 #include "typhoon/cluster.h"
 #include "util/components.h"
+#include "util/tunnel_io.h"
 
 namespace typhoon {
 namespace {
@@ -27,8 +29,10 @@ using faultinject::Impairment;
 using faultinject::ImpairmentConfig;
 using testutil::CollectingSink;
 using testutil::ForwardBolt;
+using testutil::RecvFor;
 using testutil::ReplayableSpout;
 using testutil::SinkState;
+using testutil::TryRecv;
 
 template <typename F>
 bool WaitFor(F&& pred, std::chrono::milliseconds timeout) {
@@ -247,7 +251,7 @@ std::vector<int> RunImpairedTransfer(std::uint64_t seed, int frames,
   a->clear_impairment();  // flush holdback
 
   std::vector<int> received;
-  while (auto p = b->try_recv()) {
+  while (auto p = TryRecv(*b)) {
     received.push_back(p->payload[0] | (p->payload[1] << 8));
   }
   return received;
@@ -278,7 +282,7 @@ TEST(TunnelImpairment, CorruptionIsDetectedByChecksum) {
   constexpr int kFrames = 200;
   for (int i = 0; i < kFrames; ++i) a->send(SeqPacket(i));
   int delivered = 0;
-  while (b->try_recv()) ++delivered;
+  while (TryRecv(*b)) ++delivered;
 
   // Every frame had one byte flipped; the checksum turns each into a
   // counted drop instead of a garbage packet.
@@ -288,7 +292,56 @@ TEST(TunnelImpairment, CorruptionIsDetectedByChecksum) {
 
   a->clear_impairment();
   a->send(SeqPacket(0));
-  EXPECT_TRUE(b->try_recv().has_value());  // clean link works again
+  EXPECT_TRUE(TryRecv(*b).has_value());  // clean link works again
+}
+
+// Frames the shaper holds back already count in frames_sent(), so clearing
+// the impairment must not lose them silently when the ring is full: the
+// flush waits for room and every frame is delivered or counted.
+TEST(TunnelImpairment, ClearImpairmentOnFullRingLosesNothingSilently) {
+  auto [a, b] = net::CreateTunnel(4);
+  ImpairmentConfig cfg;
+  cfg.delay_frames = 4;
+  a->set_impairment(cfg);
+  // Each send releases the frame sent four before it: frames 0-3 fill the
+  // ring, frames 4-7 stay held.
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(a->send(SeqPacket(i)));
+  ASSERT_EQ(a->frames_sent(), 8u);
+  ASSERT_EQ(b->rx_queue_depth(), 4u);
+
+  std::thread clearer([&] { a->clear_impairment(); });
+  std::vector<int> received;
+  EXPECT_TRUE(WaitFor(
+      [&] {
+        while (auto p = TryRecv(*b)) {
+          received.push_back(p->payload[0] | (p->payload[1] << 8));
+        }
+        return received.size() + a->peer_drops() >= a->frames_sent();
+      },
+      5s));
+  clearer.join();
+  while (auto p = TryRecv(*b)) {
+    received.push_back(p->payload[0] | (p->payload[1] << 8));
+  }
+
+  EXPECT_EQ(received.size() + a->peer_drops(), a->frames_sent());
+  EXPECT_EQ(a->frames_sent(), 8u);
+  EXPECT_EQ(received, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+// close() does not wait for ring room: frames still held back are counted
+// as dropped.
+TEST(TunnelImpairment, CloseCountsHeldFramesAsDropped) {
+  auto [a, b] = net::CreateTunnel(4);
+  ImpairmentConfig cfg;
+  cfg.delay_frames = 4;
+  a->set_impairment(cfg);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(a->send(SeqPacket(i)));
+  a->close();
+  EXPECT_EQ(a->peer_drops(), 4u);
+  int delivered = 0;
+  while (TryRecv(*b)) ++delivered;
+  EXPECT_EQ(delivered + a->peer_drops(), a->frames_sent());
 }
 
 // The impairment stage lives in the TunnelEndpoint base, so the real-socket
@@ -317,7 +370,7 @@ std::vector<int> RunImpairedSocketTransfer(std::uint64_t seed, int frames,
   // Surviving frames cross a real TCP connection; drain until quiescent.
   std::vector<int> received;
   for (;;) {
-    auto p = passive->recv_for(200ms);
+    auto p = RecvFor(*passive, 200ms);
     if (!p.has_value()) break;
     received.push_back(p->payload[0] | (p->payload[1] << 8));
   }

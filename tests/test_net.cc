@@ -20,12 +20,16 @@
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "net/packetizer.h"
-#include "net/shm_ring_tunnel.h"
+#include "net/ring_tunnel.h"
 #include "net/socket_tunnel.h"
 #include "net/tunnel.h"
+#include "util/tunnel_io.h"
 
 namespace typhoon::net {
 namespace {
+
+using testutil::RecvFor;
+using testutil::TryRecv;
 
 WorkerAddress Addr(WorkerId w) { return WorkerAddress{7, w}; }
 
@@ -283,195 +287,6 @@ TEST(Fuzz, TruncatedValidPacketsAreRejectedNotMisread) {
   }
 }
 
-TEST(Tunnel, BidirectionalFrameTransfer) {
-  auto [a, b] = CreateTunnel(16);
-  Packet p;
-  p.src = Addr(1);
-  p.dst = Addr(2);
-  p.payload = {1, 2, 3};
-  ASSERT_TRUE(a->send(p));
-  auto got = b->recv_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->payload, p.payload);
-  EXPECT_EQ(got->src, p.src);
-
-  Packet back;
-  back.src = Addr(2);
-  back.dst = Addr(1);
-  ASSERT_TRUE(b->send(back));
-  EXPECT_TRUE(a->recv_for(std::chrono::milliseconds(100)).has_value());
-}
-
-TEST(Tunnel, CountsFramesAndBytes) {
-  auto [a, b] = CreateTunnel(16);
-  Packet p;
-  p.src = Addr(1);
-  p.dst = Addr(2);
-  p.payload.resize(100);
-  a->send(p);
-  a->send(p);
-  EXPECT_EQ(a->frames_sent(), 2u);
-  EXPECT_EQ(a->bytes_sent(), 2 * p.wire_size());
-}
-
-TEST(Tunnel, CloseStopsTransfer) {
-  auto [a, b] = CreateTunnel(4);
-  a->close();
-  Packet p;
-  EXPECT_FALSE(a->send(p));
-  EXPECT_FALSE(b->try_recv().has_value());
-}
-
-TEST(Tunnel, PreservesOrder) {
-  auto [a, b] = CreateTunnel(1024);
-  for (int i = 0; i < 500; ++i) {
-    Packet p;
-    p.src = Addr(1);
-    p.dst = Addr(2);
-    p.payload = {static_cast<std::uint8_t>(i & 0xff),
-                 static_cast<std::uint8_t>(i >> 8)};
-    ASSERT_TRUE(a->send(p));
-  }
-  for (int i = 0; i < 500; ++i) {
-    auto got = b->try_recv();
-    ASSERT_TRUE(got.has_value());
-    const int v = got->payload[0] | (got->payload[1] << 8);
-    EXPECT_EQ(v, i);
-  }
-}
-
-namespace {
-Packet NumberedPacket(int i) {
-  Packet p;
-  p.src = Addr(1);
-  p.dst = Addr(2);
-  p.payload = {static_cast<std::uint8_t>(i & 0xff),
-               static_cast<std::uint8_t>(i >> 8)};
-  return p;
-}
-int PacketNumber(const Packet& p) {
-  return p.payload[0] | (p.payload[1] << 8);
-}
-}  // namespace
-
-TEST(TunnelBurst, SendBurstRoundTripsExactly) {
-  auto [a, b] = CreateTunnel(1024);
-  std::vector<Packet> pkts;
-  std::vector<const Packet*> ptrs;
-  for (int i = 0; i < 100; ++i) pkts.push_back(NumberedPacket(i));
-  for (const Packet& p : pkts) ptrs.push_back(&p);
-
-  EXPECT_EQ(a->try_send_burst(ptrs), 100u);
-  EXPECT_EQ(a->frames_sent(), 100u);
-  EXPECT_EQ(a->bytes_sent(), 100 * pkts[0].wire_size());
-  EXPECT_EQ(b->rx_queue_depth(), 100u);
-
-  // Burst receive into pooled packets: same count, order, and bytes.
-  auto pool = PacketPool::Create();
-  std::vector<Packet*> slots;
-  for (int i = 0; i < 100; ++i) slots.push_back(pool->acquire_raw());
-  EXPECT_EQ(b->try_recv_burst(std::span<Packet*>(slots)), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(PacketNumber(*slots[i]), i);
-    EXPECT_EQ(slots[i]->src, Addr(1));
-  }
-  for (Packet* s : slots) PacketPtr::adopt(s);  // recycle
-  EXPECT_EQ(b->rx_queue_depth(), 0u);
-}
-
-TEST(TunnelBurst, PartialSendOnFullRingKeepsTailResendable) {
-  auto [a, b] = CreateTunnel(8);
-  std::vector<Packet> pkts;
-  std::vector<const Packet*> ptrs;
-  for (int i = 0; i < 20; ++i) pkts.push_back(NumberedPacket(i));
-  for (const Packet& p : pkts) ptrs.push_back(&p);
-
-  const std::size_t sent = a->try_send_burst(ptrs);
-  EXPECT_EQ(sent, 8u);  // ring capacity
-  EXPECT_EQ(a->frames_sent(), 8u);  // unsent tail not counted
-
-  // Drain the peer, then resend the tail — nothing lost, order preserved.
-  for (std::size_t i = 0; i < sent; ++i) {
-    auto got = b->try_recv();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(PacketNumber(*got), static_cast<int>(i));
-  }
-  std::size_t off = sent;
-  while (off < 20) {
-    const std::size_t k = a->try_send_burst(
-        std::span<const Packet* const>(ptrs).subspan(off));
-    ASSERT_GT(k, 0u);
-    for (std::size_t i = 0; i < k; ++i) {
-      auto got = b->try_recv();
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(PacketNumber(*got), static_cast<int>(off + i));
-    }
-    off += k;
-  }
-  EXPECT_EQ(a->frames_sent(), 20u);
-}
-
-TEST(TunnelBurst, BurstInteropsWithPerFrameRecv) {
-  auto [a, b] = CreateTunnel(256);
-  std::vector<Packet> pkts;
-  std::vector<const Packet*> ptrs;
-  for (int i = 0; i < 32; ++i) pkts.push_back(NumberedPacket(i));
-  for (const Packet& p : pkts) ptrs.push_back(&p);
-  ASSERT_EQ(a->try_send_burst(ptrs), 32u);
-
-  // Mix pooled per-frame receive (try_recv_into) with burst receive; the
-  // stream stays in order across the two APIs.
-  auto pool = PacketPool::Create();
-  for (int i = 0; i < 8; ++i) {
-    Packet* slot = pool->acquire_raw();
-    ASSERT_TRUE(b->try_recv_into(*slot));
-    EXPECT_EQ(PacketNumber(*slot), i);
-    PacketPtr::adopt(slot);
-  }
-  std::vector<Packet*> slots;
-  for (int i = 0; i < 24; ++i) slots.push_back(pool->acquire_raw());
-  ASSERT_EQ(b->try_recv_burst(std::span<Packet*>(slots)), 24u);
-  for (int i = 0; i < 24; ++i) EXPECT_EQ(PacketNumber(*slots[i]), 8 + i);
-  for (Packet* s : slots) PacketPtr::adopt(s);
-}
-
-TEST(TunnelBurst, EmptyAndOversizedBursts) {
-  auto [a, b] = CreateTunnel(16);
-  EXPECT_EQ(a->try_send_burst(std::span<const Packet* const>{}), 0u);
-  EXPECT_EQ(a->try_send_burst(std::span<const PacketPtr>{}), 0u);
-  auto pool = PacketPool::Create();
-  std::vector<Packet*> slots;
-  for (int i = 0; i < 4; ++i) slots.push_back(pool->acquire_raw());
-  // Burst recv with more slots than queued frames returns only what's
-  // there; the untouched slots stay reusable.
-  ASSERT_TRUE(a->send(NumberedPacket(7)));
-  EXPECT_EQ(b->try_recv_burst(std::span<Packet*>(slots)), 1u);
-  EXPECT_EQ(PacketNumber(*slots[0]), 7);
-  for (Packet* s : slots) PacketPtr::adopt(s);
-}
-
-TEST(TunnelBurst, RxNotifyFiresOnSendAndBurst) {
-  auto [a, b] = CreateTunnel(64);
-  std::atomic<int> fired{0};
-  b->set_rx_notify([&] { fired.fetch_add(1, std::memory_order_relaxed); });
-
-  ASSERT_TRUE(a->send(NumberedPacket(0)));
-  EXPECT_EQ(fired.load(), 1);
-
-  std::vector<Packet> pkts;
-  std::vector<const Packet*> ptrs;
-  for (int i = 0; i < 10; ++i) pkts.push_back(NumberedPacket(i));
-  for (const Packet& p : pkts) ptrs.push_back(&p);
-  ASSERT_EQ(a->try_send_burst(ptrs), 10u);
-  EXPECT_EQ(fired.load(), 2);  // once per burst, not per frame
-
-  b->set_rx_notify(nullptr);
-  ASSERT_TRUE(a->send(NumberedPacket(0)));
-  EXPECT_EQ(fired.load(), 2);
-}
-
-// ------------------------------------------------------------ SocketTunnel
-
 template <typename F>
 bool WaitFor(F&& pred, std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -496,6 +311,279 @@ struct SocketPair {
   }
 };
 
+Packet NumberedPacket(int i) {
+  Packet p;
+  p.src = Addr(1);
+  p.dst = Addr(2);
+  p.payload = {static_cast<std::uint8_t>(i & 0xff),
+               static_cast<std::uint8_t>(i >> 8)};
+  return p;
+}
+int PacketNumber(const Packet& p) {
+  return p.payload[0] | (p.payload[1] << 8);
+}
+std::vector<PacketPtr> NumberedPackets(int n) {
+  std::vector<PacketPtr> pkts;
+  for (int i = 0; i < n; ++i) pkts.push_back(MakePacket(NumberedPacket(i)));
+  return pkts;
+}
+// Ring record of one NumberedPacket: [u32 len][27 B header][2 B payload]
+// [8 B checksum].
+constexpr std::size_t kNumberedRecordBytes = 4 + 27 + 2 + 8;
+
+// Upper bound on waiting for a frame that is already on its way; the ring
+// backings deliver synchronously, the socket within its IO thread's round.
+constexpr auto kRecvTimeout = std::chrono::seconds(5);
+
+// The transports behind TunnelEndpoint. In-memory (heap) and shm are two
+// backings of one ring implementation; socket is a loopback TCP pair.
+enum class Backing { kHeap, kShm, kSocket };
+
+const char* BackingLabel(Backing b) {
+  switch (b) {
+    case Backing::kHeap:
+      return "Heap";
+    case Backing::kShm:
+      return "Shm";
+    case Backing::kSocket:
+      return "Socket";
+  }
+  return "";
+}
+std::string BackingName(const ::testing::TestParamInfo<Backing>& info) {
+  return BackingLabel(info.param);
+}
+void PrintTo(Backing b, std::ostream* os) { *os << BackingLabel(b); }
+
+// Runs each case over a connected endpoint pair `a_` -> `b_` on the
+// backing under test.
+class TunnelPairTest : public ::testing::TestWithParam<Backing> {
+ protected:
+  // `frames` bounds the queue per direction: the heap ring's frame
+  // capacity, the socket's staging rings, and a shm ring sized to hold
+  // that many NumberedPacket records (rounded up to a power of two bytes).
+  bool Connect(std::size_t frames) {
+    switch (GetParam()) {
+      case Backing::kHeap: {
+        auto [a, b] = CreateTunnel(frames);
+        a_ = a;
+        b_ = b;
+        break;
+      }
+      case Backing::kShm: {
+        static int serial = 0;
+        seg_ = "/typhoon-test-tunnel-" + std::to_string(::getpid()) + "-" +
+               std::to_string(serial++);
+        RingTunnel::UnlinkSegment(seg_);
+        if (!RingTunnel::CreateSegment(seg_, frames * kNumberedRecordBytes)) {
+          return false;
+        }
+        a_ = RingTunnel::Attach(seg_, RingTunnel::Side::kA);
+        b_ = RingTunnel::Attach(seg_, RingTunnel::Side::kB);
+        break;
+      }
+      case Backing::kSocket: {
+        SocketTunnelConfig cfg;
+        cfg.capacity = frames;
+        sockets_ = std::make_unique<SocketPair>(cfg);
+        a_ = sockets_->active;
+        b_ = sockets_->passive;
+        break;
+      }
+    }
+    return a_ != nullptr && b_ != nullptr;
+  }
+
+  void TearDown() override {
+    if (a_ != nullptr) a_->close();
+    if (b_ != nullptr) b_->close();
+    if (!seg_.empty()) RingTunnel::UnlinkSegment(seg_);
+  }
+
+  std::shared_ptr<TunnelEndpoint> a_;
+  std::shared_ptr<TunnelEndpoint> b_;
+
+ private:
+  std::string seg_;
+  std::unique_ptr<SocketPair> sockets_;
+};
+
+// Cases that hold on every transport.
+class Tunnel : public TunnelPairTest {};
+class TunnelBurst : public TunnelPairTest {};
+// Cases that need a deterministic full queue: the two ring backings.
+class TunnelRingBurst : public TunnelPairTest {};
+
+INSTANTIATE_TEST_SUITE_P(Transports, Tunnel,
+                         ::testing::Values(Backing::kHeap, Backing::kShm,
+                                           Backing::kSocket),
+                         BackingName);
+INSTANTIATE_TEST_SUITE_P(Transports, TunnelBurst,
+                         ::testing::Values(Backing::kHeap, Backing::kShm,
+                                           Backing::kSocket),
+                         BackingName);
+INSTANTIATE_TEST_SUITE_P(Rings, TunnelRingBurst,
+                         ::testing::Values(Backing::kHeap, Backing::kShm),
+                         BackingName);
+
+TEST_P(Tunnel, BidirectionalFrameTransfer) {
+  ASSERT_TRUE(Connect(16));
+  Packet p;
+  p.src = Addr(1);
+  p.dst = Addr(2);
+  p.payload = {1, 2, 3};
+  ASSERT_TRUE(a_->send(p));
+  auto got = RecvFor(*b_, kRecvTimeout);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload, p.payload);
+  EXPECT_EQ(got->src, p.src);
+
+  Packet back;
+  back.src = Addr(2);
+  back.dst = Addr(1);
+  ASSERT_TRUE(b_->send(back));
+  EXPECT_TRUE(RecvFor(*a_, kRecvTimeout).has_value());
+}
+
+TEST_P(Tunnel, CountsFramesAndBytes) {
+  ASSERT_TRUE(Connect(16));
+  Packet p;
+  p.src = Addr(1);
+  p.dst = Addr(2);
+  p.payload.resize(100);
+  a_->send(p);
+  a_->send(p);
+  EXPECT_EQ(a_->frames_sent(), 2u);
+  EXPECT_EQ(a_->bytes_sent(), 2 * p.wire_size());
+}
+
+TEST_P(Tunnel, CloseStopsTransfer) {
+  ASSERT_TRUE(Connect(4));
+  a_->close();
+  Packet p;
+  EXPECT_FALSE(a_->send(p));
+  EXPECT_FALSE(TryRecv(*b_).has_value());
+}
+
+TEST_P(Tunnel, PreservesOrder) {
+  ASSERT_TRUE(Connect(1024));
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(a_->send(NumberedPacket(i)));
+  for (int i = 0; i < 500; ++i) {
+    auto got = RecvFor(*b_, kRecvTimeout);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(PacketNumber(*got), i);
+  }
+}
+
+TEST_P(TunnelBurst, SendBurstRoundTripsExactly) {
+  ASSERT_TRUE(Connect(1024));
+  const std::vector<PacketPtr> pkts = NumberedPackets(100);
+  EXPECT_EQ(a_->try_send_burst(pkts), 100u);
+  EXPECT_EQ(a_->frames_sent(), 100u);
+  EXPECT_EQ(a_->bytes_sent(), 100 * pkts[0]->wire_size());
+  EXPECT_TRUE(WaitFor([&] { return b_->rx_queue_depth() == 100u; },
+                      kRecvTimeout));
+
+  // Burst receive into pooled packets: same count, order, and bytes.
+  auto pool = PacketPool::Create();
+  std::vector<Packet*> slots;
+  for (int i = 0; i < 100; ++i) slots.push_back(pool->acquire_raw());
+  EXPECT_EQ(b_->try_recv_burst(std::span<Packet*>(slots)), 100u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(PacketNumber(*slots[i]), i);
+    EXPECT_EQ(slots[i]->src, Addr(1));
+  }
+  for (Packet* s : slots) PacketPtr::adopt(s);  // recycle
+  EXPECT_EQ(b_->rx_queue_depth(), 0u);
+}
+
+TEST_P(TunnelRingBurst, PartialSendOnFullRingKeepsTailResendable) {
+  ASSERT_TRUE(Connect(8));
+  // The heap ring holds exactly its frame capacity; the shm ring, bounded
+  // by bytes only, holds as many records as fit its 512-byte data region.
+  const std::size_t cap = GetParam() == Backing::kHeap
+                              ? 8
+                              : std::size_t{512} / kNumberedRecordBytes;
+  const std::vector<PacketPtr> pkts = NumberedPackets(20);
+  const std::span<const PacketPtr> all(pkts);
+
+  const std::size_t sent = a_->try_send_burst(all);
+  EXPECT_EQ(sent, cap);  // ring capacity
+  EXPECT_EQ(a_->frames_sent(), cap);  // unsent tail not counted
+
+  // Drain the peer, then resend the tail — nothing lost, order preserved.
+  for (std::size_t i = 0; i < sent; ++i) {
+    auto got = TryRecv(*b_);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(PacketNumber(*got), static_cast<int>(i));
+  }
+  std::size_t off = sent;
+  while (off < 20) {
+    const std::size_t k = a_->try_send_burst(all.subspan(off));
+    ASSERT_GT(k, 0u);
+    for (std::size_t i = 0; i < k; ++i) {
+      auto got = TryRecv(*b_);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(PacketNumber(*got), static_cast<int>(off + i));
+    }
+    off += k;
+  }
+  EXPECT_EQ(a_->frames_sent(), 20u);
+}
+
+TEST_P(TunnelBurst, SplitBurstRecvKeepsOrder) {
+  ASSERT_TRUE(Connect(256));
+  ASSERT_EQ(a_->try_send_burst(NumberedPackets(32)), 32u);
+  ASSERT_TRUE(WaitFor([&] { return b_->rx_queue_depth() == 32u; },
+                      kRecvTimeout));
+
+  // Two partial burst receives: the stream stays in order across them.
+  auto pool = PacketPool::Create();
+  std::vector<Packet*> slots;
+  for (int i = 0; i < 24; ++i) slots.push_back(pool->acquire_raw());
+  ASSERT_EQ(b_->try_recv_burst(std::span<Packet*>(slots).first(8)), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(PacketNumber(*slots[i]), i);
+  ASSERT_EQ(b_->try_recv_burst(std::span<Packet*>(slots)), 24u);
+  for (int i = 0; i < 24; ++i) EXPECT_EQ(PacketNumber(*slots[i]), 8 + i);
+  for (Packet* s : slots) PacketPtr::adopt(s);
+}
+
+TEST_P(TunnelBurst, EmptyAndOversizedBursts) {
+  ASSERT_TRUE(Connect(16));
+  EXPECT_EQ(a_->try_send_burst(std::span<const PacketPtr>{}), 0u);
+  auto pool = PacketPool::Create();
+  std::vector<Packet*> slots;
+  for (int i = 0; i < 4; ++i) slots.push_back(pool->acquire_raw());
+  // Burst recv with more slots than queued frames returns only what's
+  // there; the untouched slots stay reusable.
+  ASSERT_TRUE(a_->send(NumberedPacket(7)));
+  ASSERT_TRUE(WaitFor([&] { return b_->rx_queue_depth() == 1u; },
+                      kRecvTimeout));
+  EXPECT_EQ(b_->try_recv_burst(std::span<Packet*>(slots)), 1u);
+  EXPECT_EQ(PacketNumber(*slots[0]), 7);
+  for (Packet* s : slots) PacketPtr::adopt(s);
+}
+
+// The in-process sender wakes its receiver directly. (The socket fires the
+// hook from its RX pump, and shm has no cross-process wakeup.)
+TEST(TunnelBurst, RxNotifyFiresOnSendAndBurst) {
+  auto [a, b] = CreateTunnel(64);
+  std::atomic<int> fired{0};
+  b->set_rx_notify([&] { fired.fetch_add(1, std::memory_order_relaxed); });
+
+  ASSERT_TRUE(a->send(NumberedPacket(0)));
+  EXPECT_EQ(fired.load(), 1);
+
+  ASSERT_EQ(a->try_send_burst(NumberedPackets(10)), 10u);
+  EXPECT_EQ(fired.load(), 2);  // once per burst, not per frame
+
+  b->set_rx_notify(nullptr);
+  ASSERT_TRUE(a->send(NumberedPacket(0)));
+  EXPECT_EQ(fired.load(), 2);
+}
+
+// ------------------------------------------------------------ SocketTunnel
+
 TEST(SocketTunnel, FrameRoundTripBothDirections) {
   SocketPair t;
   Packet p;
@@ -503,7 +591,7 @@ TEST(SocketTunnel, FrameRoundTripBothDirections) {
   p.dst = Addr(2);
   p.payload = {9, 8, 7, 6};
   ASSERT_TRUE(t.active->send(p));
-  auto got = t.passive->recv_for(std::chrono::seconds(5));
+  auto got = RecvFor(*t.passive, std::chrono::seconds(5));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->payload, p.payload);
   EXPECT_EQ(got->src, p.src);
@@ -513,7 +601,7 @@ TEST(SocketTunnel, FrameRoundTripBothDirections) {
   back.dst = Addr(1);
   back.payload = {1};
   ASSERT_TRUE(t.passive->send(back));
-  auto echoed = t.active->recv_for(std::chrono::seconds(5));
+  auto echoed = RecvFor(*t.active, std::chrono::seconds(5));
   ASSERT_TRUE(echoed.has_value());
   EXPECT_EQ(echoed->payload, back.payload);
 }
@@ -569,8 +657,8 @@ TEST(SocketTunnel, PartialReadReassemblyAcrossRecordBoundaries) {
   feed(first_record + 2 - off);  // finish record 1, leak 2 bytes of record 2
   feed(wire.size() - off);       // the rest
 
-  auto r1 = receiver->recv_for(std::chrono::seconds(5));
-  auto r2 = receiver->recv_for(std::chrono::seconds(5));
+  auto r1 = RecvFor(*receiver, std::chrono::seconds(5));
+  auto r2 = RecvFor(*receiver, std::chrono::seconds(5));
   ASSERT_TRUE(r1.has_value());
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(r1->payload, p.payload);
@@ -617,7 +705,7 @@ TEST(SocketTunnel, VectoredShortWriteResumesMidIovec) {
     if (k == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (int i = 0; i < kFrames; ++i) {
-    auto got = rx->recv_for(std::chrono::seconds(10));
+    auto got = RecvFor(*rx, std::chrono::seconds(10));
     ASSERT_TRUE(got.has_value()) << "frame " << i;
     EXPECT_EQ(got->payload, burst[static_cast<std::size_t>(i)]->payload)
         << "frame " << i;
@@ -663,7 +751,7 @@ TEST(SocketTunnel, TinySlabStitchesRecordsAcrossSlabBoundaries) {
     ASSERT_TRUE(tx->send(p));
   }
   for (int i = 0; i < kFrames; ++i) {
-    auto got = rx->recv_for(std::chrono::seconds(10));
+    auto got = RecvFor(*rx, std::chrono::seconds(10));
     ASSERT_TRUE(got.has_value()) << "frame " << i;
     EXPECT_EQ(got->payload, payload_for(i)) << "frame " << i;
   }
@@ -679,16 +767,12 @@ TEST(SocketTunnel, TinySlabStitchesRecordsAcrossSlabBoundaries) {
 TEST(SocketTunnel, BurstParityWithInMemoryTunnel) {
   constexpr int kFrames = 256;
   auto run = [&](TunnelEndpoint& tx, TunnelEndpoint& rx) {
-    std::vector<Packet> pkts;
-    pkts.reserve(kFrames);
-    for (int i = 0; i < kFrames; ++i) pkts.push_back(NumberedPacket(i));
+    const std::vector<PacketPtr> pkts = NumberedPackets(kFrames);
     std::size_t sent = 0;
     while (sent < pkts.size()) {
-      std::vector<const Packet*> ptrs;
-      for (std::size_t i = sent; i < std::min(sent + 32, pkts.size()); ++i) {
-        ptrs.push_back(&pkts[i]);
-      }
-      const std::size_t n = tx.try_send_burst(ptrs);
+      const std::size_t n = tx.try_send_burst(
+          std::span<const PacketPtr>(pkts).subspan(
+              sent, std::min<std::size_t>(32, pkts.size() - sent)));
       sent += n;
       if (n == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -730,7 +814,7 @@ TEST(SocketTunnel, PeerCloseBecomesCountedDrops) {
   p.dst = Addr(2);
   p.payload = {1, 2, 3};
   ASSERT_TRUE(t->active->send(p));
-  ASSERT_TRUE(t->passive->recv_for(std::chrono::seconds(5)).has_value());
+  ASSERT_TRUE(RecvFor(*t->passive, std::chrono::seconds(5)).has_value());
 
   t->passive->close();
   t->listener.stop();
@@ -775,7 +859,7 @@ TEST(TransportEquivalence, SeededWorkloadIsByteIdenticalAcrossTransports) {
       for (const Packet& p : workload) ASSERT_TRUE(tx.send(p));
     });
     while (out.size() < workload.size()) {
-      auto p = rx.recv_for(std::chrono::seconds(10));
+      auto p = RecvFor(rx, std::chrono::seconds(10));
       if (!p.has_value()) {
         ADD_FAILURE() << "receive timed out after " << out.size()
                       << " frames";
@@ -797,14 +881,14 @@ TEST(TransportEquivalence, SeededWorkloadIsByteIdenticalAcrossTransports) {
 
   const std::string seg =
       "/typhoon-test-eq-" + std::to_string(::getpid());
-  ShmRingTunnel::UnlinkSegment(seg);
-  ASSERT_TRUE(ShmRingTunnel::CreateSegment(seg, 1 << 16));
-  auto sa = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kA);
-  auto sb = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kB);
+  RingTunnel::UnlinkSegment(seg);
+  ASSERT_TRUE(RingTunnel::CreateSegment(seg, 1 << 16));
+  auto sa = RingTunnel::Attach(seg, RingTunnel::Side::kA);
+  auto sb = RingTunnel::Attach(seg, RingTunnel::Side::kB);
   ASSERT_TRUE(sa != nullptr);
   ASSERT_TRUE(sb != nullptr);
   const auto shm = run(*sa, *sb);
-  ShmRingTunnel::UnlinkSegment(seg);
+  RingTunnel::UnlinkSegment(seg);
 
   EXPECT_EQ(mem, sock);
   EXPECT_EQ(mem, shm);
@@ -882,14 +966,14 @@ TEST(TransportEquivalence, BurstPathsAreByteIdenticalAcrossTransports) {
 
   const std::string seg =
       "/typhoon-test-burst-eq-" + std::to_string(::getpid());
-  ShmRingTunnel::UnlinkSegment(seg);
-  ASSERT_TRUE(ShmRingTunnel::CreateSegment(seg, 1 << 16));
-  auto sa = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kA);
-  auto sb = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kB);
+  RingTunnel::UnlinkSegment(seg);
+  ASSERT_TRUE(RingTunnel::CreateSegment(seg, 1 << 16));
+  auto sa = RingTunnel::Attach(seg, RingTunnel::Side::kA);
+  auto sb = RingTunnel::Attach(seg, RingTunnel::Side::kB);
   ASSERT_TRUE(sa != nullptr);
   ASSERT_TRUE(sb != nullptr);
   EXPECT_EQ(run_burst(*sa, *sb), expect);
-  ShmRingTunnel::UnlinkSegment(seg);
+  RingTunnel::UnlinkSegment(seg);
 }
 
 // ------------------------------------------- frame checksum (property)
@@ -901,8 +985,20 @@ struct WireAccess : TunnelEndpoint {
   static bool push(TunnelEndpoint& ep, common::Bytes frame) {
     return (ep.*(&WireAccess::wire_push))(std::move(frame));
   }
+  // Waits up to 5 s for one frame and returns a copy of its wire bytes.
   static std::optional<common::Bytes> pop(TunnelEndpoint& ep) {
-    return (ep.*(&WireAccess::wire_pop_for))(std::chrono::seconds(5));
+    std::optional<common::Bytes> frame;
+    std::vector<FrameView> views;
+    WaitFor(
+        [&] {
+          if ((ep.*(&WireAccess::wire_pop_views))(views, 1) == 1) {
+            frame.emplace(views[0].bytes.begin(), views[0].bytes.end());
+          }
+          (ep.*(&WireAccess::wire_release_views))();
+          return frame.has_value();
+        },
+        std::chrono::seconds(5));
+    return frame;
   }
 };
 
@@ -1006,14 +1102,14 @@ TEST(FrameChecksum, EverySingleByteFlipIsDroppedInMemory) {
 
 TEST(FrameChecksum, EverySingleByteFlipIsDroppedOverShm) {
   const std::string seg = "/typhoon-test-csum-" + std::to_string(::getpid());
-  ShmRingTunnel::UnlinkSegment(seg);
-  ASSERT_TRUE(ShmRingTunnel::CreateSegment(seg, 1 << 20));
-  auto sa = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kA);
-  auto sb = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kB);
+  RingTunnel::UnlinkSegment(seg);
+  ASSERT_TRUE(RingTunnel::CreateSegment(seg, 1 << 20));
+  auto sa = RingTunnel::Attach(seg, RingTunnel::Side::kA);
+  auto sb = RingTunnel::Attach(seg, RingTunnel::Side::kB);
   ASSERT_TRUE(sa != nullptr);
   ASSERT_TRUE(sb != nullptr);
   ExpectChecksumCatchesEverySingleByteFlip(*sa, *sb);
-  ShmRingTunnel::UnlinkSegment(seg);
+  RingTunnel::UnlinkSegment(seg);
 }
 
 TEST(FrameChecksum, EverySingleByteFlipIsDroppedOverSocket) {
@@ -1027,13 +1123,13 @@ TEST(FrameChecksum, EverySingleByteFlipIsDroppedOverSocket) {
 // physical ring edge constantly: straddling records are stitched into
 // scratch (counted), everything else is lent in place, and the stream
 // stays intact and ordered under concurrent producer/consumer wraparound.
-TEST(ShmRingTunnel, ViewRxStitchesRecordsWrappingTheRingEdge) {
+TEST(RingTunnel, ViewRxStitchesRecordsWrappingTheRingEdge) {
   const std::string seg =
       "/typhoon-test-wrap-" + std::to_string(::getpid());
-  ShmRingTunnel::UnlinkSegment(seg);
-  ASSERT_TRUE(ShmRingTunnel::CreateSegment(seg, 1 << 12));  // 4KB rings
-  auto sa = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kA);
-  auto sb = ShmRingTunnel::Attach(seg, ShmRingTunnel::Side::kB);
+  RingTunnel::UnlinkSegment(seg);
+  ASSERT_TRUE(RingTunnel::CreateSegment(seg, 1 << 12));  // 4KB rings
+  auto sa = RingTunnel::Attach(seg, RingTunnel::Side::kA);
+  auto sb = RingTunnel::Attach(seg, RingTunnel::Side::kB);
   ASSERT_TRUE(sa != nullptr);
   ASSERT_TRUE(sb != nullptr);
 
@@ -1084,7 +1180,7 @@ TEST(ShmRingTunnel, ViewRxStitchesRecordsWrappingTheRingEdge) {
   // ~120KB streamed through a 4KB ring: dozens of laps, so some records
   // straddled the edge and were stitched (a counted copy).
   EXPECT_GT(sb->rx_wrap_bytes_copied(), 0u);
-  ShmRingTunnel::UnlinkSegment(seg);
+  RingTunnel::UnlinkSegment(seg);
 }
 
 }  // namespace

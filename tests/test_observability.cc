@@ -17,6 +17,7 @@
 #include "typhoon/cluster.h"
 #include "typhoon/fault_runner.h"
 #include "util/components.h"
+#include "util/tunnel_io.h"
 
 namespace typhoon {
 namespace {
@@ -31,6 +32,7 @@ using testutil::ReplayableSentenceSpout;
 using testutil::SentenceSpout;
 using testutil::SharedFlags;
 using testutil::SplitBolt;
+using testutil::TryRecv;
 
 // Sanitizer instrumentation slows the replay-heavy chaos run ~10x. Scaling
 // only the convergence deadline is not enough: if the spout's offered rate
@@ -416,7 +418,7 @@ WireRunResult RunImpairedWire(std::uint64_t seed) {
                     static_cast<std::int64_t>(i), 0});
     tx->send(p);
   }
-  while (auto p = rx->try_recv()) {
+  while (auto p = TryRecv(*rx)) {
     EXPECT_EQ(p->trace_id & 1, 1u);  // trace context survived the wire
     receiver->record({p->trace_id, trace::Stage::kExecute, 0, 2,
                       static_cast<std::int64_t>(kFrames + p->trace_id), 0});

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/rate_limiter.h"
+#include "common/token_bucket.h"
 #include "stream/api.h"
 
 namespace typhoon::testutil {
@@ -44,7 +44,9 @@ class SentenceSpout : public Spout {
  public:
   explicit SentenceSpout(std::shared_ptr<SharedFlags> flags = nullptr,
                          int batch = 16, double rate_per_sec = 0.0)
-      : flags_(std::move(flags)), batch_(batch), rate_(rate_per_sec) {}
+      : flags_(std::move(flags)),
+        batch_(batch),
+        rate_(rate_per_sec, common::kTupleBurstFloor) {}
 
   bool next(Emitter& out) override {
     static const char* kSentences[] = {
@@ -70,7 +72,7 @@ class SentenceSpout : public Spout {
  private:
   std::shared_ptr<SharedFlags> flags_;
   int batch_;
-  common::RateLimiter rate_;
+  common::TokenBucket rate_;
   std::uint64_t seq_ = 0;
   std::int64_t emitted_ = 0;
 };
@@ -86,7 +88,7 @@ class SequenceSpout : public Spout {
       : limit_(limit),
         batch_(batch),
         payload_(payload_len, 'x'),
-        rate_(rate_per_sec) {}
+        rate_(rate_per_sec, common::kTupleBurstFloor) {}
 
   bool next(Emitter& out) override {
     if (limit_ > 0 && seq_ >= limit_) return false;
@@ -116,7 +118,7 @@ class SequenceSpout : public Spout {
   std::int64_t limit_;
   int batch_;
   std::string payload_;
-  common::RateLimiter rate_;
+  common::TokenBucket rate_;
   std::int64_t seq_ = 0;
   std::atomic<std::int64_t> acked_{0};
   std::atomic<std::int64_t> failed_{0};
@@ -130,7 +132,9 @@ class ReplayableSpout : public Spout {
  public:
   explicit ReplayableSpout(std::int64_t limit, int batch = 8,
                            double rate = 0.0)
-      : limit_(limit), batch_(batch), rate_(rate) {}
+      : limit_(limit),
+        batch_(batch),
+        rate_(rate, common::kTupleBurstFloor) {}
 
   bool next(Emitter& out) override {
     if (!rate_.try_acquire(batch_)) return false;
@@ -174,7 +178,7 @@ class ReplayableSpout : public Spout {
  private:
   std::int64_t limit_;
   int batch_;
-  common::RateLimiter rate_;
+  common::TokenBucket rate_;
   std::int64_t next_seq_ = 0;
   std::int64_t current_seq_ = 0;
   std::deque<std::int64_t> replay_;
@@ -204,7 +208,7 @@ class ReplayableSentenceSpout : public Spout {
                           std::shared_ptr<std::atomic<std::int64_t>> progress,
                           int batch = 8, double rate = 0.0)
       : limit_(limit), progress_(std::move(progress)), batch_(batch),
-        rate_(rate) {}
+        rate_(rate, common::kTupleBurstFloor) {}
 
   bool next(Emitter& out) override {
     if (!rate_.try_acquire(batch_)) return false;
@@ -249,7 +253,7 @@ class ReplayableSentenceSpout : public Spout {
   std::int64_t limit_;
   std::shared_ptr<std::atomic<std::int64_t>> progress_;
   int batch_;
-  common::RateLimiter rate_;
+  common::TokenBucket rate_;
   std::int64_t next_seq_ = 0;
   std::int64_t current_seq_ = 0;
   std::deque<std::int64_t> replay_;
