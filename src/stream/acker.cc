@@ -42,9 +42,11 @@ void AckerBolt::prepare(const WorkerContext&) {
 }
 
 void AckerBolt::sweep(common::TimePoint now) {
-  std::erase_if(trees_, [&](const auto& kv) {
-    return now - kv.second.first_seen > tree_timeout_;
+  std::vector<std::uint64_t> expired;
+  trees_.for_each([&](std::uint64_t root, const Tree& tree) {
+    if (now - tree.first_seen > tree_timeout_) expired.push_back(root);
   });
+  for (std::uint64_t root : expired) trees_.erase(root);
 }
 
 void AckerBolt::execute(const Tuple& input, const TupleMeta&, Emitter& out) {
@@ -67,10 +69,11 @@ void AckerBolt::execute(const Tuple& input, const TupleMeta&, Emitter& out) {
   // One completion message per spout, listing every root this message
   // finished for it. Input messages are capped at kMaxAckEntries entries,
   // so completion messages are too.
-  std::vector<std::pair<WorkerId, Tuple>> done;
+  done_.clear();
   const common::TimePoint now = common::Now();
   for (std::size_t i = first; i + 1 < input.size(); i += 2) {
     const std::uint64_t root = AsU64(input.i64(i));
+    if (root == 0) continue;  // never a real root id; 0 marks free slots
     Tree& tree = trees_[root];
     if (tree.first_seen == common::TimePoint{}) tree.first_seen = now;
     tree.value ^= AsU64(input.i64(i + 1));
@@ -79,18 +82,18 @@ void AckerBolt::execute(const Tuple& input, const TupleMeta&, Emitter& out) {
       tree.init_seen = true;
     }
     if (tree.init_seen && tree.value == 0) {
-      auto it = std::find_if(done.begin(), done.end(), [&](const auto& d) {
+      auto it = std::find_if(done_.begin(), done_.end(), [&](const auto& d) {
         return d.first == tree.spout;
       });
-      if (it == done.end()) {
-        done.emplace_back(tree.spout, MakeAckComplete(root));
+      if (it == done_.end()) {
+        done_.emplace_back(tree.spout, MakeAckComplete(root));
       } else {
         it->second.push(AsI64(root));
       }
       trees_.erase(root);
     }
   }
-  for (auto& [spout, msg] : done) {
+  for (auto& [spout, msg] : done_) {
     out.emit_direct(spout, kAckStream, std::move(msg));
   }
 

@@ -12,11 +12,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/hash.h"
+#include "common/root_table.h"
 #include "stream/api.h"
 
 namespace typhoon::stream {
@@ -58,22 +59,25 @@ class AckBuffer {
   }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
-  // Hands the folded entries to send(Tuple) as `kind` (kInit or kAck)
-  // messages of at most kMaxAckEntries entries; `spout` is the sender a
-  // kInit names. Leaves the buffer empty.
+  // Hands the folded entries to send(const Tuple&) as `kind` (kInit or
+  // kAck) messages of at most kMaxAckEntries entries; `spout` is the sender
+  // a kInit names. The message tuple is reused across calls (its capacity
+  // is kept), so `send` copies it if it needs it later. Leaves the buffer
+  // empty.
   template <typename Send>
   void flush(AckKind kind, WorkerId spout, Send&& send) {
     fold();
     for (std::size_t i = 0; i < entries_.size(); i += kMaxAckEntries) {
       const std::size_t end = std::min(entries_.size(), i + kMaxAckEntries);
-      Tuple msg{static_cast<std::int64_t>(kind)};
-      msg.reserve(2 + 2 * (end - i));
-      if (kind == AckKind::kInit) msg.push(static_cast<std::int64_t>(spout));
+      msg_.clear();
+      msg_.reserve(2 + 2 * (end - i));
+      msg_.push(static_cast<std::int64_t>(kind));
+      if (kind == AckKind::kInit) msg_.push(static_cast<std::int64_t>(spout));
       for (std::size_t j = i; j < end; ++j) {
-        msg.push(static_cast<std::int64_t>(entries_[j].root));
-        msg.push(static_cast<std::int64_t>(entries_[j].xor_val));
+        msg_.push(static_cast<std::int64_t>(entries_[j].root));
+        msg_.push(static_cast<std::int64_t>(entries_[j].xor_val));
       }
-      send(std::move(msg));
+      send(std::as_const(msg_));
     }
     entries_.clear();
   }
@@ -86,6 +90,7 @@ class AckBuffer {
   void fold();
 
   std::vector<Entry> entries_;
+  Tuple msg_;
 };
 
 // The acker node's computation logic, deployed like any bolt under the
@@ -108,7 +113,10 @@ class AckerBolt : public Bolt {
 
   void sweep(common::TimePoint now);
 
-  std::unordered_map<std::uint64_t, Tree> trees_;
+  common::RootTable<Tree> trees_;
+  // Completion messages built by one execute(), one per spout; kept across
+  // calls so the buffer's capacity is reused.
+  std::vector<std::pair<WorkerId, Tuple>> done_;
   common::TimePoint last_sweep_;
   std::chrono::milliseconds tree_timeout_{30000};
 };

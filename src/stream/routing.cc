@@ -19,35 +19,35 @@ const char* GroupingName(GroupingType g) {
 RouteDecision Router::route(RoutingState& state, const Tuple& t,
                             std::uint64_t shuffle_seed) {
   RouteDecision d;
-  if (state.next_hops.empty()) return d;
-  const std::size_t n = state.next_hops.size();
+  const std::span<const WorkerId> hops = state.next_hops;
+  if (hops.empty()) return d;
+  const std::size_t n = hops.size();
 
   switch (state.type) {
     case GroupingType::kShuffle: {
       // Listing 1: index = (counter++) % numNextHops.
-      const std::size_t idx = (state.rr_counter++) % n;
-      d.dests.push_back(state.next_hops[idx]);
+      d.dests = hops.subspan((state.rr_counter++) % n, 1);
       break;
     }
     case GroupingType::kFields: {
       // Listing 1: hash(fields) % numNextHops.
       const std::uint64_t h = t.hash_fields(state.key_indices);
-      d.dests.push_back(state.next_hops[h % n]);
+      d.dests = hops.subspan(h % n, 1);
       break;
     }
     case GroupingType::kGlobal:
-      d.dests.push_back(state.next_hops.front());
+      d.dests = hops.first(1);
       break;
     case GroupingType::kAll:
       d.broadcast = true;
-      d.dests = state.next_hops;
+      d.dests = hops;
       break;
     case GroupingType::kDirect: {
       // Random pick; under SDN load balancing the switch group rewrites the
       // destination in a weighted round-robin fashion anyway.
       const std::uint64_t h =
           common::SplitMix64(state.rr_counter++ ^ shuffle_seed);
-      d.dests.push_back(state.next_hops[h % n]);
+      d.dests = hops.subspan(h % n, 1);
       break;
     }
   }

@@ -44,19 +44,23 @@ struct RoutingState {
   std::uint64_t rr_counter = 0;            // kShuffle round-robin state
 };
 
-// Routing decision for one tuple on one edge.
+// Routing decision for one tuple on one edge. Owns no storage: `dests` views
+// the edge's RoutingState::next_hops, which only the owning worker thread
+// mutates, so a decision stays valid until that thread applies the next
+// ROUTING update.
 struct RouteDecision {
   // When true the tuple goes to all next hops; in Typhoon mode the I/O layer
   // emits a single broadcast-addressed packet instead of N copies.
   bool broadcast = false;
   // Destinations (exactly one unless broadcast; then all next hops, used by
   // the Storm transport which must address each copy).
-  std::vector<WorkerId> dests;
+  std::span<const WorkerId> dests;
 };
 
 class Router {
  public:
-  // Applies the policy, mutating policy-specific state (rr counter).
+  // Applies the policy, mutating policy-specific state (rr counter). The
+  // decision views `state.next_hops`.
   static RouteDecision route(RoutingState& state, const Tuple& t,
                              std::uint64_t shuffle_seed = 0);
 };

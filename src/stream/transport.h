@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -47,11 +48,12 @@ class Transport {
   virtual ~Transport() = default;
 
   // Send one logical tuple to the given destinations. `broadcast` marks an
-  // all-grouping emission whose payload is destination-independent. A
-  // non-default `trace` context (sampled tuple) rides with the tuple so the
-  // receiver's TupleMeta carries it onward.
+  // all-grouping emission whose payload is destination-independent. The
+  // span is read during the call only (the worker passes a view into its
+  // routing state). A non-default `trace` context (sampled tuple) rides
+  // with the tuple so the receiver's TupleMeta carries it onward.
   virtual void send(const Tuple& t, StreamId stream, std::uint64_t root_id,
-                    std::uint64_t edge_id, const std::vector<WorkerId>& dests,
+                    std::uint64_t edge_id, std::span<const WorkerId> dests,
                     bool broadcast, trace::TraceContext trace = {}) = 0;
 
   // Send a control tuple up to the SDN controller (METRIC_RESP). A no-op on

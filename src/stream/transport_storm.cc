@@ -94,7 +94,7 @@ void StormTransport::flush_dest(WorkerId dst,
 
 void StormTransport::send(const Tuple& t, StreamId stream,
                           std::uint64_t root_id, std::uint64_t edge_id,
-                          const std::vector<WorkerId>& dests,
+                          std::span<const WorkerId> dests,
                           bool /*broadcast*/, trace::TraceContext /*trace*/) {
   // One serialization *per destination*: each copy embeds its own dst
   // metadata — the exact overhead Typhoon's broadcast offload removes.

@@ -54,7 +54,7 @@ class StormTransport : public Transport {
   // Trace contexts are accepted but not propagated: the Storm baseline has
   // no cross-layer header to carry them (that asymmetry is the point).
   void send(const Tuple& t, StreamId stream, std::uint64_t root_id,
-            std::uint64_t edge_id, const std::vector<WorkerId>& dests,
+            std::uint64_t edge_id, std::span<const WorkerId> dests,
             bool broadcast, trace::TraceContext trace = {}) override;
   void send_to_controller(const ControlTuple& ct) override { (void)ct; }
   std::size_t poll(std::vector<ReceivedItem>& out, std::size_t max) override;

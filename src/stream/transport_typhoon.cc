@@ -42,7 +42,7 @@ TyphoonTransport::TyphoonTransport(
 
 void TyphoonTransport::send(const Tuple& t, StreamId stream,
                             std::uint64_t root_id, std::uint64_t edge_id,
-                            const std::vector<WorkerId>& dests,
+                            std::span<const WorkerId> dests,
                             bool broadcast, trace::TraceContext trace) {
   if (dests.empty()) return;
   // The single serialization: the payload carries no destination metadata,

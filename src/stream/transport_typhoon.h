@@ -33,7 +33,7 @@ class TyphoonTransport : public Transport {
                    std::shared_ptr<trace::FlightRecorder> recorder = nullptr);
 
   void send(const Tuple& t, StreamId stream, std::uint64_t root_id,
-            std::uint64_t edge_id, const std::vector<WorkerId>& dests,
+            std::uint64_t edge_id, std::span<const WorkerId> dests,
             bool broadcast, trace::TraceContext trace = {}) override;
   void send_to_controller(const ControlTuple& ct) override;
   std::size_t poll(std::vector<ReceivedItem>& out, std::size_t max) override;

@@ -15,6 +15,12 @@ Worker::Worker(WorkerOptions opts)
       received_(metrics_.counter("received")),
       acked_(metrics_.counter("acked")),
       failed_(metrics_.counter("failed")),
+      parked_(metrics_.counter("parked")),
+      parked_dropped_(metrics_.counter("parked_dropped")),
+      trace_sampled_(metrics_.counter("trace_sampled")),
+      control_dups_dropped_(metrics_.counter("control_dups_dropped")),
+      routing_updates_(metrics_.counter("routing_updates")),
+      signals_(metrics_.counter("signals")),
       rng_(common::HashCombine(opts_.ctx.worker, 0x7970686f6f6eull)),
       acking_(opts_.reliable && opts_.acker != 0),
       is_acker_(opts_.ctx.node_name == kAckerNodeName),
@@ -37,9 +43,11 @@ void Worker::stop() {
   running_.store(false);
 }
 
-void Worker::emit(Tuple t) { emit(kDefaultStream, std::move(t)); }
+void Worker::emit(Tuple t) { route_and_send(kDefaultStream, t); }
 
-void Worker::emit(StreamId stream, Tuple t) {
+void Worker::emit(StreamId stream, Tuple t) { route_and_send(stream, t); }
+
+void Worker::route_and_send(StreamId stream, const Tuple& t) {
   std::uint64_t root = 0;
   bool spout_root = false;
   if (acking_) {
@@ -62,7 +70,7 @@ void Worker::emit(StreamId stream, Tuple t) {
           ++trace_seq_ % opts_.trace_sample_every == 0) {
         trace.id = common::HashCombine(opts_.ctx.worker, trace_seq_) | 1;
         trace.hop = 0;
-        metrics_.counter("trace_sampled").inc();
+        trace_sampled_.inc_owned();
       }
     } else if (current_trace_.sampled()) {
       trace.id = current_trace_.id;
@@ -83,10 +91,10 @@ void Worker::emit(StreamId stream, Tuple t) {
       // Paused edge: park until a ROUTING update supplies destinations.
       if (e.parked.size() >= kMaxParkedPerEdge) {
         e.parked.pop_front();
-        metrics_.counter("parked_dropped").inc();
+        parked_dropped_.inc_owned();
       }
       e.parked.push_back(t);
-      metrics_.counter("parked").inc();
+      parked_.inc_owned();
       continue;
     }
     RouteDecision d = Router::route(e.state, t, opts_.ctx.worker);
@@ -107,18 +115,18 @@ void Worker::emit(StreamId stream, Tuple t) {
                           trace);
     sent_any = true;
   }
-  if (sent_any) emitted_.inc();
+  if (sent_any) emitted_.inc_owned();
 
   if (spout_root && sent_any) {
-    pending_[root] = PendingRoot{common::Now()};
+    pending_[root].emitted_at = common::Now();
     opts_.spout->anchored(root);
     acks_.add(root, init_xor);
   }
 }
 
 void Worker::emit_direct(WorkerId dst, StreamId stream, Tuple t) {
-  opts_.transport->send(t, stream, 0, 0, {dst}, false);
-  emitted_.inc();
+  opts_.transport->send(t, stream, 0, 0, std::span(&dst, 1), false);
+  emitted_.inc_owned();
 }
 
 void Worker::handle_control(const ControlTuple& ct) {
@@ -132,7 +140,7 @@ void Worker::handle_control(const ControlTuple& ct) {
     ack.request_id = ct.seq;
     opts_.transport->send_to_controller(ack);
     if (seen_seq_.contains(ct.seq)) {
-      metrics_.counter("control_dups_dropped").inc();
+      control_dups_dropped_.inc_owned();
       return;
     }
     seen_seq_.insert(ct.seq);
@@ -152,7 +160,7 @@ void Worker::handle_control(const ControlTuple& ct) {
         std::erase_if(opts_.out_edges, [&](const EdgeRuntime& e) {
           return e.to_node == ru.to_node;
         });
-        metrics_.counter("routing_updates").inc();
+        routing_updates_.inc_owned();
         break;
       }
       bool found = false;
@@ -185,17 +193,17 @@ void Worker::handle_control(const ControlTuple& ct) {
           RouteDecision d = Router::route(e.state, t, opts_.ctx.worker);
           if (d.dests.empty()) continue;
           opts_.transport->send(t, e.stream, 0, 0, d.dests, d.broadcast);
-          emitted_.inc();
+          emitted_.inc_owned();
         }
       }
-      metrics_.counter("routing_updates").inc();
+      routing_updates_.inc_owned();
       break;
     }
     case ControlType::kSignal:
       if (opts_.bolt) {
         opts_.bolt->on_signal(ct.signal_tag, *this);
       }
-      metrics_.counter("signals").inc();
+      signals_.inc_owned();
       break;
     case ControlType::kMetricReq: {
       MetricReport report;
@@ -214,6 +222,7 @@ void Worker::handle_control(const ControlTuple& ct) {
     }
     case ControlType::kInputRate:
       input_rate_.set_rate(ct.input_rate);
+      rate_limited_ = ct.input_rate > 0.0;
       break;
     case ControlType::kActivate:
       active_.store(true);
@@ -236,14 +245,14 @@ void Worker::handle_ack_stream(const Tuple& t) {
   const common::TimePoint now = common::Now();
   for (std::size_t i = 1; i < t.size(); ++i) {
     const auto root = static_cast<std::uint64_t>(t.i64(i));
-    auto it = pending_.find(root);
-    if (it == pending_.end()) continue;
+    const PendingRoot* p = pending_.find(root);
+    if (p == nullptr) continue;
     const std::int64_t latency_us =
         std::chrono::duration_cast<std::chrono::microseconds>(
-            now - it->second.emitted_at)
+            now - p->emitted_at)
             .count();
-    pending_.erase(it);
-    acked_.inc();
+    pending_.erase(root);
+    acked_.inc_owned();
     opts_.spout->ack(root, latency_us);
   }
 }
@@ -251,9 +260,9 @@ void Worker::handle_ack_stream(const Tuple& t) {
 void Worker::flush_acks() {
   if (acks_.empty()) return;
   acks_.flush(opts_.is_spout ? AckKind::kInit : AckKind::kAck,
-              opts_.ctx.worker, [&](Tuple msg) {
-                opts_.transport->send(msg, kAckStream, 0, 0, {opts_.acker},
-                                      false);
+              opts_.ctx.worker, [&](const Tuple& msg) {
+                opts_.transport->send(msg, kAckStream, 0, 0,
+                                      std::span(&opts_.acker, 1), false);
               });
 }
 
@@ -266,7 +275,7 @@ void Worker::handle_item(ReceivedItem& item) {
       slow > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(slow));
   }
-  received_.inc();
+  received_.inc_owned();
   if (item.meta.stream == kAckStream && opts_.is_spout) {
     handle_ack_stream(item.tuple);
     return;
@@ -329,12 +338,12 @@ void Worker::publish_stats(common::TimePoint now) {
 
 void Worker::sweep_pending(common::TimePoint now) {
   std::vector<std::uint64_t> expired;
-  for (const auto& [root, p] : pending_) {
+  pending_.for_each([&](std::uint64_t root, const PendingRoot& p) {
     if (now - p.emitted_at > opts_.pending_timeout) expired.push_back(root);
-  }
+  });
   for (std::uint64_t root : expired) {
     pending_.erase(root);
-    failed_.inc();
+    failed_.inc_owned();
     opts_.spout->fail(root);
   }
 }
@@ -345,7 +354,7 @@ bool Worker::spout_turn() {
       pending_.size() >= opts_.max_pending) {
     return false;
   }
-  if (input_rate_.rate() > 0 && !input_rate_.try_acquire()) return false;
+  if (rate_limited_ && !input_rate_.try_acquire()) return false;
   return opts_.spout->next(*this);
 }
 
@@ -376,9 +385,11 @@ void Worker::run() {
     return;
   }
 
+  // Stats and heartbeat before RUNNING: whoever sees RUNNING also finds
+  // this worker's first heartbeat.
   if (opts_.coord) {
-    opts_.coord->put_str(WorkerStatePath(topo, w), "RUNNING");
     publish_stats(common::Now());
+    opts_.coord->put_str(WorkerStatePath(topo, w), "RUNNING");
   }
 
   // One poll batch, consumed in place: `next` indexes the first unhandled
@@ -419,7 +430,7 @@ void Worker::run() {
       ReceivedItem& item = buf[next];
       // INPUT_RATE throttling applies to data tuples; control tuples are
       // processed unconditionally so the throttle itself can be lifted.
-      if (!item.is_control && !opts_.is_spout && input_rate_.rate() > 0 &&
+      if (!item.is_control && !opts_.is_spout && rate_limited_ &&
           !input_rate_.try_acquire()) {
         break;
       }

@@ -20,13 +20,13 @@
 #include <deque>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "common/root_table.h"
 #include "common/token_bucket.h"
 #include "coordinator/coordinator.h"
 #include "stream/acker.h"
@@ -129,6 +129,8 @@ class Worker final : public Emitter {
  private:
   void run();
   void mark_crashed();
+  // Both emit overloads land here: one tuple, one pass over the edges.
+  void route_and_send(StreamId stream, const Tuple& t);
   void handle_item(ReceivedItem& item);
   void handle_control(const ControlTuple& ct);
   void handle_ack_stream(const Tuple& t);
@@ -139,11 +141,23 @@ class Worker final : public Emitter {
 
   WorkerOptions opts_;
   common::MetricsRegistry metrics_;
+  // Cached registry entries, all written by the worker thread only
+  // (Counter::inc_owned); looking one up takes the registry mutex.
   common::Counter& emitted_;
   common::Counter& received_;
   common::Counter& acked_;
   common::Counter& failed_;
+  common::Counter& parked_;
+  common::Counter& parked_dropped_;
+  common::Counter& trace_sampled_;
+  common::Counter& control_dups_dropped_;
+  common::Counter& routing_updates_;
+  common::Counter& signals_;
+  // INPUT_RATE: the bucket is consulted only while `rate_limited_` is set,
+  // so an unthrottled worker takes no lock per tuple. Both are touched by
+  // the worker thread only.
   common::TokenBucket input_rate_{0.0, common::kTupleBurstFloor};
+  bool rate_limited_ = false;
   common::Rng rng_;
 
   // Guaranteed processing is on (reliable, acker deployed); the acker's
@@ -168,7 +182,7 @@ class Worker final : public Emitter {
   struct PendingRoot {
     common::TimePoint emitted_at;
   };
-  std::unordered_map<std::uint64_t, PendingRoot> pending_;
+  common::RootTable<PendingRoot> pending_;
 
   // Idempotent-delivery window for reliable control tuples: every sequenced
   // control tuple is acked, but only the first copy is applied (duplicates

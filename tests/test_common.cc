@@ -2,8 +2,11 @@
 // MPMC queue, rate limiter, latency recorder, metrics registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -13,6 +16,7 @@
 #include "common/mpmc_queue.h"
 #include "common/token_bucket.h"
 #include "common/result.h"
+#include "common/root_table.h"
 #include "common/spsc_ring.h"
 #include "common/token_bucket.h"
 
@@ -515,6 +519,206 @@ TEST(Metrics, CountersAndGaugesByName) {
   EXPECT_EQ(reg.value("missing"), 0);
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.size(), 2u);
+}
+
+// One writer bumps an owned counter while another thread reads it: every
+// read is a whole value, reads never go backwards, and no increment is lost.
+TEST(Metrics, OwnedCounterIsExactUnderConcurrentReads) {
+  MetricsRegistry reg;
+  Counter& c = reg.counter("received");
+  constexpr std::int64_t kIncs = 200000;
+  std::atomic<bool> done{false};
+  std::int64_t last = 0;
+  bool monotone = true;
+  std::thread reader([&] {
+    while (!done.load()) {
+      const std::int64_t v = reg.value("received");
+      if (v < last) monotone = false;
+      last = v;
+    }
+  });
+  for (std::int64_t i = 0; i < kIncs; ++i) c.inc_owned();
+  done.store(true);
+  reader.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(c.value(), kIncs);
+}
+
+// ---- RootTable --------------------------------------------------------------
+
+using RefMap = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+// `t` holds exactly the entries of `ref`: same size, every key found with
+// its value, and for_each visits each key once.
+void ExpectSameEntries(RootTable<std::uint64_t>& t, const RefMap& ref) {
+  ASSERT_EQ(t.size(), ref.size());
+  for (const auto& [k, v] : ref) {
+    const std::uint64_t* got = t.find(k);
+    ASSERT_NE(got, nullptr) << "key " << k;
+    ASSERT_EQ(*got, v) << "key " << k;
+  }
+  RefMap seen;
+  t.for_each([&](std::uint64_t k, const std::uint64_t& v) {
+    EXPECT_TRUE(seen.emplace(k, v).second) << "key visited twice: " << k;
+  });
+  EXPECT_EQ(seen, ref);
+}
+
+// `n` distinct non-zero keys whose home slot, in a table of capacity `cap`,
+// is one of the last `tail` slots: inserted together they form a cluster
+// that wraps past the end of the table.
+std::vector<std::uint64_t> TailKeys(std::size_t cap, std::size_t tail,
+                                    std::size_t n, std::mt19937_64& rng) {
+  RootTable<std::uint64_t> shape(cap);
+  EXPECT_EQ(shape.capacity(), cap);
+  std::vector<std::uint64_t> keys;
+  while (keys.size() < n) {
+    const std::uint64_t k = rng() | 1;
+    if (shape.home(k) >= cap - tail &&
+        std::find(keys.begin(), keys.end(), k) == keys.end()) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+// Slot order is visible through for_each: a cluster homed at the last slot
+// of an 8-slot table wraps to slots 0 and 1, and backward-shift erase
+// across the wrap keeps every key reachable.
+TEST(RootTable, ClusterWrapsAndEraseShiftsBackAcrossTheEnd) {
+  std::mt19937_64 rng(7);
+  RootTable<std::uint64_t> t(8);
+  ASSERT_EQ(t.capacity(), 8u);
+  const std::vector<std::uint64_t> last = TailKeys(8, 1, 3, rng);
+  for (std::size_t i = 0; i < last.size(); ++i) t[last[i]] = i + 1;
+  std::vector<std::uint64_t> order;
+  t.for_each([&](std::uint64_t k, const std::uint64_t&) { order.push_back(k); });
+  // Slots 0, 1 (wrapped) come before slot 7.
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{last[1], last[2], last[0]}));
+
+  // Erase the head of the cluster at slot 7: both wrapped keys shift back.
+  ASSERT_TRUE(t.erase(last[0]));
+  order.clear();
+  t.for_each([&](std::uint64_t k, const std::uint64_t&) { order.push_back(k); });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{last[2], last[1]}));
+  RefMap ref{{last[1], 2}, {last[2], 3}};
+  ExpectSameEntries(t, ref);
+
+  // A key homed at slot 0 lands behind the wrapped key in slot 0; erasing
+  // the key at slot 7 must pull slot 0 back to 7 and slot 1 back to 0.
+  std::uint64_t zero_home = 0;
+  while (zero_home == 0) {
+    const std::uint64_t k = rng() | 1;
+    if (t.home(k) == 0) zero_home = k;
+  }
+  t[zero_home] = 9;
+  ref[zero_home] = 9;
+  ExpectSameEntries(t, ref);
+  ASSERT_TRUE(t.erase(last[1]));
+  ref.erase(last[1]);
+  ExpectSameEntries(t, ref);
+  order.clear();
+  t.for_each([&](std::uint64_t k, const std::uint64_t&) { order.push_back(k); });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{zero_home, last[2]}));
+  EXPECT_FALSE(t.erase(last[1]));
+  EXPECT_EQ(t.find(0), nullptr);
+  EXPECT_FALSE(t.erase(0));
+}
+
+// Growth triggered by an insert into the middle of a wrapped cluster
+// rehashes every entry, including the one being inserted.
+TEST(RootTable, GrowthInTheMiddleOfAClusterKeepsEveryEntry) {
+  std::mt19937_64 rng(11);
+  RootTable<std::uint64_t> t(8);
+  const std::vector<std::uint64_t> keys = TailKeys(8, 2, 5, rng);
+  RefMap ref;
+  for (std::size_t i = 0; i < 4; ++i) {
+    t[keys[i]] = 100 + i;
+    ref[keys[i]] = 100 + i;
+  }
+  EXPECT_EQ(t.capacity(), 8u);  // half full: no growth yet
+  t[keys[4]] = 104;
+  ref[keys[4]] = 104;
+  EXPECT_EQ(t.capacity(), 16u);
+  ExpectSameEntries(t, ref);
+  // Re-assigning a present key never grows.
+  for (const std::uint64_t k : keys) t[k] += 1;
+  for (auto& [k, v] : ref) v += 1;
+  EXPECT_EQ(t.capacity(), 16u);
+  ExpectSameEntries(t, ref);
+}
+
+// Random insert/assign/find/erase/sweep sequences against
+// std::unordered_map. Half of every seed's key pool is homed at the tail of
+// some capacity the table passes through (8 .. 1024), so clusters wrap past
+// the end, erases shift back across the wrap, and growth lands mid-cluster;
+// the sweep collects matching keys during for_each and erases them after,
+// as the spout's pending sweep and the acker's tree sweep do.
+TEST(RootTable, PropertyMatchesUnorderedMapOver40Seeds) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint64_t> pool;
+    for (std::size_t cap = 8; cap <= 1024; cap *= 2) {
+      const std::vector<std::uint64_t> tail = TailKeys(cap, 2, 12, rng);
+      pool.insert(pool.end(), tail.begin(), tail.end());
+    }
+    while (pool.size() < 200) pool.push_back(rng() | 1);
+
+    RootTable<std::uint64_t> t(8);
+    RefMap ref;
+    std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+    for (int op = 0; op < 4000; ++op) {
+      const std::uint64_t k = pool[pick(rng)];
+      switch (rng() % 10) {
+        case 0:
+        case 1:
+        case 2:
+        case 3: {  // insert or assign
+          const std::uint64_t v = rng();
+          t[k] = v;
+          ref[k] = v;
+          break;
+        }
+        case 4: {  // read-modify-write through operator[] (acker idiom)
+          const std::uint64_t x = rng();
+          t[k] ^= x;
+          ref[k] ^= x;
+          break;
+        }
+        case 5:
+        case 6: {
+          const std::uint64_t* got = t.find(k);
+          const auto it = ref.find(k);
+          ASSERT_EQ(got != nullptr, it != ref.end());
+          if (got != nullptr) {
+            ASSERT_EQ(*got, it->second);
+          }
+          break;
+        }
+        case 7:
+        case 8:
+          ASSERT_EQ(t.erase(k), ref.erase(k) == 1);
+          break;
+        default: {  // sweep: collect during the walk, erase after
+          const std::uint64_t bit = rng() % 4;
+          std::vector<std::uint64_t> expired;
+          t.for_each([&](std::uint64_t key, const std::uint64_t& v) {
+            if ((v >> bit) & 1) expired.push_back(key);
+          });
+          for (const std::uint64_t key : expired) {
+            ASSERT_TRUE(t.erase(key));
+            ASSERT_EQ(ref.erase(key), 1u);
+          }
+          break;
+        }
+      }
+      if (op % 97 == 0) ExpectSameEntries(t, ref);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    ExpectSameEntries(t, ref);
+    EXPECT_LE(2 * t.size(), t.capacity());
+  }
 }
 
 TEST(Result, StatusAndValueSemantics) {

@@ -74,7 +74,10 @@ TEST(Routing, AllBroadcastsToEveryHop) {
   RoutingState s = State(GroupingType::kAll, {4, 5, 6});
   auto d = Router::route(s, Tuple{});
   EXPECT_TRUE(d.broadcast);
-  EXPECT_EQ(d.dests, (std::vector<WorkerId>{4, 5, 6}));
+  EXPECT_EQ(std::vector<WorkerId>(d.dests.begin(), d.dests.end()),
+            (std::vector<WorkerId>{4, 5, 6}));
+  // A view of the edge's next hops, not a copy.
+  EXPECT_EQ(d.dests.data(), s.next_hops.data());
 }
 
 TEST(Routing, DirectPicksSomeHop) {

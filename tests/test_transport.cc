@@ -18,6 +18,10 @@ using openflow::FlowModCommand;
 using openflow::FlowRule;
 
 constexpr TopologyId kTopo = 1;
+// Destination lists for Transport::send, which takes a span.
+constexpr WorkerId kToW2[] = {2};
+constexpr WorkerId kToW2W3[] = {2, 3};
+constexpr WorkerId kToW2W3W4[] = {2, 3, 4};
 
 std::uint64_t A(WorkerId w) { return WorkerAddress{kTopo, w}.packed(); }
 
@@ -93,7 +97,7 @@ TEST_F(TyphoonTransportTest, UnicastDeliversTupleWithMeta) {
   Wire(1, 2);
 
   t1->send(Tuple{std::int64_t{5}, std::string("x")}, kDefaultStream, 11, 22,
-           {2}, false);
+           kToW2, false);
   t1->flush();
 
   std::vector<ReceivedItem> got;
@@ -114,7 +118,7 @@ TEST_F(TyphoonTransportTest, BroadcastEmitsOnePacketForAllSinks) {
   WireBroadcast(1, {2, 3, 4});
 
   const std::uint64_t before = sw_->packets_forwarded();
-  src->send(Tuple{std::string("hello")}, kDefaultStream, 0, 0, {2, 3, 4},
+  src->send(Tuple{std::string("hello")}, kDefaultStream, 0, 0, kToW2W3W4,
             /*broadcast=*/true);
   src->flush();
 
@@ -135,13 +139,13 @@ TEST_F(TyphoonTransportTest, BatchingHoldsTuplesUntilThreshold) {
   Wire(1, 2);
 
   for (int i = 0; i < 9; ++i) {
-    t1->send(Tuple{std::int64_t{i}}, kDefaultStream, 0, 0, {2}, false);
+    t1->send(Tuple{std::int64_t{i}}, kDefaultStream, 0, 0, kToW2, false);
   }
   std::vector<ReceivedItem> got;
   t2->poll(got, 64);
   EXPECT_TRUE(got.empty());  // below batch threshold, nothing sent
 
-  t1->send(Tuple{std::int64_t{9}}, kDefaultStream, 0, 0, {2}, false);
+  t1->send(Tuple{std::int64_t{9}}, kDefaultStream, 0, 0, kToW2, false);
   ASSERT_EQ(PollUntil(*t2, got, 10), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(got[i].tuple.i64(0), i);
 }
@@ -194,7 +198,7 @@ TEST_F(TyphoonTransportTest, MultipleDestinationsReuseSerializedBytes) {
   Wire(1, 2);
   Wire(1, 3);
   // Non-broadcast multi-destination send still roundtrips per destination.
-  t1->send(Tuple{std::string("dup")}, kDefaultStream, 0, 0, {2, 3}, false);
+  t1->send(Tuple{std::string("dup")}, kDefaultStream, 0, 0, kToW2W3, false);
   t1->flush();
   std::vector<ReceivedItem> g2;
   std::vector<ReceivedItem> g3;
@@ -209,7 +213,7 @@ TEST(StormTransport, DeliversWithEnvelope) {
   StormTransport a(kTopo, 1, /*host=*/1, &fabric, /*batch=*/1);
   StormTransport b(kTopo, 2, /*host=*/1, &fabric, 1);
 
-  a.send(Tuple{std::int64_t{3}}, kDefaultStream, 5, 6, {2}, false);
+  a.send(Tuple{std::int64_t{3}}, kDefaultStream, 5, 6, kToW2, false);
   a.flush();
   std::vector<ReceivedItem> got;
   b.poll(got, 8);
@@ -225,7 +229,7 @@ TEST(StormTransport, RemoteHostsGoThroughFraming) {
   StormTransport b(kTopo, 2, /*host=*/2, &fabric, 4);
 
   for (int i = 0; i < 8; ++i) {
-    a.send(Tuple{std::int64_t{i}}, kDefaultStream, 0, 0, {2}, false);
+    a.send(Tuple{std::int64_t{i}}, kDefaultStream, 0, 0, kToW2, false);
   }
   a.flush();
   std::vector<ReceivedItem> got;
@@ -239,12 +243,12 @@ TEST(StormTransport, BatchFlushesAtThreshold) {
   StormTransport a(kTopo, 1, 1, &fabric, /*batch=*/3);
   StormTransport b(kTopo, 2, 1, &fabric, 3);
 
-  a.send(Tuple{std::int64_t{0}}, kDefaultStream, 0, 0, {2}, false);
-  a.send(Tuple{std::int64_t{1}}, kDefaultStream, 0, 0, {2}, false);
+  a.send(Tuple{std::int64_t{0}}, kDefaultStream, 0, 0, kToW2, false);
+  a.send(Tuple{std::int64_t{1}}, kDefaultStream, 0, 0, kToW2, false);
   std::vector<ReceivedItem> got;
   b.poll(got, 8);
   EXPECT_TRUE(got.empty());
-  a.send(Tuple{std::int64_t{2}}, kDefaultStream, 0, 0, {2}, false);
+  a.send(Tuple{std::int64_t{2}}, kDefaultStream, 0, 0, kToW2, false);
   b.poll(got, 8);
   EXPECT_EQ(got.size(), 3u);
 }
@@ -255,7 +259,7 @@ TEST(StormTransport, SendToDeadWorkerDropsMessages) {
   {
     StormTransport dead(kTopo, 2, 1, &fabric, 1);
   }  // unregistered on destruction
-  a.send(Tuple{std::int64_t{1}}, kDefaultStream, 0, 0, {2}, false);
+  a.send(Tuple{std::int64_t{1}}, kDefaultStream, 0, 0, kToW2, false);
   a.flush();
   EXPECT_GT(a.send_drops(), 0u);
 }
@@ -266,7 +270,7 @@ TEST(StormTransport, BroadcastLoopsPerDestination) {
   StormTransport d2(kTopo, 2, 1, &fabric, 1);
   StormTransport d3(kTopo, 3, 1, &fabric, 1);
 
-  src.send(Tuple{std::string("b")}, kDefaultStream, 0, 0, {2, 3},
+  src.send(Tuple{std::string("b")}, kDefaultStream, 0, 0, kToW2W3,
            /*broadcast=*/true);
   src.flush();
   std::vector<ReceivedItem> g2;

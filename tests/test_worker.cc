@@ -25,6 +25,8 @@ using openflow::FlowModCommand;
 using openflow::FlowRule;
 
 constexpr TopologyId kTopo = 3;
+// Destination list for Transport::send, which takes a span.
+constexpr WorkerId kToW2[] = {2};
 
 template <typename F>
 bool WaitFor(F&& pred, std::chrono::milliseconds timeout) {
@@ -288,7 +290,7 @@ TEST_F(WorkerFixture, InputRateThrottlesBoltProcessing) {
   auto feeder = Transport(9, /*batch=*/64);
   Wire(9, 2, static_cast<PortId>(100 + 2));
   for (int i = 0; i < 3000; ++i) {
-    feeder->send(Tuple{std::int64_t{i}}, kDefaultStream, 0, 0, {2}, false);
+    feeder->send(Tuple{std::int64_t{i}}, kDefaultStream, 0, 0, kToW2, false);
   }
   feeder->flush();
 
@@ -304,6 +306,53 @@ TEST_F(WorkerFixture, InputRateThrottlesBoltProcessing) {
   traw->inject_control(unlimited);
   ASSERT_TRUE(WaitFor([&] { return w->received() >= 3000; }, 5s))
       << w->received();
+}
+
+// The spout path reads the same limited/unlimited flag as the bolt path:
+// a rate caps spout turns, and rate 0 restores full speed.
+TEST_F(WorkerFixture, InputRateThrottlesSpoutAndZeroLiftsIt) {
+  auto tap = Tap();
+  Wire(1, 70, tap->id());
+  WorkerOptions wo = BaseOptions(1, "src", true);
+  wo.spout = std::make_unique<testutil::SequenceSpout>(0, 1);
+  auto transport = Transport(1, /*batch=*/64);
+  TyphoonTransport* traw = transport.get();
+  wo.transport = std::move(transport);
+  EdgeRuntime e;
+  e.to_node = 20;
+  e.state.type = GroupingType::kGlobal;
+  e.state.next_hops = {70};
+  wo.out_edges.push_back(std::move(e));
+  Worker* w = AddWorker(std::move(wo));
+  ASSERT_TRUE(WaitFor([&] { return w->emitted() > 100; }, 3s));
+
+  // Throttle to 200 spout turns/s (one tuple each).
+  ControlTuple rate;
+  rate.type = ControlType::kInputRate;
+  rate.input_rate = 200.0;
+  traw->inject_control(rate);
+  common::SleepMillis(50);
+  const std::int64_t capped_from = w->emitted();
+  for (int i = 0; i < 6; ++i) {
+    common::SleepMillis(50);
+    DrainTap(*tap);
+  }
+  // ~60 tuples in 300 ms, plus at most one burst (64) of banked credit.
+  EXPECT_LT(w->emitted() - capped_from, 400) << "rate cap not applied";
+
+  ControlTuple unlimited;
+  unlimited.type = ControlType::kInputRate;
+  unlimited.input_rate = 0.0;
+  traw->inject_control(unlimited);
+  const std::int64_t lifted_from = w->emitted();
+  // 5000 tuples would take 25 s at the old cap.
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        DrainTap(*tap);
+        return w->emitted() >= lifted_from + 5000;
+      },
+      5s))
+      << w->emitted() - lifted_from;
 }
 
 // A transport that hands the worker scripted poll batches, one per poll,
@@ -325,7 +374,7 @@ class ScriptedTransport : public stream::Transport {
     return n;
   }
   void send(const Tuple&, StreamId, std::uint64_t, std::uint64_t,
-            const std::vector<WorkerId>&, bool,
+            std::span<const WorkerId>, bool,
             trace::TraceContext) override {}
   void send_to_controller(const ControlTuple&) override {}
   void flush() override {}
@@ -448,11 +497,11 @@ TEST_F(WorkerFixture, SignalReachesApplicationLayer) {
   auto feeder = Transport(9);
   Wire(9, 2, static_cast<PortId>(100 + 2));
   feeder->send(Tuple{std::string("a"), std::int64_t{1}}, kDefaultStream, 0,
-               0, {2}, false);
+               0, kToW2, false);
   feeder->send(Tuple{std::string("a"), std::int64_t{1}}, kDefaultStream, 0,
-               0, {2}, false);
+               0, kToW2, false);
   feeder->send(Tuple{std::string("b"), std::int64_t{1}}, kDefaultStream, 0,
-               0, {2}, false);
+               0, kToW2, false);
   feeder->flush();
   ASSERT_TRUE(WaitFor([&] { return w->received() >= 3; }, 3s));
 
@@ -547,7 +596,7 @@ TEST_F(WorkerFixture, CrashInExecuteMarksWorkerDead) {
 
   auto feeder = Transport(9);
   Wire(9, 2, static_cast<PortId>(100 + 2));
-  feeder->send(Tuple{std::string("boom boom")}, kDefaultStream, 0, 0, {2},
+  feeder->send(Tuple{std::string("boom boom")}, kDefaultStream, 0, 0, kToW2,
                false);
   feeder->flush();
 
