@@ -58,14 +58,18 @@ void AutoScaler::tick() {
   const std::vector<WorkerId> workers = phys->worker_ids_of(node->id);
   if (workers.empty()) return;
 
-  // Application-layer metric pull: queue depths from the coordinator.
+  // Application-layer metric pull: queue depths from the workers'
+  // heartbeat records (a manager seed carries no depth and is skipped).
   std::int64_t total = 0;
   int counted = 0;
   for (WorkerId w : workers) {
-    auto depth = ctl_->coord()->get_str(
-        stream::WorkerStatsPath(policy_.topology, w, "queue_depth"));
+    auto hb = ctl_->coord()->get_str(
+        stream::WorkerHeartbeatPath(policy_.topology, w));
+    if (!hb) continue;
+    const std::optional<std::int64_t> depth =
+        stream::ParseHeartbeat(*hb).queue_depth;
     if (!depth) continue;
-    total += std::strtoll(depth->c_str(), nullptr, 10);
+    total += *depth;
     ++counted;
   }
   if (counted == 0) return;

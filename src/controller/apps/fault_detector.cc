@@ -1,7 +1,6 @@
 #include "controller/apps/fault_detector.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/clock.h"
 #include "common/log.h"
@@ -78,9 +77,6 @@ void FaultDetector::tick() {
   if (coord == nullptr) return;
 
   const std::int64_t now_us = common::NowMicros();
-  const std::int64_t stale_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(cfg_.stale_after)
-          .count();
 
   for (TopologyId id : ctl_->topology_ids()) {
     auto spec = ctl_->spec(id);
@@ -90,11 +86,11 @@ void FaultDetector::tick() {
     for (const stream::PhysicalWorker& w : phys->workers) {
       auto hb = coord->get_str(stream::WorkerHeartbeatPath(spec->name, w.id));
       if (!hb) continue;  // not yet launched — the manager owns that window
-      const std::int64_t last = std::strtoll(hb->c_str(), nullptr, 10);
-      const std::pair<TopologyId, WorkerId> key{id, w.id};
+      const std::int64_t age_us = now_us - stream::ParseHeartbeat(*hb).t_us;
+      const stream::MissCounter::Verdict verdict =
+          hb_misses_.observe({spec->name, w.id}, age_us);
 
-      if (now_us - last < stale_us) {
-        hb_misses_.erase(key);
+      if (verdict == stream::MissCounter::Verdict::kFresh) {
         // Fresh heartbeat from a worker we rerouted around: re-include it.
         bool was_down = false;
         {
@@ -115,16 +111,12 @@ void FaultDetector::tick() {
         continue;
       }
 
-      int& misses = hb_misses_[key];
-      ++misses;
-      if (misses == cfg_.suspect_misses) {
-        suspects_.fetch_add(1);
+      if (verdict == stream::MissCounter::Verdict::kSlow) {
         LOG_WARN("fault-detector")
             << "worker w" << w.id << " (" << spec->name << ") heartbeat "
-            << (now_us - last) / 1000 << "ms stale — slow, watching";
+            << age_us / 1000 << "ms stale — slow, watching";
       }
-      if (misses < cfg_.dead_misses) continue;
-      hb_misses_.erase(key);
+      if (verdict != stream::MissCounter::Verdict::kDead) continue;
 
       bool newly_down = false;
       {
@@ -136,7 +128,6 @@ void FaultDetector::tick() {
       }
       if (!newly_down) continue;
       detected_.fetch_add(1);
-      hb_faults_.fetch_add(1);
       LOG_WARN("fault-detector")
           << "worker w" << w.id << " (" << spec->name
           << ") heartbeat silent past dead threshold; rerouting predecessors";

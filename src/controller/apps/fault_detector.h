@@ -8,11 +8,11 @@
 // restart or reschedule), the worker is re-included.
 //
 // It additionally watches worker heartbeats from the coordinator mirror and
-// distinguishes *slow* workers from *dead* ones with consecutive-miss
-// thresholds: a stale heartbeat first marks the worker suspect (logged,
-// counted), and only sustained silence reroutes its traffic as if its port
-// had vanished. A fresh heartbeat clears the suspicion and re-includes a
-// rerouted worker.
+// distinguishes *slow* workers from *dead* ones with the shared
+// consecutive-miss rule (stream::MissCounter): a stale heartbeat first marks
+// the worker suspect (logged), and only sustained silence reroutes its
+// traffic as if its port had vanished. A fresh heartbeat clears the
+// suspicion and re-includes a rerouted worker.
 #pragma once
 
 #include <atomic>
@@ -21,23 +21,12 @@
 #include <set>
 
 #include "controller/controller.h"
+#include "stream/liveness.h"
 
 namespace typhoon::controller {
 
-struct FaultDetectorConfig {
-  // Heartbeats older than this accrue one miss per controller tick.
-  std::chrono::milliseconds stale_after{800};
-  // Misses at which the worker is flagged slow (warn + counter only).
-  int suspect_misses = 4;
-  // Misses at which the worker is treated as dead and rerouted around.
-  int dead_misses = 8;
-};
-
 class FaultDetector final : public ControlPlaneApp {
  public:
-  FaultDetector() = default;
-  explicit FaultDetector(FaultDetectorConfig cfg) : cfg_(cfg) {}
-
   [[nodiscard]] const char* name() const override { return "fault-detector"; }
 
   void on_port_status(HostId host, const openflow::PortStatus& ev) override;
@@ -47,27 +36,24 @@ class FaultDetector final : public ControlPlaneApp {
     return detected_.load();
   }
   [[nodiscard]] std::int64_t recoveries() const { return recovered_.load(); }
-  // Workers flagged slow (suspect threshold crossed) by the heartbeat
-  // monitor; a slow worker that recovers is NOT a fault.
-  [[nodiscard]] std::int64_t slow_suspects() const { return suspects_.load(); }
-  // Workers the heartbeat monitor declared dead (subset of faults_detected).
-  [[nodiscard]] std::int64_t heartbeat_faults() const {
-    return hb_faults_.load();
-  }
 
  private:
   void push_routing(TopologyId topology, const stream::PhysicalWorker& w);
 
-  FaultDetectorConfig cfg_;
+  // The heartbeat monitor's slow-vs-dead thresholds: a heartbeat older than
+  // kStaleAfter is one miss per controller tick; kSlowAt misses log the
+  // worker as slow, kDeadAt misses reroute around it.
+  static constexpr std::chrono::milliseconds kStaleAfter{800};
+  static constexpr int kSlowAt = 4;
+  static constexpr int kDeadAt = 8;
+
   std::mutex mu_;
   std::map<TopologyId, std::set<WorkerId>> down_;
   // Heartbeat-monitor state (tick thread only, except down_ overlap above).
-  std::map<std::pair<TopologyId, WorkerId>, int> hb_misses_;
+  stream::MissCounter hb_misses_{kStaleAfter, kSlowAt, kDeadAt};
   std::map<TopologyId, std::set<WorkerId>> hb_down_;
   std::atomic<std::int64_t> detected_{0};
   std::atomic<std::int64_t> recovered_{0};
-  std::atomic<std::int64_t> suspects_{0};
-  std::atomic<std::int64_t> hb_faults_{0};
 };
 
 }  // namespace typhoon::controller

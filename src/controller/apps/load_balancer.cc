@@ -179,9 +179,10 @@ void LoadBalancer::tick() {
     std::int64_t max_q = 0;
     std::map<WorkerId, std::int64_t> depths;
     for (const stream::PhysicalWorker& d : session.dests) {
-      auto s = ctl_->coord()->get_str(
-          stream::WorkerStatsPath(spec->name, d.id, "queue_depth"));
-      const std::int64_t raw = s ? std::strtoll(s->c_str(), nullptr, 10) : 0;
+      auto hb =
+          ctl_->coord()->get_str(stream::WorkerHeartbeatPath(spec->name, d.id));
+      const std::int64_t raw =
+          hb ? stream::ParseHeartbeat(*hb).queue_depth.value_or(0) : 0;
       trace::TimeSeries& ts =
           depth_series_.series("dest-" + std::to_string(d.id));
       ts.observe(now_us, static_cast<double>(raw));

@@ -1,6 +1,7 @@
 #include "stream/physical.h"
 
 #include <algorithm>
+#include <charconv>
 
 namespace typhoon::stream {
 
@@ -198,10 +199,26 @@ std::string WorkerStatePath(const std::string& topology, WorkerId worker) {
 std::string WorkerHeartbeatPath(const std::string& topology, WorkerId worker) {
   return "/workers/" + topology + "/w" + std::to_string(worker) + "/heartbeat";
 }
-std::string WorkerStatsPath(const std::string& topology, WorkerId worker,
-                            const std::string& metric) {
-  return "/workers/" + topology + "/w" + std::to_string(worker) + "/stats/" +
-         metric;
+
+std::string EncodeHeartbeat(const Heartbeat& hb) {
+  std::string out = std::to_string(hb.t_us);
+  if (hb.queue_depth) out += " " + std::to_string(*hb.queue_depth);
+  return out;
+}
+
+Heartbeat ParseHeartbeat(std::string_view record) {
+  const char* p = record.data();
+  const char* end = p + record.size();
+  Heartbeat hb;
+  auto [t_end, t_ec] = std::from_chars(p, end, hb.t_us);
+  if (t_ec != std::errc{}) return {};
+  if (t_end == end) return hb;
+  if (*t_end != ' ') return {};
+  std::int64_t depth = 0;
+  auto [d_end, d_ec] = std::from_chars(t_end + 1, end, depth);
+  if (d_ec != std::errc{} || d_end != end) return {};
+  hb.queue_depth = depth;
+  return hb;
 }
 
 }  // namespace typhoon::stream

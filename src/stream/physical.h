@@ -7,9 +7,11 @@
 // read them without touching in-memory manager state.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -100,7 +102,22 @@ std::string AssignmentsPath(HostId host);
 std::string AssignmentPath(HostId host, WorkerId worker);
 std::string WorkerStatePath(const std::string& topology, WorkerId worker);
 std::string WorkerHeartbeatPath(const std::string& topology, WorkerId worker);
-std::string WorkerStatsPath(const std::string& topology, WorkerId worker,
-                            const std::string& metric);
+
+// The record at WorkerHeartbeatPath, a worker's only liveness and load
+// signal: "<t_us> <queue_depth>", written with one put every
+// kHeartbeatInterval. The manager seeds a new assignment with "<t_us>"
+// alone, which parses as depth unknown: a timestamp the manager wrote never
+// vouches for a queue depth the worker did not publish.
+inline constexpr std::chrono::milliseconds kHeartbeatInterval{25};
+
+struct Heartbeat {
+  // common::NowMicros() at publish time; 0 for a malformed record, which
+  // therefore reads as stale.
+  std::int64_t t_us = 0;
+  std::optional<std::int64_t> queue_depth;  // nullopt: unknown
+};
+
+std::string EncodeHeartbeat(const Heartbeat& hb);
+Heartbeat ParseHeartbeat(std::string_view record);
 
 }  // namespace typhoon::stream

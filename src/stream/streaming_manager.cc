@@ -10,6 +10,19 @@ namespace typhoon::stream {
 
 namespace {
 
+// Consecutive stale-heartbeat monitor rounds before a worker is declared
+// dead and rescheduled; earlier rounds only log it as slow, so a long pause
+// (GC-style hang) is not mistaken for a death.
+constexpr int kDeadAfterMisses = 3;
+// A zero queue depth counts toward drain only from a heartbeat record at
+// most this old: a hung worker's last published zero must not pass for an
+// empty queue.
+constexpr std::chrono::microseconds kDrainProbeFreshness =
+    std::chrono::milliseconds(300);
+// Pause before the confirming drain probe (and after a stateful drain
+// SIGNAL) so in-flight bursts land first.
+constexpr std::chrono::milliseconds kDrainSettle{30};
+
 TopologySpec BuildSpec(const LogicalTopology& topo, TopologyId id,
                        const SubmitOptions& options) {
   TopologySpec s;
@@ -38,7 +51,10 @@ TopologySpec BuildSpec(const LogicalTopology& topo, TopologyId id,
 StreamingManager::StreamingManager(coordinator::Coordinator* coord,
                                    AppRegistry* registry,
                                    ManagerOptions opts)
-    : coord_(coord), registry_(registry), opts_(std::move(opts)) {
+    : coord_(coord),
+      registry_(registry),
+      opts_(std::move(opts)),
+      hb_misses_(opts_.heartbeat_timeout, /*slow_at=*/0, kDeadAfterMisses) {
   if (!opts_.scheduler) {
     opts_.scheduler = std::make_unique<RoundRobinScheduler>();
   }
@@ -64,17 +80,26 @@ void StreamingManager::write_global_state(const Deployed& d) {
   coord_->put(PhysicalPath(d.spec.name), EncodePhysical(d.physical));
 }
 
-common::Status StreamingManager::wait_for_state(
-    const std::string& topology, const std::vector<WorkerId>& workers,
-    const std::string& state, std::chrono::milliseconds timeout) {
-  const common::TimePoint deadline = common::Now() + timeout;
-  for (WorkerId w : workers) {
+void StreamingManager::assign_worker(const std::string& topology,
+                                     HostId host, WorkerId w) {
+  coord_->put_str(WorkerHeartbeatPath(topology, w),
+                  EncodeHeartbeat({common::NowMicros(), std::nullopt}));
+  coord_->put_str(AssignmentPath(host, w), topology);
+}
+
+common::Status StreamingManager::launch(
+    const Deployed& d, const std::vector<PhysicalWorker>& workers) {
+  for (const PhysicalWorker& w : workers) {
+    assign_worker(d.spec.name, w.host, w.id);
+  }
+  const common::TimePoint deadline = common::Now() + d.options.launch_timeout;
+  for (const PhysicalWorker& w : workers) {
     for (;;) {
-      auto s = coord_->get_str(WorkerStatePath(topology, w));
-      if (s && *s == state) break;
+      auto s = coord_->get_str(WorkerStatePath(d.spec.name, w.id));
+      if (s && *s == "RUNNING") break;
       if (common::Now() > deadline) {
-        return common::Unavailable("worker w" + std::to_string(w) +
-                                   " never reached state " + state);
+        return common::Unavailable("worker w" + std::to_string(w.id) +
+                                   " never reached state RUNNING");
       }
       // Workers usually report within a few hundred microseconds of their
       // assignment; a coarser poll would dominate deploy latency.
@@ -88,10 +113,16 @@ common::Status StreamingManager::wait_for_drain(
     const std::string& topology, const std::vector<WorkerId>& workers,
     std::chrono::milliseconds timeout) {
   const common::TimePoint deadline = common::Now() + timeout;
-  const std::int64_t freshness_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          opts_.drain_probe_freshness)
-          .count();
+  // Drained reads depth and freshness from one heartbeat record: a hung
+  // worker's last zero goes stale instead of passing for an empty queue, and
+  // a manager seed (depth unknown) never counts as drained.
+  auto drained = [&](WorkerId w) {
+    auto hb = coord_->get_str(WorkerHeartbeatPath(topology, w));
+    if (!hb) return false;
+    const Heartbeat rec = ParseHeartbeat(*hb);
+    return rec.queue_depth == 0 &&
+           common::NowMicros() - rec.t_us < kDrainProbeFreshness.count();
+  };
   for (WorkerId w : workers) {
     int consecutive_empty = 0;
     for (;;) {
@@ -99,30 +130,13 @@ common::Status StreamingManager::wait_for_drain(
       auto state = coord_->get_str(WorkerStatePath(topology, w));
       if (state && (*state == "DEAD" || *state == "STOPPED")) break;
 
-      // Trust a zero queue depth only when it was published recently: a
-      // hung worker's last report may be a stale zero while tuples pile up
-      // unobserved in its ring.
-      bool empty_probe = false;
-      auto depth =
-          coord_->get_str(WorkerStatsPath(topology, w, "queue_depth"));
-      if (depth && *depth == "0") {
-        auto hb = coord_->get_str(WorkerHeartbeatPath(topology, w));
-        if (hb) {
-          const std::int64_t age_us =
-              common::NowMicros() - std::strtoll(hb->c_str(), nullptr, 10);
-          empty_probe = age_us < freshness_us;
-        }
-      }
-      consecutive_empty = empty_probe ? consecutive_empty + 1 : 0;
-
+      consecutive_empty = drained(w) ? consecutive_empty + 1 : 0;
       if (consecutive_empty >= 2) {
         // Settle, then re-probe once: an in-flight burst landing after the
         // empty observations re-opens the wait instead of being stranded by
         // the kill that follows a "drained" verdict.
-        common::SleepFor(opts_.drain_settle);
-        auto again =
-            coord_->get_str(WorkerStatsPath(topology, w, "queue_depth"));
-        if (!again || *again == "0") break;
+        common::SleepFor(kDrainSettle);
+        if (drained(w)) break;
         consecutive_empty = 0;
       }
       if (common::Now() > deadline) {
@@ -179,32 +193,14 @@ common::Result<TopologyId> StreamingManager::submit(
 
   // Step (iv) Application setup, bolts first so the pipeline downstream of
   // every spout exists before tuples flow.
-  std::vector<WorkerId> bolts;
-  std::vector<WorkerId> spouts;
+  std::vector<PhysicalWorker> bolts;
+  std::vector<PhysicalWorker> spouts;
   for (const PhysicalWorker& w : d.physical.workers) {
     const NodeSpec* n = d.spec.node(w.node);
-    (n != nullptr && n->is_spout ? spouts : bolts).push_back(w.id);
+    (n != nullptr && n->is_spout ? spouts : bolts).push_back(w);
   }
-  auto assign = [&](const std::vector<WorkerId>& ws) {
-    for (WorkerId w : ws) {
-      const PhysicalWorker* pw = d.physical.worker(w);
-      coord_->put_str(WorkerHeartbeatPath(d.spec.name, w),
-                      std::to_string(common::NowMicros()));
-      coord_->put_str(AssignmentPath(pw->host, w), d.spec.name);
-    }
-  };
-  assign(bolts);
-  if (common::Status st = wait_for_state(d.spec.name, bolts, "RUNNING",
-                                         options.launch_timeout);
-      !st.ok()) {
-    return st;
-  }
-  assign(spouts);
-  if (common::Status st = wait_for_state(d.spec.name, spouts, "RUNNING",
-                                         options.launch_timeout);
-      !st.ok()) {
-    return st;
-  }
+  if (common::Status st = launch(d, bolts); !st.ok()) return st;
+  if (common::Status st = launch(d, spouts); !st.ok()) return st;
 
   topologies_[topology.name()] = std::move(d);
   LOG_INFO("manager") << "deployed " << topology.name() << " (id " << tid
@@ -263,18 +259,7 @@ common::Status StreamingManager::scale_up(Deployed& d,
   write_global_state(d);
   hooks_->on_workers_added(d.spec, d.physical, added);
 
-  std::vector<WorkerId> added_ids;
-  for (const PhysicalWorker& w : added) {
-    added_ids.push_back(w.id);
-    coord_->put_str(WorkerHeartbeatPath(d.spec.name, w.id),
-                    std::to_string(common::NowMicros()));
-    coord_->put_str(AssignmentPath(w.host, w.id), d.spec.name);
-  }
-  if (common::Status st = wait_for_state(d.spec.name, added_ids, "RUNNING",
-                                         d.options.launch_timeout);
-      !st.ok()) {
-    return st;
-  }
+  if (common::Status st = launch(d, added); !st.ok()) return st;
 
   // 2. Stateful node: flush existing caches right before the key space
   //    changes (Fig 6(b)).
@@ -330,7 +315,7 @@ common::Status StreamingManager::scale_down(Deployed& d,
     for (WorkerId w : victim_ids) {
       hooks_->send_signal(d.physical, w, "drain");
     }
-    common::SleepFor(opts_.drain_settle);
+    common::SleepFor(kDrainSettle);
   }
 
   // 4. Remove from the cluster. The SDN control plane forgets the victims
@@ -391,20 +376,11 @@ common::Status StreamingManager::swap_logic(Deployed& d,
   write_global_state(d);
   hooks_->on_workers_added(d.spec, d.physical, added);
 
-  std::vector<WorkerId> added_ids;
-  for (const PhysicalWorker& w : added) {
-    added_ids.push_back(w.id);
-    coord_->put_str(WorkerHeartbeatPath(d.spec.name, w.id),
-                    std::to_string(common::NowMicros()));
-    coord_->put_str(AssignmentPath(w.host, w.id), d.spec.name);
-  }
-  if (common::Status st = wait_for_state(d.spec.name, added_ids, "RUNNING",
-                                         d.options.launch_timeout);
-      !st.ok()) {
-    return st;
-  }
+  if (common::Status st = launch(d, added); !st.ok()) return st;
 
   // 2. Divert all traffic to the replacements.
+  std::vector<WorkerId> added_ids;
+  for (const PhysicalWorker& w : added) added_ids.push_back(w.id);
   if (hooks_) {
     const std::vector<EdgeSpec> in = d.spec.in_edges(node_id);
     for (const EdgeSpec& e : in) {
@@ -501,14 +477,7 @@ common::Status StreamingManager::relocate(Deployed& d,
   // 3. Resume on the target host (same worker id; ports are per-host, so
   //    the port number carries over).
   hooks_->on_workers_added(d.spec, d.physical, {*moving});
-  coord_->put_str(WorkerHeartbeatPath(d.spec.name, before.id),
-                  std::to_string(common::NowMicros()));
-  coord_->put_str(AssignmentPath(req.target_host, before.id), d.spec.name);
-  if (common::Status st = wait_for_state(d.spec.name, {before.id}, "RUNNING",
-                                         d.options.launch_timeout);
-      !st.ok()) {
-    return st;
-  }
+  if (common::Status st = launch(d, {*moving}); !st.ok()) return st;
 
   // 4. Re-include the worker in its predecessors' routing state.
   send_predecessor_routing(d, node->id);
@@ -550,18 +519,7 @@ common::Status StreamingManager::attach_query(Deployed& d,
   write_global_state(d);
   hooks_->on_workers_added(d.spec, d.physical, added);
 
-  std::vector<WorkerId> added_ids;
-  for (const PhysicalWorker& w : added) {
-    added_ids.push_back(w.id);
-    coord_->put_str(WorkerHeartbeatPath(d.spec.name, w.id),
-                    std::to_string(common::NowMicros()));
-    coord_->put_str(AssignmentPath(w.host, w.id), d.spec.name);
-  }
-  if (common::Status st = wait_for_state(d.spec.name, added_ids, "RUNNING",
-                                         d.options.launch_timeout);
-      !st.ok()) {
-    return st;
-  }
+  if (common::Status st = launch(d, added); !st.ok()) return st;
 
   // 3. The source node's workers learn the brand-new out-edge via ROUTING
   //    control tuples (the framework layer creates the edge on the fly).
@@ -711,33 +669,22 @@ void StreamingManager::failure_detector() {
 
     std::lock_guard lk(mu_);
     const std::int64_t now_us = common::NowMicros();
-    const std::int64_t timeout_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            opts_.heartbeat_timeout)
-            .count();
 
     for (auto& [name, d] : topologies_) {
       for (PhysicalWorker w : d.physical.workers) {
         auto hb = coord_->get_str(WorkerHeartbeatPath(name, w.id));
         if (!hb) continue;
-        const std::int64_t last = std::strtoll(hb->c_str(), nullptr, 10);
-        if (now_us - last < timeout_us) {
-          hb_misses_.erase({name, w.id});
-          continue;
-        }
-
-        // Consecutive-miss threshold: one stale round means "slow" (a long
-        // pause a future heartbeat can clear); only repeated misses mean
-        // "dead" and trigger the reschedule.
-        int& misses = hb_misses_[{name, w.id}];
-        if (++misses < opts_.dead_after_misses) {
+        const std::int64_t age_us = now_us - ParseHeartbeat(*hb).t_us;
+        const MissCounter::Verdict verdict =
+            hb_misses_.observe({name, w.id}, age_us);
+        if (verdict == MissCounter::Verdict::kFresh) continue;
+        if (verdict != MissCounter::Verdict::kDead) {
           LOG_WARN("manager") << "stale heartbeat for w" << w.id << " ("
-                              << name << "), miss " << misses << "/"
-                              << opts_.dead_after_misses
-                              << " — slow, not yet dead";
+                              << name << "), miss "
+                              << hb_misses_.misses({name, w.id}) << "/"
+                              << kDeadAfterMisses << " — slow, not yet dead";
           continue;
         }
-        hb_misses_.erase({name, w.id});
 
         // Heartbeat timeout: re-schedule onto another host (Sec 2 "Any
         // worker failure is detected from periodic heartbeats...").
@@ -747,16 +694,12 @@ void StreamingManager::failure_detector() {
         opts_.scheduler->reschedule_worker(d.physical, w.id, live);
         ++d.physical.version;
         write_global_state(d);
-        const PhysicalWorker* moved = d.physical.worker(w.id);
-        if (hooks_ && moved) {
+        const PhysicalWorker moved = *d.physical.worker(w.id);
+        if (hooks_) {
           hooks_->on_workers_removed(d.spec, d.physical, {w});
-          hooks_->on_workers_added(d.spec, d.physical, {*moved});
+          hooks_->on_workers_added(d.spec, d.physical, {moved});
         }
-        coord_->put_str(WorkerHeartbeatPath(name, w.id),
-                        std::to_string(common::NowMicros()));
-        if (moved) {
-          coord_->put_str(AssignmentPath(moved->host, w.id), name);
-        }
+        assign_worker(name, moved.host, w.id);
         reschedules_.fetch_add(1);
         // Predecessors re-include the worker once it is actually RUNNING on
         // the new host (checked on subsequent monitor rounds).

@@ -24,6 +24,7 @@
 
 #include "coordinator/coordinator.h"
 #include "stream/app_registry.h"
+#include "stream/liveness.h"
 #include "stream/scheduler.h"
 #include "stream/sdn_hooks.h"
 #include "stream/topology.h"
@@ -77,15 +78,6 @@ struct ManagerOptions {
   bool enable_failure_detector = true;
   std::chrono::milliseconds heartbeat_timeout{1500};
   std::chrono::milliseconds monitor_interval{100};
-  std::chrono::milliseconds drain_settle{30};
-  // A queue-depth "0" only counts toward drain while the worker's heartbeat
-  // is at most this old — a hung worker's last published zero must not pass
-  // for an empty queue.
-  std::chrono::milliseconds drain_probe_freshness{300};
-  // Consecutive stale-heartbeat monitor rounds before a worker is declared
-  // dead and rescheduled; earlier rounds only log it as slow. Distinguishes
-  // a long pause (GC-style hang) from an actual death.
-  int dead_after_misses = 3;
 };
 
 class StreamingManager {
@@ -125,14 +117,17 @@ class StreamingManager {
     SubmitOptions options;
   };
 
-  common::Status wait_for_state(const std::string& topology,
-                                const std::vector<WorkerId>& workers,
-                                const std::string& state,
-                                std::chrono::milliseconds timeout);
   common::Status wait_for_drain(const std::string& topology,
                                 const std::vector<WorkerId>& workers,
                                 std::chrono::milliseconds timeout);
   void write_global_state(const Deployed& d);
+  // Seed the worker's heartbeat, then assign it to `host`: the manager's
+  // stale-heartbeat clock starts before the agent launches the worker.
+  void assign_worker(const std::string& topology, HostId host, WorkerId w);
+  // Assign every worker, then wait until all report RUNNING (or the
+  // topology's launch_timeout passes).
+  common::Status launch(const Deployed& d,
+                        const std::vector<PhysicalWorker>& workers);
   void send_predecessor_routing(const Deployed& d, NodeId node);
   void failure_detector();
   common::Status scale_up(Deployed& d, const ReconfigRequest& req);
@@ -156,9 +151,9 @@ class StreamingManager {
   // Rescheduled workers awaiting RUNNING before predecessors re-route to
   // them: (topology, worker).
   std::vector<std::pair<std::string, WorkerId>> pending_reinclude_;
-  // Consecutive stale-heartbeat counts per (topology, worker); guarded by
+  // Consecutive stale-heartbeat rounds per (topology, worker); guarded by
   // mu_ (monitor thread only).
-  std::map<std::pair<std::string, WorkerId>, int> hb_misses_;
+  MissCounter hb_misses_;
 
   std::atomic<bool> running_{false};
   std::atomic<std::int64_t> reschedules_{0};

@@ -305,11 +305,12 @@ void Worker::handle_item(ReceivedItem& item) {
   current_root_ = 0;
 }
 
-void Worker::publish_stats(common::TimePoint now) {
+void Worker::publish_stats() {
   // Local gauge first: user code (e.g. memory-pressure simulation) and
   // harness probes read it without touching the coordinator.
-  metrics_.gauge("queue_depth")
-      .set(static_cast<std::int64_t>(opts_.transport->input_queue_depth()));
+  const auto depth =
+      static_cast<std::int64_t>(opts_.transport->input_queue_depth());
+  metrics_.gauge("queue_depth").set(depth);
   // Zero-copy data-plane counters, surfaced as gauges so observability
   // snapshots (ClusterObservability::dump_json, fig08's summary) can show
   // the pool hit rate and residual RX copy volume per worker.
@@ -322,18 +323,9 @@ void Worker::publish_stats(common::TimePoint now) {
   metrics_.gauge("reassembly_evicted")
       .set(static_cast<std::int64_t>(io.reassembly_evicted));
   if (opts_.coord == nullptr) return;
-  const std::string& topo = opts_.ctx.topology_name;
-  const WorkerId w = opts_.ctx.worker;
-  opts_.coord->put_str(WorkerHeartbeatPath(topo, w),
-                       std::to_string(common::NowMicros()));
-  opts_.coord->put_str(WorkerStatsPath(topo, w, "emitted"),
-                       std::to_string(emitted_.value()));
-  opts_.coord->put_str(WorkerStatsPath(topo, w, "received"),
-                       std::to_string(received_.value()));
   opts_.coord->put_str(
-      WorkerStatsPath(topo, w, "queue_depth"),
-      std::to_string(opts_.transport->input_queue_depth()));
-  (void)now;
+      WorkerHeartbeatPath(opts_.ctx.topology_name, opts_.ctx.worker),
+      EncodeHeartbeat({common::NowMicros(), depth}));
 }
 
 void Worker::sweep_pending(common::TimePoint now) {
@@ -385,10 +377,10 @@ void Worker::run() {
     return;
   }
 
-  // Stats and heartbeat before RUNNING: whoever sees RUNNING also finds
-  // this worker's first heartbeat.
+  // Heartbeat before RUNNING: whoever sees RUNNING also finds this
+  // worker's first heartbeat record.
   if (opts_.coord) {
-    publish_stats(common::Now());
+    publish_stats();
     opts_.coord->put_str(WorkerStatePath(topo, w), "RUNNING");
   }
 
@@ -464,8 +456,8 @@ void Worker::run() {
       opts_.transport->flush();
       last_flush = now;
     }
-    if (opts_.coord && now - last_hb >= opts_.heartbeat_interval) {
-      publish_stats(now);
+    if (opts_.coord && now - last_hb >= kHeartbeatInterval) {
+      publish_stats();
       last_hb = now;
     }
     if (opts_.reliable && opts_.is_spout &&

@@ -67,9 +67,9 @@ struct WorkerOptions {
   std::size_t max_pending = 2048;
   std::chrono::milliseconds pending_timeout{5000};
 
-  // Coordination (optional: tests can run bare workers).
+  // Coordination (optional: tests can run bare workers). The worker writes
+  // its heartbeat record every kHeartbeatInterval.
   coordinator::Coordinator* coord = nullptr;
-  std::chrono::milliseconds heartbeat_interval{25};
   std::chrono::microseconds flush_interval{200};
 
   // Cross-layer tracing. The recorder is shared with this worker's
@@ -135,7 +135,7 @@ class Worker final : public Emitter {
   void handle_control(const ControlTuple& ct);
   void handle_ack_stream(const Tuple& t);
   void flush_acks();
-  void publish_stats(common::TimePoint now);
+  void publish_stats();
   void sweep_pending(common::TimePoint now);
   bool spout_turn();
 

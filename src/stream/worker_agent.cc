@@ -168,7 +168,6 @@ bool WorkerAgent::launch(WorkerId id, const std::string& topology,
   wo.ctx.host = opts_.host;
   wo.is_spout = node->is_spout;
   wo.coord = opts_.coord;
-  wo.heartbeat_interval = opts_.worker_heartbeat;
   wo.flush_interval = std::chrono::microseconds(
       std::max<std::uint32_t>(spec.flush_interval_us, 1));
   wo.max_pending = spec.max_pending;

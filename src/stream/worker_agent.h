@@ -42,10 +42,6 @@ struct AgentOptions {
   std::chrono::milliseconds restart_delay{150};
   std::chrono::milliseconds monitor_interval{20};
 
-  // Worker tuning passed through.
-  std::chrono::milliseconds worker_heartbeat{25};
-  std::chrono::microseconds worker_flush{200};
-
   // Cross-layer tracing registry (usually the cluster's). Each launched
   // worker acquires the "worker-<id>" recorder — a restart reuses its
   // predecessor's ring, keeping the single-writer contract (writers are

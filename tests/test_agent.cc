@@ -2,6 +2,8 @@
 // resolution, local restart policy with give-up, and graceful teardown.
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "coordinator/coordinator.h"
 #include "stream/app_registry.h"
 #include "stream/physical.h"
@@ -110,6 +112,52 @@ TEST_F(AgentFixture, LaunchesWorkerOnAssignment) {
   // The scheduler-assigned port is attached on the switch: attaching it
   // again must fail.
   EXPECT_EQ(sw_->attach_port(150), nullptr);
+}
+
+// A heartbeat is one coordinator write: once the worker is RUNNING, every
+// write under its subtree is the heartbeat record, at most one per
+// kHeartbeatInterval.
+TEST_F(AgentFixture, HeartbeatIsOneCoordinatorWritePerInterval) {
+  PublishTopology("t");
+  coord_.put_str(AssignmentPath(1, kWorker), "t");
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        auto s = coord_.get_str(WorkerStatePath("t", kWorker));
+        return s && *s == "RUNNING";
+      },
+      3s));
+
+  // Shared with the callback: a write that began before unwatch may still
+  // deliver after it.
+  struct Writes {
+    std::mutex mu;
+    std::vector<std::string> paths;
+  };
+  auto writes = std::make_shared<Writes>();
+  const auto t0 = common::Now();
+  const auto watch = coord_.watch(
+      "/workers/t/w" + std::to_string(kWorker),
+      [writes](const std::string& path, coordinator::WatchEvent ev,
+               const common::Bytes&) {
+        if (ev != coordinator::WatchEvent::kCreated &&
+            ev != coordinator::WatchEvent::kDataChanged) {
+          return;
+        }
+        std::lock_guard lk(writes->mu);
+        writes->paths.push_back(path);
+      },
+      /*prefix=*/true);
+  common::SleepFor(1200ms);
+  coord_.unwatch(watch);
+  const auto elapsed = common::Now() - t0;
+
+  std::lock_guard lk(writes->mu);
+  ASSERT_FALSE(writes->paths.empty());
+  for (const std::string& path : writes->paths) {
+    EXPECT_EQ(path, WorkerHeartbeatPath("t", kWorker));
+  }
+  EXPECT_LE(writes->paths.size(),
+            static_cast<std::size_t>(elapsed / kHeartbeatInterval + 2));
 }
 
 TEST_F(AgentFixture, AssignmentRemovalStopsWorkerAndFreesPort) {

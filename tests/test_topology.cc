@@ -2,6 +2,7 @@
 // the spec/physical codecs stored in the coordinator.
 #include <gtest/gtest.h>
 
+#include "stream/liveness.h"
 #include "stream/physical.h"
 #include "stream/scheduler.h"
 #include "stream/topology.h"
@@ -255,8 +256,127 @@ TEST(Codec, PathsAreWellFormed) {
   EXPECT_EQ(PhysicalPath("t"), "/topologies/t/physical");
   EXPECT_EQ(AssignmentPath(3, 12), "/assignments/host3/w12");
   EXPECT_EQ(WorkerStatePath("t", 5), "/workers/t/w5/state");
-  EXPECT_EQ(WorkerStatsPath("t", 5, "emitted"), "/workers/t/w5/stats/emitted");
+  EXPECT_EQ(WorkerHeartbeatPath("t", 5), "/workers/t/w5/heartbeat");
 }
+
+TEST(Codec, HeartbeatRecordRoundTrips) {
+  EXPECT_EQ(EncodeHeartbeat({1700000000123456, 42}), "1700000000123456 42");
+  const Heartbeat hb = ParseHeartbeat("1700000000123456 42");
+  EXPECT_EQ(hb.t_us, 1700000000123456);
+  EXPECT_EQ(hb.queue_depth, 42);
+  EXPECT_EQ(ParseHeartbeat(EncodeHeartbeat({7, 0})).queue_depth, 0);
+}
+
+TEST(Codec, HeartbeatSeedParsesWithDepthUnknown) {
+  EXPECT_EQ(EncodeHeartbeat({1234, std::nullopt}), "1234");
+  const Heartbeat hb = ParseHeartbeat("1234");
+  EXPECT_EQ(hb.t_us, 1234);
+  EXPECT_FALSE(hb.queue_depth.has_value());
+}
+
+TEST(Codec, MalformedHeartbeatReadsAsStaleWithDepthUnknown) {
+  for (const char* bad : {"", "abc", " 5", "12x", "12 ", "12 x", "12 3 4",
+                          "12  3", "12\t3"}) {
+    const Heartbeat hb = ParseHeartbeat(bad);
+    EXPECT_EQ(hb.t_us, 0) << '"' << bad << '"';
+    EXPECT_FALSE(hb.queue_depth.has_value()) << '"' << bad << '"';
+  }
+}
+
+// The shared slow-vs-dead rule over scripted heartbeat ages, for both
+// monitors' thresholds: the manager (1500 ms, no slow report, dead at 3) and
+// the FaultDetector (800 ms, slow at 4, dead at 8).
+struct MissRule {
+  std::chrono::milliseconds stale_after;
+  int slow_at;
+  int dead_at;
+};
+
+class MissCounterTest : public ::testing::TestWithParam<MissRule> {
+ protected:
+  using Verdict = MissCounter::Verdict;
+  MissCounter counter_{GetParam().stale_after, GetParam().slow_at,
+                       GetParam().dead_at};
+  const std::int64_t stale_us_ =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          GetParam().stale_after)
+          .count();
+  const MissCounter::Key key_{"t", 5};
+};
+
+TEST_P(MissCounterTest, FreshObservationsGiveNoVerdict) {
+  for (std::int64_t age : {std::int64_t{0}, stale_us_ / 2, stale_us_ - 1}) {
+    for (int i = 0; i < 3 * GetParam().dead_at; ++i) {
+      EXPECT_EQ(counter_.observe(key_, age), Verdict::kFresh);
+    }
+  }
+  EXPECT_EQ(counter_.misses(key_), 0);
+}
+
+TEST_P(MissCounterTest, SlowIsReportedExactlyOnceAtItsThreshold) {
+  int slow = 0;
+  for (int miss = 1; miss < GetParam().dead_at; ++miss) {
+    const Verdict v = counter_.observe(key_, stale_us_);
+    EXPECT_EQ(counter_.misses(key_), miss);
+    if (miss == GetParam().slow_at) {
+      EXPECT_EQ(v, Verdict::kSlow) << "miss " << miss;
+    } else {
+      EXPECT_EQ(v, Verdict::kMissed) << "miss " << miss;
+    }
+    slow += v == Verdict::kSlow ? 1 : 0;
+  }
+  EXPECT_EQ(slow, GetParam().slow_at > 0 ? 1 : 0);
+}
+
+TEST_P(MissCounterTest, DeadIsReportedOnceThenTheCountResets) {
+  for (int round = 0; round < 2; ++round) {
+    int dead = 0;
+    for (int miss = 1; miss <= GetParam().dead_at; ++miss) {
+      dead += counter_.observe(key_, stale_us_ * 10) == Verdict::kDead;
+    }
+    EXPECT_EQ(dead, 1);
+    EXPECT_EQ(counter_.misses(key_), 0);
+  }
+  // A worker that stays silent starts a new count: one more miss is no
+  // second death.
+  EXPECT_NE(counter_.observe(key_, stale_us_), Verdict::kDead);
+  EXPECT_EQ(counter_.misses(key_), 1);
+}
+
+TEST_P(MissCounterTest, OneFreshObservationRestartsTheCount) {
+  for (int miss = 1; miss < GetParam().dead_at; ++miss) {
+    EXPECT_NE(counter_.observe(key_, stale_us_), Verdict::kDead);
+  }
+  EXPECT_EQ(counter_.observe(key_, 0), Verdict::kFresh);
+  EXPECT_EQ(counter_.misses(key_), 0);
+  for (int miss = 1; miss < GetParam().dead_at; ++miss) {
+    EXPECT_NE(counter_.observe(key_, stale_us_), Verdict::kDead);
+  }
+  EXPECT_EQ(counter_.observe(key_, stale_us_), Verdict::kDead);
+}
+
+TEST_P(MissCounterTest, KeysAreIndependent) {
+  const MissCounter::Key other_worker{"t", 6};
+  const MissCounter::Key other_topology{"u", 5};
+  for (int miss = 1; miss < GetParam().dead_at; ++miss) {
+    counter_.observe(key_, stale_us_);
+    EXPECT_EQ(counter_.observe(other_worker, 0), Verdict::kFresh);
+  }
+  EXPECT_EQ(counter_.observe(other_topology, stale_us_), Verdict::kMissed);
+  EXPECT_EQ(counter_.misses(other_worker), 0);
+  EXPECT_EQ(counter_.misses(other_topology), 1);
+  EXPECT_EQ(counter_.observe(key_, stale_us_), Verdict::kDead);
+  EXPECT_EQ(counter_.misses(other_topology), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Monitors, MissCounterTest,
+    ::testing::Values(MissRule{std::chrono::milliseconds(1500), 0, 3},
+                      MissRule{std::chrono::milliseconds(800), 4, 8}),
+    [](const ::testing::TestParamInfo<MissRule>& info) {
+      return info.index == 0 ? std::string("Manager")
+                             : std::string("FaultDetector");
+    });
 
 }  // namespace
 }  // namespace typhoon::stream
