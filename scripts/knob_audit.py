@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Audit the settable values of the config structs under src/.
+
+Scans every struct whose name ends in Config, Options or Policy under
+src/, lists its data members, and counts how often each member is set
+anywhere in src/ tests/ bench/ examples/ perfbench/. A setter is a
+designated initializer (`.name = v`, `.name{v}`), a member assignment
+(`x.name = v`, `x->name = v`, compound assignments included), a write
+into the member (`x.name.sub = v`, `x.name[k] = v`) or an insert into it
+(`x.name.push_back(v)`).
+
+A setter whose right-hand side is just another audited field
+(`x.max_local_restarts = cfg_.agent_max_local_restarts`) is a
+pass-through: it makes the target settable only if its source is. A field
+is live when it has a direct setter or a pass-through from a live field.
+
+Prints the field count and the never-set fields per struct, then the
+totals. Exits 1 when some field is never set: a value no caller changes
+belongs in a named constant next to the code that reads it.
+
+Matching is by field name, not by type: `.ring_capacity = 64` counts for
+every audited struct with a `ring_capacity` member, so a name shared
+across structs can hide a never-set field.
+
+Usage: python3 scripts/knob_audit.py [--root DIR] [--verbose]
+"""
+
+import argparse
+import re
+import sys
+from pathlib import Path
+
+SCAN_DIRS = ("src", "tests", "bench", "examples", "perfbench")
+SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
+STRUCT_RE = re.compile(r"\bstruct\s+(\w+(?:Config|Options|Policy))\s*\{")
+# After `.name`: `= v` / `{v}` (captures v), a write into a member or
+# element (`.name.sub = v`, `.name[k] = v`), or a container insert.
+SET_TAIL = (r"(?:\s*[-+*/|&]?=(?!=)\s*([^,;}\n]*)|\s*\{"
+            r"|(?:\.\w+|\[[^\]]*\])+\s*[-+*/|&]?=(?!=)"
+            r"|\.(?:push_back|emplace_back|emplace|try_emplace|insert)\()")
+CAST_RE = re.compile(r"^\w+(?:<[^>]*>)?\(")
+NOT_FIELD = ("static ", "using ", "friend ", "enum ", "struct ", "class ",
+             "typedef ", "template")
+
+
+def strip_comments(text):
+    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.S)
+    return re.sub(r"//[^\n]*", "", text)
+
+
+def struct_bodies(text):
+    """Yields (name, body) for each audited struct definition in text."""
+    for m in STRUCT_RE.finditer(text):
+        depth, i = 1, m.end()
+        while depth and i < len(text):
+            depth += {"{": 1, "}": -1}.get(text[i], 0)
+            i += 1
+        yield m.group(1), text[m.end():i - 1]
+
+
+def top_level_statements(body):
+    depth, cur = 0, []
+    for ch in body:
+        if ch in "{(":
+            depth += 1
+        elif ch in "})":
+            depth -= 1
+        if ch == ";" and depth == 0:
+            yield " ".join("".join(cur).split())
+            cur = []
+        else:
+            cur.append(ch)
+
+
+def field_name(stmt):
+    if not stmt or stmt.startswith(NOT_FIELD):
+        return None
+    decl = re.split(r"(?<![=!<>])=(?!=)", stmt, maxsplit=1)[0].strip()
+    if decl.endswith("}"):
+        decl = decl[:decl.rfind("{")].strip()
+    if decl.endswith(")"):
+        return None  # member function
+    m = re.search(r"(\w+)\s*$", decl)
+    return m.group(1) if m else None
+
+
+def audited_structs(root):
+    structs = {}
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in SUFFIXES:
+            continue
+        text = strip_comments(path.read_text(errors="replace"))
+        for name, body in struct_bodies(text):
+            fields = [f for f in map(field_name, top_level_statements(body))
+                      if f]
+            structs[name] = (path.relative_to(root), fields)
+    return structs
+
+
+def setters(root, names):
+    """Returns {field: (direct setter count, [pass-through source names])}."""
+    sources = []
+    for d in SCAN_DIRS:
+        for path in sorted((root / d).rglob("*")):
+            if path.suffix in SUFFIXES:
+                sources.append(strip_comments(path.read_text(errors="replace")))
+    text = "\n".join(sources)
+    out = {}
+    for name in names:
+        direct, through = 0, []
+        for m in re.finditer(r"(?:\.|->)\s*" + name + SET_TAIL, text):
+            rhs = CAST_RE.sub("", (m.group(1) or "").strip()).rstrip(")")
+            src = re.fullmatch(r"\w+(?:(?:\.|->)\w+)*(?:\.|->)(\w+)", rhs)
+            if src and src.group(1) in names:
+                through.append(src.group(1))
+            else:
+                direct += 1
+        out[name] = (direct, through)
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--root", default=Path(__file__).resolve().parent.parent,
+                    type=Path)
+    ap.add_argument("--verbose", action="store_true",
+                    help="print every field with its setter count")
+    args = ap.parse_args()
+
+    structs = audited_structs(args.root)
+    names = {f for _, fields in structs.values() for f in fields}
+    counts = setters(args.root, names)
+
+    live = {n for n, (direct, _) in counts.items() if direct}
+    changed = True
+    while changed:
+        changed = False
+        for n, (_, through) in counts.items():
+            if n not in live and any(s in live for s in through):
+                live.add(n)
+                changed = True
+
+    total, dead = 0, []
+    for sname, (path, fields) in sorted(structs.items()):
+        never = [f for f in fields if f not in live]
+        total += len(fields)
+        dead += [f"{sname}::{f}" for f in never]
+        print(f"{sname:24} {len(fields):3} fields  ({path})")
+        for f in fields if args.verbose else []:
+            direct, through = counts[f]
+            print(f"    {f:32} {direct:3} set  {len(through):2} pass-through")
+        for f in never:
+            print(f"    never set: {f}")
+    print(f"total: {total} settable values in {len(structs)} structs, "
+          f"{len(dead)} never set")
+    return 1 if dead else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

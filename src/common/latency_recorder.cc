@@ -26,12 +26,6 @@ void LatencyRecorder::record(std::int64_t micros) {
   sum_micros_.fetch_add(micros, std::memory_order_relaxed);
 }
 
-void LatencyRecorder::record_batch(const std::int64_t* micros,
-                                   std::size_t n) {
-  Batch batch(this);
-  for (std::size_t i = 0; i < n; ++i) batch.record(micros[i]);
-}
-
 void LatencyRecorder::Batch::record(std::int64_t micros) {
   ++counts_[BucketFor(micros)];
   sum_micros_ += micros;

@@ -28,15 +28,11 @@ class LatencyRecorder {
   // Record one sample, in microseconds. Wait-free; safe from any thread.
   void record(std::int64_t micros);
 
-  // Record many samples with one pass of atomic traffic: samples are
-  // bucketed into a local table first, then each non-empty bucket is
-  // published with a single fetch_add. For tight loops this turns N
-  // atomic RMWs into at most `distinct buckets` of them.
-  void record_batch(const std::int64_t* micros, std::size_t n);
-
   // Accumulates samples locally and publishes them to the recorder on
-  // flush() (or destruction). Single-threaded use; the flush itself is
-  // safe against concurrent recorders and readers.
+  // flush() (or destruction): each non-empty bucket with a single
+  // fetch_add, so a tight loop pays at most `distinct buckets` atomic RMWs
+  // instead of N. Single-threaded use; the flush itself is safe against
+  // concurrent recorders and readers.
   class Batch {
    public:
     explicit Batch(LatencyRecorder* target) : target_(target) {}

@@ -17,7 +17,6 @@ namespace typhoon::common {
 class Counter {
  public:
   void add(std::int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
-  void inc() { add(1); }
   // Increment for a counter only one thread ever writes (a worker's
   // per-tuple counters): a relaxed load and store instead of a locked
   // read-modify-write. Readers on other threads still see whole values.

@@ -4,13 +4,20 @@
 #include "stream/physical.h"
 
 namespace typhoon::controller {
+namespace {
+
+// EWMA weight of the queue-depth series the threshold compares against.
+// Smoothing keeps one burst-y sample from starting a streak.
+constexpr double kSmoothingAlpha = 0.5;
+
+}  // namespace
 
 AutoScaler::AutoScaler(AutoScalerPolicy policy, ReconfigureFn reconfigure)
     : policy_(std::move(policy)),
       reconfigure_(std::move(reconfigure)),
       queue_series_(trace::TimeSeriesConfig{
           .window_us = 5'000'000,
-          .alpha = policy_.smoothing_alpha,
+          .alpha = kSmoothingAlpha,
           .max_samples = 256}) {}
 
 AutoScaler::~AutoScaler() { join_worker(); }
@@ -21,15 +28,15 @@ void AutoScaler::join_worker() {
 
 void AutoScaler::on_stop() { join_worker(); }
 
-void AutoScaler::launch(stream::ReconfigRequest req, bool up) {
+void AutoScaler::launch(stream::ReconfigRequest req) {
   join_worker();
   in_flight_.store(true);
-  op_thread_ = std::thread([this, req = std::move(req), up] {
+  op_thread_ = std::thread([this, req = std::move(req)] {
     const common::Status st = reconfigure_(req);
     if (st.ok()) {
-      (up ? scale_ups_ : scale_downs_).fetch_add(1);
-      LOG_INFO("auto-scaler") << (up ? "scaled up " : "scaled down ")
-                              << req.topology << "/" << req.node;
+      scale_ups_.fetch_add(1);
+      LOG_INFO("auto-scaler") << "scaled up " << req.topology << "/"
+                              << req.node;
     } else {
       LOG_WARN("auto-scaler") << "reconfiguration failed: " << st.str();
     }
@@ -73,23 +80,14 @@ void AutoScaler::tick() {
     ++counted;
   }
   if (counted == 0) return;
-  // Thresholds compare against the windowed EWMA, not the raw sample: one
-  // momentary spike (or dip) cannot start a streak on its own.
+  // The threshold compares against the windowed EWMA, not the raw sample:
+  // one momentary spike cannot start a streak on its own.
   queue_series_.observe(common::NowMicros(),
                         static_cast<double>(total / counted));
   const auto avg = static_cast<std::int64_t>(queue_series_.ewma());
   last_avg_queue_.store(avg);
 
-  if (avg >= policy_.queue_high) {
-    ++high_streak_;
-    low_streak_ = 0;
-  } else if (avg <= policy_.queue_low) {
-    ++low_streak_;
-    high_streak_ = 0;
-  } else {
-    high_streak_ = 0;
-    low_streak_ = 0;
-  }
+  high_streak_ = avg >= policy_.queue_high ? high_streak_ + 1 : 0;
 
   const common::TimePoint now = common::Now();
   if (last_action_ != common::TimePoint{} &&
@@ -106,18 +104,7 @@ void AutoScaler::tick() {
     req.topology = policy_.topology;
     req.node = policy_.node;
     req.count = 1;
-    launch(std::move(req), /*up=*/true);
-  } else if (policy_.enable_scale_down &&
-             low_streak_ >= policy_.consecutive &&
-             node->parallelism > policy_.min_parallelism) {
-    low_streak_ = 0;
-    last_action_ = now;
-    stream::ReconfigRequest req;
-    req.kind = stream::ReconfigRequest::Kind::kScaleDown;
-    req.topology = policy_.topology;
-    req.node = policy_.node;
-    req.count = 1;
-    launch(std::move(req), /*up=*/false);
+    launch(std::move(req));
   }
 }
 

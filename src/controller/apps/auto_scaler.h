@@ -3,8 +3,8 @@
 // Network-level stats cannot tell whether workers are overloaded, so this
 // app watches application-layer metrics — worker input-queue depth published
 // to the coordinator (the "retrieved from ZooKeeper or workers" path) — and
-// initiates scale up/down through the framework's reconfiguration service
-// when thresholds hold for several consecutive ticks.
+// initiates a scale-up through the framework's reconfiguration service when
+// the threshold holds for several consecutive ticks.
 #pragma once
 
 #include <atomic>
@@ -21,16 +21,9 @@ struct AutoScalerPolicy {
   std::string topology;
   std::string node;  // the node whose workers are watched and scaled
   std::int64_t queue_high = 4000;
-  std::int64_t queue_low = 8;
   int consecutive = 3;         // ticks over threshold before acting
   int max_parallelism = 8;
-  int min_parallelism = 1;
-  bool enable_scale_down = false;
   std::chrono::milliseconds cooldown{2000};
-  // EWMA weight for the queue-depth series the thresholds compare against
-  // (1.0 reproduces the old raw-sample behavior). Smoothing keeps one
-  // burst-y sample from starting a streak.
-  double smoothing_alpha = 0.5;
 };
 
 class AutoScaler final : public ControlPlaneApp {
@@ -49,32 +42,27 @@ class AutoScaler final : public ControlPlaneApp {
   void on_stop() override;
 
   [[nodiscard]] std::int64_t scale_ups() const { return scale_ups_.load(); }
-  [[nodiscard]] std::int64_t scale_downs() const {
-    return scale_downs_.load();
-  }
   [[nodiscard]] std::int64_t last_avg_queue() const {
     return last_avg_queue_.load();
   }
 
  private:
-  void launch(stream::ReconfigRequest req, bool up);
+  void launch(stream::ReconfigRequest req);
   void join_worker();
 
   AutoScalerPolicy policy_;
   ReconfigureFn reconfigure_;
 
-  // Smoothed cluster-wide queue depth for the watched node; thresholds act
-  // on its EWMA, not the instantaneous coordinator read.
+  // Smoothed cluster-wide queue depth for the watched node; the threshold
+  // acts on its EWMA, not the instantaneous coordinator read.
   trace::TimeSeries queue_series_;
 
   int high_streak_ = 0;
-  int low_streak_ = 0;
   common::TimePoint last_action_{};
   std::atomic<bool> in_flight_{false};
   std::thread op_thread_;
 
   std::atomic<std::int64_t> scale_ups_{0};
-  std::atomic<std::int64_t> scale_downs_{0};
   std::atomic<std::int64_t> last_avg_queue_{0};
 };
 

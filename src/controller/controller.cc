@@ -5,6 +5,16 @@
 #include "stream/tuple.h"
 
 namespace typhoon::controller {
+namespace {
+
+// Reliable control-channel retry policy: sequenced control tuples are
+// retransmitted with bounded exponential backoff until acked (workers
+// deduplicate by sequence number, so retries are idempotent).
+constexpr int kControlMaxAttempts = 8;
+constexpr std::chrono::milliseconds kControlRetryInitial{25};
+constexpr std::chrono::milliseconds kControlRetryMax{400};
+
+}  // namespace
 
 net::PacketPtr BuildControlPacket(TopologyId topology, WorkerId dst,
                                   const stream::ControlTuple& ct,
@@ -33,7 +43,7 @@ net::PacketPtr BuildControlPacket(TopologyId topology, WorkerId dst,
 
 TyphoonController::TyphoonController(coordinator::Coordinator* coord,
                                      ControllerOptions opts)
-    : coord_(coord), opts_(opts), compiler_(opts.rules), events_q_(8192) {}
+    : coord_(coord), opts_(opts), events_q_(8192) {}
 
 TyphoonController::~TyphoonController() { stop(); }
 
@@ -147,7 +157,9 @@ void TyphoonController::on_workers_added(
   {
     std::lock_guard lk(mu_);
     topologies_[spec.id] = TopoState{spec, phys};
-    if (opts_.incremental_rules && compiler_.state(spec.id) != nullptr) {
+    // Delta compile: diff against the cached per-topology state and emit
+    // only the FlowMods that changed.
+    if (compiler_.state(spec.id) != nullptr) {
       delta = compiler_.compile_delta(spec, phys);
       use_delta = true;
     } else {
@@ -177,7 +189,7 @@ void TyphoonController::on_workers_removed(
     std::lock_guard lk(mu_);
     topologies_[spec.id] = TopoState{spec, phys};
     for (auto& [h, sw] : switches_) sws.push_back(sw);
-    if (opts_.incremental_rules && compiler_.state(spec.id) != nullptr) {
+    if (compiler_.state(spec.id) != nullptr) {
       delta = compiler_.compile_delta(spec, phys);
       use_delta = true;
     } else {
@@ -296,7 +308,7 @@ common::Status TyphoonController::send_control(TopologyId topology,
     p.dst = dst;
     p.ct = seqd;
     p.attempts = 1;
-    p.backoff = opts_.control_retry_initial;
+    p.backoff = kControlRetryInitial;
     p.next_retry = common::Now() + p.backoff;
     pending_ctl_[seqd.seq] = std::move(p);
   }
@@ -325,14 +337,14 @@ void TyphoonController::retry_pending_controls() {
         ++it;
         continue;
       }
-      if (p.attempts >= opts_.control_max_attempts ||
+      if (p.attempts >= kControlMaxAttempts ||
           !topologies_.contains(p.topology)) {
         abandoned.push_back(it->first);
         it = pending_ctl_.erase(it);
         continue;
       }
       ++p.attempts;
-      p.backoff = std::min(p.backoff * 2, opts_.control_retry_max);
+      p.backoff = std::min(p.backoff * 2, kControlRetryMax);
       p.next_retry = now + p.backoff;
       to_send.push_back(p);
       ++it;
@@ -410,7 +422,7 @@ void TyphoonController::restore_pending(std::uint64_t seq, TopologyId topology,
   p.dst = dst;
   p.ct = std::move(ct);
   p.attempts = 1;
-  p.backoff = opts_.control_retry_initial;
+  p.backoff = kControlRetryInitial;
   p.next_retry = common::Now();  // due immediately: first loop tick resends
   pending_ctl_[seq] = std::move(p);
 }

@@ -36,18 +36,6 @@ namespace typhoon::controller {
 
 struct ControllerOptions {
   std::chrono::milliseconds tick_interval{50};
-  RuleCompilerConfig rules;
-  // Reliable control-channel retry policy: sequenced control tuples are
-  // retransmitted with bounded exponential backoff until acked (workers
-  // deduplicate by sequence number, so retries are idempotent).
-  int control_max_attempts = 8;
-  std::chrono::milliseconds control_retry_initial{25};
-  std::chrono::milliseconds control_retry_max{400};
-  // Incremental (delta) rule compilation: reconfiguration hooks diff the
-  // fresh compile against the cached per-topology state and emit only the
-  // FlowMods that changed. Initial deploys (and post-failover repair) still
-  // use the full compile, which also seeds the cache.
-  bool incremental_rules = true;
   // Coordinator znode prefix this controller checkpoints its shard state
   // under (topologies, in-flight reliable control tuples, next control
   // seq) so a standby can take over after a crash. Empty = off.

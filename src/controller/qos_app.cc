@@ -26,6 +26,18 @@ constexpr std::uint32_t kCheckpointVersion = 1;
 // epochs later.
 constexpr int kStaleGraceEpochs = 3;
 
+// No programmed port ever goes below this (starvation guard).
+constexpr double kMinRateBps = 16384.0;
+// Latent-demand probe: a shaped port with at least kBacklogThreshold frames
+// queued wants kProbeGain times its programmed rate, so demand re-expands
+// instead of collapsing to the shaped rate.
+constexpr double kProbeGain = 1.3;
+constexpr std::uint64_t kBacklogThreshold = 64;
+// EWMA weight of the per-port demand series.
+constexpr double kEwmaAlpha = 0.4;
+// Class of a topology the policy does not list.
+constexpr QosClass kDefaultClass{};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -141,7 +153,7 @@ std::map<QosApp::PortKey, double> QosApp::DiffRates(
 
 const QosClass& QosApp::class_of(const std::string& name) const {
   auto it = policy_.classes.find(name);
-  return it == policy_.classes.end() ? policy_.default_class : it->second;
+  return it == policy_.classes.end() ? kDefaultClass : it->second;
 }
 
 double QosApp::quantize(double bps) const {
@@ -150,7 +162,7 @@ double QosApp::quantize(double bps) const {
   // Round UP: quantization must never shave an allocation below what the
   // allocator granted, or the SLO floor silently leaks.
   double r = std::ceil(bps / q) * q;
-  return std::max(r, policy_.min_rate_bps);
+  return std::max(r, kMinRateBps);
 }
 
 std::uint64_t QosApp::Fingerprint(const std::map<TopologyId, double>& alloc) {
@@ -282,7 +294,7 @@ void QosApp::tick() {
       auto [it, inserted] = ports_.try_emplace(
           o.key, PortSense{trace::TimeSeries(trace::TimeSeriesConfig{
                                .window_us = policy_.window_us,
-                               .alpha = policy_.ewma_alpha}),
+                               .alpha = kEwmaAlpha}),
                            0.0, o.topology, true});
       PortSense& sense = it->second;
       sense.live = true;
@@ -295,8 +307,8 @@ void QosApp::tick() {
       // can climb back when capacity frees up.
       auto prog = programmed_.find(o.key);
       if (prog != programmed_.end() && prog->second > 0.0 &&
-          o.rx_backlog >= policy_.backlog_threshold) {
-        demand = std::max(demand, prog->second * policy_.probe_gain);
+          o.rx_backlog >= kBacklogThreshold) {
+        demand = std::max(demand, prog->second * kProbeGain);
       }
       sense.demand_bps = demand;
       topo_demand[o.topology] += demand;
@@ -357,20 +369,20 @@ void QosApp::tick() {
       const double granted = alloc[d.id];
       if (granted >= d.demand_bps - 0.5 * policy_.rate_quantum_bps) continue;
       // Split the topology grant across its MATERIAL ports — those whose
-      // own demand is at least min_rate_bps — proportional to per-port
+      // own demand is at least kMinRateBps — proportional to per-port
       // demand. Noise-level ports (a sink emitting only acks) are left
       // unshaped: throttling them frees no real capacity and would only
       // starve the ack path.
       double port_demand_sum = 0.0;
       for (const auto& [key, sense] : ports_) {
         if (sense.topology != d.id) continue;
-        if (sense.demand_bps < policy_.min_rate_bps) continue;
+        if (sense.demand_bps < kMinRateBps) continue;
         port_demand_sum += sense.demand_bps;
       }
       if (port_demand_sum <= kEpsBps) continue;
       for (const auto& [key, sense] : ports_) {
         if (sense.topology != d.id) continue;
-        if (sense.demand_bps < policy_.min_rate_bps) continue;
+        if (sense.demand_bps < kMinRateBps) continue;
         next[key] =
             quantize(granted * (sense.demand_bps / port_demand_sum));
       }

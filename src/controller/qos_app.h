@@ -47,7 +47,7 @@
 namespace typhoon::controller {
 
 // Per-topology QoS class (looked up by topology name; unlisted topologies
-// get the policy's default class).
+// get a default-constructed class).
 struct QosClass {
   int priority = 0;     // strict class ordering; higher drains first
   double weight = 1.0;  // weighted max-min share within the class
@@ -68,18 +68,9 @@ struct QosPolicy {
   // EWMA noise (delta emission stays quiet in steady state) and to keep
   // reconverged allocations bit-comparable.
   double rate_quantum_bps = 8192.0;
-  // No programmed port ever goes below this (starvation guard).
-  double min_rate_bps = 16384.0;
-  // Latent-demand probe: a backlogged shaped port's demand is its
-  // programmed rate times this gain, so demand re-expands instead of
-  // collapsing to the shaped rate.
-  double probe_gain = 1.3;
-  std::uint64_t backlog_threshold = 64;  // frames queued => latent demand
-  // Demand smoothing (per-port byte-rate series).
+  // Demand smoothing window (per-port byte-rate series).
   std::int64_t window_us = 1'000'000;
-  double ewma_alpha = 0.4;
   std::map<std::string, QosClass> classes;  // by topology name
-  QosClass default_class;
   // Optional end-to-end latency probe (p99 ms for a topology name);
   // typically wired to ClusterObservability. Null = SLO floors inert.
   std::function<double(const std::string&)> latency_p99_ms;

@@ -117,8 +117,7 @@ void Packetizer::flush() {
     DstBuffer& buf = it->second;
     const bool had_data = buf.wip != nullptr && !buf.wip->payload.empty();
     emit(it->first, buf);
-    if (!had_data && cfg_.idle_flush_evict != 0 &&
-        ++buf.idle_flushes >= cfg_.idle_flush_evict) {
+    if (!had_data && ++buf.idle_flushes >= kIdleFlushEvict) {
       // Destination went quiet for many flush cycles — likely retired by a
       // rebalance/scale-down. Drop the buffer (and its reservation); it is
       // recreated on demand if the destination comes back.

@@ -54,6 +54,11 @@ struct TupleRecord {
   [[nodiscard]] bool is_view() const { return static_cast<bool>(keepalive); }
 };
 
+// A destination whose buffer stays empty for this many flush() passes is
+// considered retired and its DstBuffer is evicted (rebalance/scale-down
+// leaves no dead high-water reservations behind).
+inline constexpr std::size_t kIdleFlushEvict = 32;
+
 struct PacketizerConfig {
   // Flush automatically once this many tuples are buffered for one
   // destination. 0 disables count-based flushing (explicit flush only).
@@ -62,10 +67,6 @@ struct PacketizerConfig {
   std::size_t max_payload = 16 * 1024;
   // Freelist cap of the per-packetizer PacketPool.
   std::size_t pool_max_free = 256;
-  // A destination whose buffer stays empty for this many flush() passes is
-  // considered retired and its DstBuffer is evicted (rebalance/scale-down
-  // leaves no dead high-water reservations behind). 0 disables.
-  std::size_t idle_flush_evict = 32;
 };
 
 class Packetizer {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <iterator>
@@ -33,6 +34,11 @@ constexpr std::size_t kTxStageMax = 1024;
 // (wire_push records use only the 4-byte prefix).
 constexpr std::size_t kArenaPerRec =
     4 + Packet::kHeaderWireSize + kFrameChecksumBytes;
+// Dial/redial backoff ramp for the active side.
+constexpr std::chrono::milliseconds kBackoffMin{5};
+constexpr std::chrono::milliseconds kBackoffMax{250};
+// A disconnect episode longer than this turns the endpoint terminal.
+constexpr std::chrono::milliseconds kConnectDeadline{10000};
 
 // Idle ramp for the IO thread: spin (poll timeout 0) while work keeps
 // arriving, then short poll, then park with the eventfd armed. The 100ms
@@ -297,7 +303,7 @@ void SocketTunnel::drain_tx_as_drops() {
 }
 
 int SocketTunnel::ensure_connected() {
-  auto backoff = cfg_.backoff_min;
+  auto backoff = kBackoffMin;
   // Jittered redials: after a peer restart every surviving host re-dials at
   // once; randomizing each sleep to 0.5x..1.5x spreads the thundering herd
   // without changing the expected ramp.
@@ -305,7 +311,7 @@ int SocketTunnel::ensure_connected() {
       (static_cast<std::uint64_t>(self_host_) << 32) ^ peer_host_id_ ^
       static_cast<std::uint64_t>(
           std::chrono::steady_clock::now().time_since_epoch().count())));
-  const auto give_up = std::chrono::steady_clock::now() + cfg_.connect_deadline;
+  const auto give_up = std::chrono::steady_clock::now() + kConnectDeadline;
   while (running_.load(std::memory_order_acquire)) {
     {
       // adopt_fd serves both sides: a listener handing the passive side its
@@ -326,15 +332,12 @@ int SocketTunnel::ensure_connected() {
     if (ever_connected_.load(std::memory_order_acquire)) drain_tx_as_drops();
     if (std::chrono::steady_clock::now() > give_up) return -1;
     if (active_) {
-      auto sleep = backoff;
-      if (cfg_.backoff_jitter) {
-        const double scale = 0.5 + jitter.uniform();
-        sleep = std::chrono::milliseconds(std::max<std::int64_t>(
-            1, static_cast<std::int64_t>(
-                   static_cast<double>(backoff.count()) * scale)));
-      }
-      std::this_thread::sleep_for(sleep);
-      backoff = std::min(backoff * 2, cfg_.backoff_max);
+      const double scale = 0.5 + jitter.uniform();
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::max<std::int64_t>(1, static_cast<std::int64_t>(
+                                        static_cast<double>(backoff.count()) *
+                                        scale))));
+      backoff = std::min(backoff * 2, kBackoffMax);
     } else {
       std::unique_lock lk(fd_mu_);
       fd_cv_.wait_for(lk, std::chrono::milliseconds(20), [&] {
@@ -617,7 +620,6 @@ void SocketTunnel::io_loop() {
     const std::uint64_t lost_in_flight = pump(fd);
     if (!running_.load(std::memory_order_acquire)) break;
     count_peer_drops(lost_in_flight);
-    if (!cfg_.reconnect) break;
   }
   // Terminal: fail senders/receivers fast, like a closed in-memory tunnel.
   tx_q_.close();

@@ -34,13 +34,12 @@
 //     connection are lost on a real network too — and delivery resumes on
 //     reconnect. Before the first connection, frames queue (bounded, with
 //     back-pressure): peers boot in arbitrary order.
-//   - A disconnect episode that outlives cfg.connect_deadline turns the
+//   - A disconnect episode that outlives kConnectDeadline (10 s) turns the
 //     endpoint terminal: rings close and sends fail fast, like a closed
 //     in-memory tunnel.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -65,18 +64,6 @@ inline constexpr std::uint32_t kTunnelMaxFrameBytes = 1u << 22;
 struct SocketTunnelConfig {
   // TX/RX staging ring capacity, in frames (matches CreateTunnel's default).
   std::size_t capacity = 4096;
-  // Dial/redial backoff ramp for the active side.
-  std::chrono::milliseconds backoff_min{5};
-  std::chrono::milliseconds backoff_max{250};
-  // Randomize each backoff sleep to 0.5x..1.5x of the nominal value so the
-  // survivors of a restarted peer don't redial it in lockstep. Off only for
-  // tests that need deterministic redial timing.
-  bool backoff_jitter = true;
-  // A disconnect episode longer than this turns the endpoint terminal.
-  std::chrono::milliseconds connect_deadline{10000};
-  // Retry the connection after a drop (both sides). Off = first disconnect
-  // is terminal.
-  bool reconnect = true;
   // Size of each pooled RX slab (one read() target). Must exceed the
   // largest expected record; oversized records get a dedicated slab.
   std::size_t rx_slab_bytes = 256 * 1024;

@@ -14,8 +14,18 @@
 #include <utility>
 
 #include "common/ids.h"
+#include "stream/physical.h"
 
 namespace typhoon::stream {
+
+// Drain rule: depth 0 from a record younger than kDrainProbeFreshness, so
+// a hung worker's last zero goes stale instead of passing for an empty
+// queue, and a manager seed (depth unknown) never counts as drained.
+inline constexpr std::chrono::microseconds kDrainProbeFreshness{300'000};
+inline bool Drained(const Heartbeat& hb, std::int64_t now_us) {
+  return hb.queue_depth == 0 &&
+         now_us - hb.t_us < kDrainProbeFreshness.count();
+}
 
 class MissCounter {
  public:

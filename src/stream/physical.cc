@@ -29,14 +29,6 @@ std::vector<WorkerId> PhysicalTopology::worker_ids_of(NodeId node) const {
   return out;
 }
 
-std::vector<PhysicalWorker> PhysicalTopology::workers_on(HostId host) const {
-  std::vector<PhysicalWorker> out;
-  for (const PhysicalWorker& pw : workers) {
-    if (pw.host == host) out.push_back(pw);
-  }
-  return out;
-}
-
 const NodeSpec* TopologySpec::node(NodeId node_id) const {
   for (const NodeSpec& n : nodes) {
     if (n.id == node_id) return &n;

@@ -42,7 +42,6 @@ struct PhysicalTopology {
   // the nextHops array used in routing state, so it must be deterministic.
   [[nodiscard]] std::vector<PhysicalWorker> workers_of(NodeId node) const;
   [[nodiscard]] std::vector<WorkerId> worker_ids_of(NodeId node) const;
-  [[nodiscard]] std::vector<PhysicalWorker> workers_on(HostId host) const;
 };
 
 // Serializable view of the logical topology (structure only — computation

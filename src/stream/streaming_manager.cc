@@ -14,11 +14,6 @@ namespace {
 // dead and rescheduled; earlier rounds only log it as slow, so a long pause
 // (GC-style hang) is not mistaken for a death.
 constexpr int kDeadAfterMisses = 3;
-// A zero queue depth counts toward drain only from a heartbeat record at
-// most this old: a hung worker's last published zero must not pass for an
-// empty queue.
-constexpr std::chrono::microseconds kDrainProbeFreshness =
-    std::chrono::milliseconds(300);
 // Pause before the confirming drain probe (and after a stateful drain
 // SIGNAL) so in-flight bursts land first.
 constexpr std::chrono::milliseconds kDrainSettle{30};
@@ -113,15 +108,9 @@ common::Status StreamingManager::wait_for_drain(
     const std::string& topology, const std::vector<WorkerId>& workers,
     std::chrono::milliseconds timeout) {
   const common::TimePoint deadline = common::Now() + timeout;
-  // Drained reads depth and freshness from one heartbeat record: a hung
-  // worker's last zero goes stale instead of passing for an empty queue, and
-  // a manager seed (depth unknown) never counts as drained.
   auto drained = [&](WorkerId w) {
     auto hb = coord_->get_str(WorkerHeartbeatPath(topology, w));
-    if (!hb) return false;
-    const Heartbeat rec = ParseHeartbeat(*hb);
-    return rec.queue_depth == 0 &&
-           common::NowMicros() - rec.t_us < kDrainProbeFreshness.count();
+    return hb && Drained(ParseHeartbeat(*hb), common::NowMicros());
   };
   for (WorkerId w : workers) {
     int consecutive_empty = 0;

@@ -23,8 +23,7 @@ Worker::Worker(WorkerOptions opts)
       signals_(metrics_.counter("signals")),
       rng_(common::HashCombine(opts_.ctx.worker, 0x7970686f6f6eull)),
       acking_(opts_.reliable && opts_.acker != 0),
-      is_acker_(opts_.ctx.node_name == kAckerNodeName),
-      active_(opts_.start_active) {
+      is_acker_(opts_.ctx.node_name == kAckerNodeName) {
   opts_.ctx.metrics = &metrics_;
 }
 

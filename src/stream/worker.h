@@ -78,8 +78,6 @@ struct WorkerOptions {
   // tuples; 0 disables sampling. Bolts only propagate contexts.
   std::shared_ptr<trace::FlightRecorder> trace_recorder;
   std::uint32_t trace_sample_every = 0;
-
-  bool start_active = true;
 };
 
 class Worker final : public Emitter {
@@ -195,7 +193,7 @@ class Worker final : public Emitter {
   std::atomic<std::int64_t> fault_hang_ms_{0};
   std::atomic<std::int64_t> fault_slow_us_{0};
 
-  std::atomic<bool> active_;
+  std::atomic<bool> active_{true};
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> crashed_{false};

@@ -285,8 +285,7 @@ void WorkerAgent::monitor() {
         m.port.reset();
       }
 
-      if (!opts_.auto_restart ||
-          m.restart_count >= opts_.max_local_restarts) {
+      if (m.restart_count >= opts_.max_local_restarts) {
         // Supervisor gives up; heartbeats go stale and the streaming
         // manager's failure detector will reschedule (Storm's 30 s path).
         m.gave_up = true;

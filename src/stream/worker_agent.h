@@ -36,8 +36,7 @@ struct AgentOptions {
   coordinator::Coordinator* coord = nullptr;
   AppRegistry* registry = nullptr;
 
-  // Local restart policy for crashed workers.
-  bool auto_restart = true;
+  // Local restart policy for crashed workers (0 restarts = give up at once).
   int max_local_restarts = 3;
   std::chrono::milliseconds restart_delay{150};
   std::chrono::milliseconds monitor_interval{20};

@@ -12,6 +12,10 @@ namespace {
 
 // Packets a shard will hold for full egress rings before dropping.
 constexpr std::size_t kEgressPendingCap = 4096;
+// How long a shard holds packets for a full egress ring (pausing its
+// ingress so the pressure reaches senders) before falling back to the
+// at-most-once drop. Keeps a wedged receiver from stalling the host.
+constexpr std::chrono::milliseconds kEgressHold{5};
 
 // Spin iterations before a shard starts sleeping, and the sleep ramp cap.
 constexpr std::uint32_t kSpinStreak = 16;
@@ -99,7 +103,7 @@ SoftSwitch::SoftSwitch(SoftSwitchConfig cfg) : cfg_(cfg), injected_(4096) {
   multi_shard_ = cfg_.shards > 1;
   shards_.reserve(cfg_.shards);
   for (std::size_t i = 0; i < cfg_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, cfg_));
+    shards_.push_back(std::make_unique<Shard>(i));
   }
   std::lock_guard lk(table_mu_);
   publish_tables_locked();  // readers always find a (possibly empty) snapshot
@@ -699,7 +703,7 @@ std::size_t SoftSwitch::drain_egress_backlog(Shard& sh) {
       ++resolved;
       continue;
     }
-    if (common::Now() - sh.egress_block_since >= cfg_.egress_hold) {
+    if (common::Now() - sh.egress_block_since >= kEgressHold) {
       // The receiver is wedged (paused or dead consumer): revert to the
       // at-most-once drop for the whole backlog so one port cannot stall
       // the shard's forwarding indefinitely.

@@ -38,7 +38,7 @@
 //
 // A full egress ring does not drop: the shard holds the packet and pauses
 // its ingress polling so the pressure reaches senders' back-pressure loops;
-// only a backlog older than `egress_hold` reverts to the at-most-once drop
+// only a backlog older than `kEgressHold` reverts to the at-most-once drop
 // (see DESIGN.md "End-to-end back-pressure"). A tunnel bin that meets a
 // full tunnel sends the frame at its head with the blocking send, then
 // resumes bursting, keeping the pre-shard TCP back-pressure semantics.
@@ -125,13 +125,6 @@ struct SoftSwitchConfig {
   // of ports and tunnel peers with fully private hot state. 1 (default)
   // keeps the classic single-threaded datapath.
   std::size_t shards = 1;
-  // Exact-match microflow cache slots per shard (rounded up to a power of
-  // two).
-  std::size_t microflow_entries = MicroflowCache::kDefaultEntries;
-  // How long a shard holds packets for a full egress ring (pausing its
-  // ingress so the pressure reaches senders) before falling back to the
-  // at-most-once drop. Keeps a wedged receiver from stalling the host.
-  std::chrono::milliseconds egress_hold{5};
   // Cross-layer tracing ring (single writer by contract): switch-level
   // spans are recorded by shard 0 only, so multi-shard switches trace the
   // shard-0 partition and the default single-shard config traces
@@ -166,7 +159,6 @@ class SoftSwitch : public SwitchControl {
   // single logical tunnel port (Table 3's "tunneling port"); RX polling for
   // the endpoint lands on the shard owning `peer`'s hash.
   void add_tunnel(HostId peer, std::shared_ptr<net::TunnelEndpoint> ep);
-  [[nodiscard]] PortId tunnel_port() const { return kTunnelPort; }
 
   // ---- fault injection ----
   // Attach a deterministic impairment stage to one direction of a port:
@@ -337,8 +329,7 @@ class SoftSwitch : public SwitchControl {
 
   // One forwarding shard: a thread plus all of its private hot state.
   struct Shard {
-    explicit Shard(std::size_t idx, const SoftSwitchConfig& cfg)
-        : index(idx), mcache(cfg.microflow_entries) {}
+    explicit Shard(std::size_t idx) : index(idx) {}
 
     const std::size_t index;
     MicroflowCache mcache;

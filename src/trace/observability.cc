@@ -47,11 +47,6 @@ void AppendString(std::ostringstream& os, const std::string& s) {
 
 }  // namespace
 
-ClusterObservability::ClusterObservability(ObservabilityConfig cfg)
-    : domain_(cfg.ring_slots),
-      collector_(&domain_, cfg.terminal_hop),
-      series_(cfg.series) {}
-
 void ClusterObservability::set_terminal_hop(std::uint8_t hop) {
   collector_.set_terminal_hop(hop);
 }

@@ -18,21 +18,14 @@
 
 namespace typhoon::trace {
 
-struct ObservabilityConfig {
-  std::size_t ring_slots = FlightRecorder::kDefaultSlots;
-  // Terminal execute hop for chain completeness (edges from spout to sink).
-  std::uint8_t terminal_hop = 1;
-  TimeSeriesConfig series;
-};
-
 class ClusterObservability {
  public:
-  explicit ClusterObservability(ObservabilityConfig cfg = {});
-
   [[nodiscard]] TraceDomain& domain() { return domain_; }
   [[nodiscard]] TraceCollector& collector() { return collector_; }
   [[nodiscard]] SeriesSet& series() { return series_; }
 
+  // Terminal execute hop for chain completeness (edges from spout to
+  // sink); 1 until set.
   void set_terminal_hop(std::uint8_t hop);
 
   // Fold one worker's metrics snapshot into the time-series layer.
@@ -63,7 +56,7 @@ class ClusterObservability {
 
  private:
   TraceDomain domain_;
-  TraceCollector collector_;
+  TraceCollector collector_{&domain_};
   SeriesSet series_;
 
   // Serializes collect() callers (dump_json / stage_p99_ms) and guards the

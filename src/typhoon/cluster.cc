@@ -7,11 +7,7 @@
 
 namespace typhoon {
 
-Cluster::Cluster(ClusterConfig cfg)
-    : cfg_(cfg),
-      obs_(trace::ObservabilityConfig{cfg.trace_ring_slots,
-                                      cfg.trace_terminal_hop,
-                                      {}}) {
+Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   for (int i = 0; i < cfg_.num_hosts; ++i) {
     auto host = std::make_unique<Host>();
     host->id = static_cast<HostId>(i + 1);
@@ -19,7 +15,6 @@ Cluster::Cluster(ClusterConfig cfg)
     if (cfg_.mode == TransportMode::kTyphoon) {
       switchd::SoftSwitchConfig scfg;
       scfg.host = host->id;
-      scfg.ring_capacity = cfg_.ring_capacity;
       scfg.trace_recorder = obs_.domain().acquire(
           "switch-" + std::to_string(host->id));
       host->sw = std::make_unique<switchd::SoftSwitch>(scfg);
@@ -54,7 +49,6 @@ Cluster::Cluster(ClusterConfig cfg)
     aopts.fabric = &fabric_;
     aopts.coord = &coord_;
     aopts.registry = &registry_;
-    aopts.auto_restart = cfg_.agent_auto_restart;
     aopts.max_local_restarts = cfg_.agent_max_local_restarts;
     aopts.restart_delay = cfg_.agent_restart_delay;
     aopts.trace = &obs_.domain();

@@ -50,13 +50,11 @@ struct ClusterConfig {
   // fairness; flip this to use the locality-aware Typhoon scheduler.
   bool locality_scheduler = false;
 
-  std::size_t ring_capacity = 8192;
   bool enable_failure_detector = true;
   std::chrono::milliseconds heartbeat_timeout{1500};
   std::chrono::milliseconds manager_monitor_interval{100};
 
   // Agent local-restart policy (Storm supervisor behaviour).
-  bool agent_auto_restart = true;
   int agent_max_local_restarts = 3;
   std::chrono::milliseconds agent_restart_delay{150};
 
@@ -73,14 +71,6 @@ struct ClusterConfig {
   // load balancer) at startup. The auto-scaler needs a policy, so it is
   // added explicitly via add_auto_scaler().
   bool default_apps = true;
-
-  // Cross-layer tracing (DESIGN.md Sec 11). Per-component flight-recorder
-  // ring slots; sampling itself is a per-topology SubmitOptions knob.
-  std::size_t trace_ring_slots = trace::FlightRecorder::kDefaultSlots;
-  // Terminal execute hop for chain completeness before any topology is
-  // submitted; submit() recomputes it from the submitted DAG's longest
-  // spout-to-sink path (deepest live topology wins).
-  std::uint8_t trace_terminal_hop = 1;
 };
 
 class Cluster {
@@ -111,7 +101,6 @@ class Cluster {
   }
   [[nodiscard]] switchd::SoftSwitch* switch_at(HostId host) const;
   [[nodiscard]] std::vector<HostId> hosts() const { return host_ids_; }
-  [[nodiscard]] TransportMode mode() const { return cfg_.mode; }
 
   // ---- convenience pass-throughs ----
   common::Result<TopologyId> submit(const stream::LogicalTopology& topology,
@@ -238,7 +227,7 @@ class Cluster {
   bool qos_enabled_ = false;
   controller::QosPolicy qos_policy_;
   // Deepest computed terminal hop across submitted topologies; -1 until
-  // the first submit (cfg.trace_terminal_hop applies until then).
+  // the first submit (the collector's default of 1 applies until then).
   int terminal_hop_ = -1;
 };
 

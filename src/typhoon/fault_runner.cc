@@ -7,9 +7,15 @@ namespace typhoon {
 
 namespace fi = faultinject;
 
-FaultPlanRunner::FaultPlanRunner(Cluster* cluster, fi::FaultPlan plan,
-                                 FaultRunnerOptions opts)
-    : cluster_(cluster), opts_(opts) {
+namespace {
+
+// Trigger resolution: how often the runner thread checks armed events.
+constexpr std::chrono::milliseconds kPollInterval{2};
+
+}  // namespace
+
+FaultPlanRunner::FaultPlanRunner(Cluster* cluster, fi::FaultPlan plan)
+    : cluster_(cluster) {
   armed_.reserve(plan.events.size());
   for (fi::FaultEvent& ev : plan.events) {
     armed_.push_back(Armed{std::move(ev), /*is_reversal=*/false});
@@ -97,7 +103,7 @@ void FaultPlanRunner::run() {
       for (Armed& a : rearm) armed_.push_back(std::move(a));
     }
 
-    common::SleepFor(opts_.poll_interval);
+    common::SleepFor(kPollInterval);
   }
 }
 

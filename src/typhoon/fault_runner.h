@@ -28,17 +28,12 @@
 
 namespace typhoon {
 
-struct FaultRunnerOptions {
-  std::chrono::milliseconds poll_interval{2};
-};
-
 class FaultPlanRunner {
  public:
   // Progress probe for at_tuples triggers; called from the runner thread.
   using TupleProbe = std::function<std::int64_t()>;
 
-  FaultPlanRunner(Cluster* cluster, faultinject::FaultPlan plan,
-                  FaultRunnerOptions opts = {});
+  FaultPlanRunner(Cluster* cluster, faultinject::FaultPlan plan);
   ~FaultPlanRunner();
 
   FaultPlanRunner(const FaultPlanRunner&) = delete;
@@ -76,7 +71,6 @@ class FaultPlanRunner {
              std::vector<Armed>& rearm);
 
   Cluster* cluster_;
-  FaultRunnerOptions opts_;
   TupleProbe probe_;
 
   // One live impairment engine plus the target it is attached to, so a

@@ -6,6 +6,12 @@
 #include "typhoon/proc_apps.h"
 
 namespace typhoon::proc {
+namespace {
+
+// How long a starting host keeps redialing the parent's control listener.
+constexpr std::chrono::milliseconds kDialDeadline{10000};
+
+}  // namespace
 
 HostProcess::HostProcess(HostProcessOptions opts) : opts_(opts) {}
 
@@ -186,11 +192,7 @@ bool HostProcess::connect_tunnels(const PeersMsg& peers) {
           ShmSegmentName(configure_.shm_prefix, opts_.host, p.host), side);
     } else if (p.host < opts_.host) {
       // Dial lower-id peers; higher-id peers dial our listener.
-      net::SocketTunnelConfig tcfg;
-      tcfg.capacity = configure_.tunnel_capacity;
-      tcfg.rx_slab_bytes = configure_.tunnel_rx_slab;
-      ep = net::SocketTunnel::Connect(p.addr, p.data_port, opts_.host, p.host,
-                                      tcfg);
+      ep = net::SocketTunnel::Connect(p.addr, p.data_port, opts_.host, p.host);
     } else {
       continue;  // passive endpoint created by expect_peer at bind time
     }
@@ -214,8 +216,7 @@ void HostProcess::apply_peer_update(const PeersMsg& peers) {
 }
 
 int HostProcess::run() {
-  channel_ = CtlChannel::Dial(opts_.ctl_host, opts_.ctl_port,
-                              opts_.dial_deadline);
+  channel_ = CtlChannel::Dial(opts_.ctl_host, opts_.ctl_port, kDialDeadline);
   if (!channel_) return 1;
   coord_ = std::make_unique<RemoteCoordinator>(channel_.get());
 
@@ -262,13 +263,13 @@ int HostProcess::run() {
     common::BufWriter w(hello);
     WriteHello(w, {opts_.host});
   }
-  auto hr = channel_->call(kHello, hello, opts_.bootstrap_timeout);
+  auto hr = channel_->call(kHello, hello, kChildBootstrapTimeout);
   if (!hr.ok()) return 2;
 
   // Configure.
   {
     std::unique_lock lk(state_mu_);
-    if (!state_cv_.wait_for(lk, opts_.bootstrap_timeout,
+    if (!state_cv_.wait_for(lk, kChildBootstrapTimeout,
                             [&] { return have_configure_ || shutdown_.load(); }) ||
         shutdown_.load()) {
       return 3;
@@ -277,7 +278,6 @@ int HostProcess::run() {
 
   switchd::SoftSwitchConfig scfg;
   scfg.host = opts_.host;
-  scfg.ring_capacity = configure_.ring_capacity;
   sw_ = std::make_unique<switchd::SoftSwitch>(scfg);
 
   std::uint16_t data_port = 0;
@@ -285,12 +285,9 @@ int HostProcess::run() {
     listener_ = std::make_unique<net::SocketTunnelListener>(opts_.host);
     if (!listener_->bind(0)) return 4;
     data_port = listener_->port();
-    net::SocketTunnelConfig tcfg;
-    tcfg.capacity = configure_.tunnel_capacity;
-    tcfg.rx_slab_bytes = configure_.tunnel_rx_slab;
     for (HostId h : configure_.hosts) {
       if (h > opts_.host) {
-        auto ep = listener_->expect_peer(h, tcfg);
+        auto ep = listener_->expect_peer(h);
         tunnels_[h] = ep;
         sw_->add_tunnel(h, ep);
       }
@@ -308,7 +305,7 @@ int HostProcess::run() {
   PeersMsg peers;
   {
     std::unique_lock lk(state_mu_);
-    if (!state_cv_.wait_for(lk, opts_.bootstrap_timeout,
+    if (!state_cv_.wait_for(lk, kChildBootstrapTimeout,
                             [&] { return have_peers_ || shutdown_.load(); }) ||
         shutdown_.load()) {
       return 6;

@@ -45,8 +45,6 @@ struct HostProcessOptions {
   HostId host = 0;
   std::string ctl_host = "127.0.0.1";
   std::uint16_t ctl_port = 0;
-  std::chrono::milliseconds dial_deadline{10000};
-  std::chrono::milliseconds bootstrap_timeout{15000};
 };
 
 class HostProcess {

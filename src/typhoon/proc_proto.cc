@@ -27,9 +27,6 @@ bool ReadHello(common::BufReader& r, HelloMsg& m) { return r.u32(m.host); }
 
 void WriteConfigure(common::BufWriter& w, const ConfigureMsg& m) {
   w.u8(static_cast<std::uint8_t>(m.transport));
-  w.u32(m.ring_capacity);
-  w.u32(m.tunnel_capacity);
-  w.u32(m.tunnel_rx_slab);
   w.str(m.shm_prefix);
   w.u32(static_cast<std::uint32_t>(m.hosts.size()));
   for (HostId h : m.hosts) w.u32(h);
@@ -41,9 +38,7 @@ bool ReadConfigure(common::BufReader& r, ConfigureMsg& m) {
   std::uint32_t n = 0;
   if (!r.u8(transport) ||
       transport > static_cast<std::uint8_t>(ProcTransport::kShmRing) ||
-      !r.u32(m.ring_capacity) || !r.u32(m.tunnel_capacity) ||
-      !r.u32(m.tunnel_rx_slab) || !r.str(m.shm_prefix) || !r.u32(n) ||
-      n > r.remaining()) {
+      !r.str(m.shm_prefix) || !r.u32(n) || n > r.remaining()) {
     return false;
   }
   m.transport = static_cast<ProcTransport>(transport);

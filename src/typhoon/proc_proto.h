@@ -6,7 +6,7 @@
 // Bootstrap handshake (in order, per host):
 //   child  -> parent : kHello      [u32 host]
 //   parent -> child  : kCoordSnapshot (mirror seed; ordered before echoes)
-//   parent -> child  : kConfigure  (transport, capacities, peer host ids)
+//   parent -> child  : kConfigure  (transport, shm prefix, peer host ids)
 //   child  -> parent : kListening  [u16 data_port]   (socket transport)
 //   parent -> child  : kPeers      (every host's data endpoint)
 //   child  -> parent : kReady      []
@@ -19,6 +19,7 @@
 // mirror already reflects the write (read-your-writes).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -66,6 +67,14 @@ enum MsgType : std::uint8_t {
   kSwEvent = 43,             // one-way: child -> parent
 };
 
+// Bootstrap waits. The parent's wait for a host to report listening/ready
+// outlasts the child's wait for any one bootstrap step, so a child that
+// gives up exits with its own failure code before the parent declares it
+// lost.
+inline constexpr std::chrono::milliseconds kParentBootstrapWait{20000};
+inline constexpr std::chrono::milliseconds kChildBootstrapTimeout{15000};
+static_assert(kParentBootstrapWait > kChildBootstrapTimeout);
+
 // ---- status ----
 void WriteStatus(common::BufWriter& w, const common::Status& st);
 bool ReadStatus(common::BufReader& r, common::Status& st);
@@ -79,9 +88,6 @@ enum class ProcTransport : std::uint8_t { kSocket = 0, kShmRing = 1 };
 
 struct ConfigureMsg {
   ProcTransport transport = ProcTransport::kSocket;
-  std::uint32_t ring_capacity = 1024;   // switch rx ring slots
-  std::uint32_t tunnel_capacity = 4096; // tunnel queue / shm ring frames
-  std::uint32_t tunnel_rx_slab = 256 * 1024;  // socket tunnel RX slab bytes
   std::string shm_prefix;               // shm segment name prefix
   std::vector<HostId> hosts;            // all cluster hosts, sorted
 };

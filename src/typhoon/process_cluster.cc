@@ -21,6 +21,14 @@
 #include "stream/scheduler.h"
 
 namespace typhoon::proc {
+namespace {
+
+// A stopping child gets this long to exit before its group is SIGKILLed.
+constexpr std::chrono::milliseconds kShutdownGrace{3000};
+// Shared-memory transport: data bytes per ring direction.
+constexpr std::size_t kShmRingBytes = 1 << 20;
+
+}  // namespace
 
 ProcessCluster::ProcessCluster(ProcessClusterConfig cfg) : cfg_(cfg) {
   for (int i = 0; i < cfg_.num_hosts; ++i) {
@@ -130,7 +138,7 @@ common::Status ProcessCluster::spawn_host(HostId host) {
 
 void ProcessCluster::reap(pid_t pid) {
   if (pid <= 0) return;
-  const auto deadline = std::chrono::steady_clock::now() + cfg_.shutdown_grace;
+  const auto deadline = std::chrono::steady_clock::now() + kShutdownGrace;
   for (;;) {
     int status = 0;
     const pid_t r = ::waitpid(pid, &status, WNOHANG);
@@ -252,9 +260,6 @@ void ProcessCluster::handle_hello(const std::shared_ptr<ChannelCtx>& ctx,
 void ProcessCluster::send_configure(CtlChannel* channel) {
   ConfigureMsg cfg;
   cfg.transport = cfg_.transport;
-  cfg.ring_capacity = static_cast<std::uint32_t>(cfg_.ring_capacity);
-  cfg.tunnel_capacity = static_cast<std::uint32_t>(cfg_.tunnel_capacity);
-  cfg.tunnel_rx_slab = static_cast<std::uint32_t>(cfg_.tunnel_rx_slab);
   cfg.shm_prefix = shm_prefix_;
   cfg.hosts = host_ids_;
   common::Bytes payload;
@@ -473,7 +478,7 @@ common::Status ProcessCluster::start() {
       for (std::size_t b = a + 1; b < host_ids_.size(); ++b) {
         const std::string name = shm_name(host_ids_[a], host_ids_[b]);
         net::RingTunnel::UnlinkSegment(name);  // stale from a crash
-        if (!net::RingTunnel::CreateSegment(name, cfg_.shm_ring_bytes)) {
+        if (!net::RingTunnel::CreateSegment(name, kShmRingBytes)) {
           stop();
           return common::Internal("shm segment create failed: " + name);
         }
@@ -542,7 +547,7 @@ common::Status ProcessCluster::start() {
 common::Status ProcessCluster::await_bootstrap(HostId host,
                                                bool expect_ready) {
   std::unique_lock lk(hosts_mu_);
-  const bool ok = hosts_cv_.wait_for(lk, cfg_.bootstrap_timeout, [&] {
+  const bool ok = hosts_cv_.wait_for(lk, kParentBootstrapWait, [&] {
     auto it = procs_.find(host);
     if (it == procs_.end() || !it->second.alive) return true;  // fail fast
     return expect_ready ? it->second.ready : it->second.listening;

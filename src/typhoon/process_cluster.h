@@ -49,11 +49,6 @@ struct ProcessClusterConfig {
   // Path to the typhoon_hostd binary; empty consults $TYPHOON_HOSTD.
   std::string hostd_path;
 
-  std::size_t ring_capacity = 8192;     // per-host switch rx ring slots
-  std::size_t tunnel_capacity = 4096;   // socket tunnel staging, frames
-  std::size_t tunnel_rx_slab = 256 * 1024;  // socket tunnel RX slab bytes
-  std::size_t shm_ring_bytes = 1 << 20; // shm transport, bytes per direction
-
   // Control-plane knobs (mirroring ClusterConfig).
   bool default_apps = true;
   int controller_shards = 1;
@@ -63,9 +58,6 @@ struct ProcessClusterConfig {
   bool enable_failure_detector = true;
   std::chrono::milliseconds heartbeat_timeout{1500};
   std::chrono::milliseconds manager_monitor_interval{100};
-
-  std::chrono::milliseconds bootstrap_timeout{20000};
-  std::chrono::milliseconds shutdown_grace{3000};
 };
 
 class ProcessCluster {
@@ -78,10 +70,10 @@ class ProcessCluster {
 
   // Spawn and bootstrap every host process, then start the control plane
   // and manager. Fails (with everything torn down) if any host does not
-  // come up within cfg.bootstrap_timeout.
+  // come up within kParentBootstrapWait.
   common::Status start();
   // Graceful teardown: stop services, ask children to exit, reap them
-  // (SIGKILL after cfg.shutdown_grace), release shm segments.
+  // (SIGKILL after kShutdownGrace), release shm segments.
   void stop();
 
   // Submit the named word-count app: publishes the catalog entry (so every

@@ -18,6 +18,12 @@ using stream::WorkerContext;
 
 const char* kEventTypes[] = {"view", "click", "purchase"};
 
+// Workers per stage of the filter -> projection -> join middle (Fig 13).
+constexpr int kParallelism = 3;
+// Aggregation window in event-time milliseconds (paper: 10 s windows;
+// compressed here).
+constexpr std::int64_t kWindowMs = 1000;
+
 std::string CampaignFor(int ad, int num_campaigns) {
   return "campaign" + std::to_string(ad % num_campaigns);
 }
@@ -26,12 +32,11 @@ std::string CampaignFor(int ad, int num_campaigns) {
 
 class KafkaSpout final : public Spout {
  public:
-  KafkaSpout(kafkalite::Broker* broker, std::string topic)
-      : broker_(broker), topic_(std::move(topic)) {}
+  explicit KafkaSpout(kafkalite::Broker* broker) : broker_(broker) {}
 
   void open(const WorkerContext& ctx) override {
     consumer_ = std::make_unique<kafkalite::Consumer>(
-        broker_, "yahoo-group", topic_, static_cast<std::uint32_t>(ctx.task_index),
+        broker_, "yahoo-group", kEventTopic, static_cast<std::uint32_t>(ctx.task_index),
         static_cast<std::uint32_t>(ctx.parallelism));
   }
 
@@ -46,7 +51,6 @@ class KafkaSpout final : public Spout {
 
  private:
   kafkalite::Broker* broker_;
-  std::string topic_;
   std::unique_ptr<kafkalite::Consumer> consumer_;
 };
 
@@ -192,29 +196,23 @@ stream::LogicalTopology BuildPipeline(const PipelineConfig& cfg) {
   stream::TopologyBuilder b(cfg.name);
   kafkalite::Broker* broker = cfg.broker;
   redislite::Store* store = cfg.store;
-  const std::string topic = cfg.topic;
-
   const NodeId kafka = b.add_spout(
       "kafka",
-      [broker, topic] { return std::make_unique<KafkaSpout>(broker, topic); },
+      [broker] { return std::make_unique<KafkaSpout>(broker); },
       1);
   const NodeId parse = b.add_bolt(
       "parse", [] { return std::make_unique<ParseBolt>(); }, 1);
   const NodeId filter =
-      b.add_bolt("filter", MakeFilterFactory(cfg.allowed_events),
-                 cfg.filter_parallelism);
+      b.add_bolt("filter", MakeFilterFactory(cfg.allowed_events), kParallelism);
   const NodeId projection = b.add_bolt(
       "projection", [] { return std::make_unique<ProjectionBolt>(); },
-      cfg.projection_parallelism);
+      kParallelism);
   const NodeId join = b.add_bolt(
       "join", [store] { return std::make_unique<JoinBolt>(store); },
-      cfg.join_parallelism, /*stateful=*/true);
-  const std::int64_t window_ms = cfg.window_ms;
+      kParallelism, /*stateful=*/true);
   const NodeId store_node = b.add_bolt(
       "store",
-      [store, window_ms] {
-        return std::make_unique<AggregateStoreBolt>(store, window_ms);
-      },
+      [store] { return std::make_unique<AggregateStoreBolt>(store, kWindowMs); },
       1, /*stateful=*/true);
 
   b.shuffle(kafka, parse);

@@ -29,19 +29,15 @@ void GenerateEvents(kafkalite::Broker* broker, const std::string& topic,
 void PopulateCampaigns(redislite::Store* store, int num_ads,
                        int num_campaigns);
 
+// The broker topic the pipeline's kafka spout consumes.
+inline constexpr char kEventTopic[] = "ad-events";
+
 struct PipelineConfig {
   kafkalite::Broker* broker = nullptr;
   redislite::Store* store = nullptr;
-  std::string topic = "ad-events";
   std::string name = "yahoo";
   // Event types the filter admits (the Fig 14 swap changes this set).
   std::set<std::string> allowed_events = {"view"};
-  int filter_parallelism = 3;
-  int projection_parallelism = 3;
-  int join_parallelism = 3;
-  // Aggregation window in event-time milliseconds (paper: 10 s windows;
-  // compressed here).
-  std::int64_t window_ms = 1000;
 };
 
 // Build the Fig 13 logical topology. Node names: kafka, parse, filter,

@@ -3,7 +3,6 @@
 // live-debugger mirroring, and worker metric queries via control tuples.
 #include <gtest/gtest.h>
 
-#include "controller/cross_layer.h"
 #include "stream/topology.h"
 #include "typhoon/cluster.h"
 #include "util/components.h"
@@ -124,8 +123,13 @@ TEST(LoadBalancerApp, GroupRulesRedirectTraffic) {
 
   auto state = std::make_shared<SinkState>();
   TopologyBuilder b("lb");
+  // Paced well below sink capacity: an unpaced spout fills the tunnel with
+  // tuples routed under the old even weights and delivers 5000 tuples in a
+  // few milliseconds, so the window would measure that backlog and thread
+  // scheduling instead of the weighted split.
   const NodeId src = b.add_spout(
-      "src", [] { return std::make_unique<SequenceSpout>(0, 8); }, 1);
+      "src",
+      [] { return std::make_unique<SequenceSpout>(0, 8, 0, 20'000.0); }, 1);
   const NodeId sink = b.add_bolt(
       "sink", [state] { return std::make_unique<CollectingSink>(state); },
       3);
@@ -402,51 +406,6 @@ TEST(Controller, MetricQueryRoundTrip) {
     if (name == "received") received = value;
   }
   EXPECT_GT(received, 0);
-  cluster.stop();
-}
-
-TEST(Controller, CrossLayerReportJoinsAppAndNetworkState) {
-  ClusterConfig cfg;
-  cfg.num_hosts = 2;
-  Cluster cluster(cfg);
-  cluster.start();
-
-  auto state = std::make_shared<SinkState>();
-  TopologyBuilder b("xlayer");
-  const NodeId src = b.add_spout(
-      "src", [] { return std::make_unique<SequenceSpout>(0, 8); }, 1);
-  const NodeId sink = b.add_bolt(
-      "sink", [state] { return std::make_unique<CollectingSink>(state); },
-      2);
-  b.shuffle(src, sink);
-  auto tid = cluster.submit(b.build().value());
-  ASSERT_TRUE(tid.ok());
-  ASSERT_TRUE(WaitFor([&] { return state->received.load() > 1000; }, 10s));
-
-  auto report = controller::BuildCrossLayerReport(*cluster.controller(),
-                                                  tid.value());
-  ASSERT_TRUE(report.ok()) << report.status().str();
-  ASSERT_EQ(report.value().workers.size(), 3u);
-  for (const auto& w : report.value().workers) {
-    EXPECT_TRUE(w.app_metrics_ok) << "worker w" << w.worker.id;
-    EXPECT_FALSE(w.node_name.empty());
-  }
-  // Application layer: the source emitted; network layer: its port saw the
-  // corresponding packets.
-  const auto* src_view = &report.value().workers[0];
-  for (const auto& w : report.value().workers) {
-    if (w.node_name == "src") src_view = &w;
-  }
-  EXPECT_GT(src_view->app_metrics.at("emitted"), 0);
-  EXPECT_GT(src_view->port.rx_packets, 0u);  // switch received from worker
-  // Rules installed on both hosts.
-  std::size_t rules = 0;
-  for (const auto& [h, n] : report.value().rules_per_host) rules += n;
-  EXPECT_GT(rules, 0u);
-  // The formatted table mentions every node.
-  const std::string text = report.value().str();
-  EXPECT_NE(text.find("src"), std::string::npos);
-  EXPECT_NE(text.find("sink"), std::string::npos);
   cluster.stop();
 }
 

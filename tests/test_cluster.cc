@@ -243,7 +243,7 @@ TEST_P(ClusterTest, KillRemovesTopology) {
   EXPECT_FALSE(cluster.manager().physical("chain").ok());
   EXPECT_EQ(cluster.find_worker("chain", "src", 0), nullptr);
 
-  if (cluster.mode() == TransportMode::kTyphoon) {
+  if (GetParam() == TransportMode::kTyphoon) {
     // All flow rules swept by cookie.
     for (HostId h : cluster.hosts()) {
       EXPECT_EQ(cluster.switch_at(h)->flow_count(), 0u);

@@ -464,9 +464,9 @@ TEST(LatencyRecorder, BatchFlushMatchesDirectRecording) {
 
 TEST(LatencyRecorder, ConcurrentWritersAndReadersStayConsistent) {
   // TSan regression for the lock-free hot path: four writer threads (two
-  // plain, one Batch, one record_batch) race a reader that continuously
-  // derives percentiles. Every percentile must be internally consistent
-  // (monotone) and the final count exact.
+  // plain, one long-lived Batch, one Batch per 500-sample chunk) race a
+  // reader that continuously derives percentiles. Every percentile must be
+  // internally consistent (monotone) and the final count exact.
   LatencyRecorder rec;
   constexpr int kPerThread = 25000;
   std::atomic<bool> done{false};
@@ -495,10 +495,9 @@ TEST(LatencyRecorder, ConcurrentWritersAndReadersStayConsistent) {
     }
   });
   writers.emplace_back([&rec] {
-    std::vector<std::int64_t> chunk(500);
     for (int base = 0; base < kPerThread; base += 500) {
-      for (int i = 0; i < 500; ++i) chunk[i] = 1 + (base + i) % 10000;
-      rec.record_batch(chunk.data(), chunk.size());
+      LatencyRecorder::Batch batch(&rec);
+      for (int i = 0; i < 500; ++i) batch.record(1 + (base + i) % 10000);
     }
   });
   for (auto& w : writers) w.join();
@@ -512,7 +511,7 @@ TEST(LatencyRecorder, ConcurrentWritersAndReadersStayConsistent) {
 TEST(Metrics, CountersAndGaugesByName) {
   MetricsRegistry reg;
   reg.counter("emitted").add(5);
-  reg.counter("emitted").inc();
+  reg.counter("emitted").add(1);
   reg.gauge("queue").set(17);
   EXPECT_EQ(reg.value("emitted"), 6);
   EXPECT_EQ(reg.value("queue"), 17);

@@ -454,9 +454,7 @@ TEST(Observability, TraceCompletenessIdenticalAcrossSeededRuns) {
 // ---- dump_json unit-level schema check -----------------------------------
 
 TEST(Observability, DumpJsonEscapesAndParses) {
-  trace::ObservabilityConfig cfg;
-  cfg.terminal_hop = 1;
-  trace::ClusterObservability obs(cfg);
+  trace::ClusterObservability obs;
   auto rec = obs.domain().acquire("worker-1");
   rec->record({0x11, trace::Stage::kEmit, 0, 1, 100, 0});
   rec->record({0x11, trace::Stage::kExecute, 1, 1, 250, 40});

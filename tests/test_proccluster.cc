@@ -91,6 +91,31 @@ stream::SubmitOptions ReliableOptions(std::uint32_t pending_timeout_ms) {
   return so;
 }
 
+// The configure frame carries the transport, the shm prefix and the host
+// list, and nothing else.
+TEST(ProcProto, ConfigureRoundTrips) {
+  ConfigureMsg in;
+  in.transport = ProcTransport::kShmRing;
+  in.shm_prefix = "/typhoon-42";
+  in.hosts = {1, 2, 3};
+  common::Bytes wire;
+  common::BufWriter w(wire);
+  WriteConfigure(w, in);
+
+  ConfigureMsg out;
+  common::BufReader r(wire);
+  ASSERT_TRUE(ReadConfigure(r, out));
+  EXPECT_EQ(out.transport, in.transport);
+  EXPECT_EQ(out.shm_prefix, in.shm_prefix);
+  EXPECT_EQ(out.hosts, in.hosts);
+  EXPECT_EQ(r.remaining(), 0u);
+
+  // A truncated frame is rejected, never half-read.
+  const std::span<const std::uint8_t> truncated(wire.data(), wire.size() - 1);
+  common::BufReader short_r(truncated);
+  EXPECT_FALSE(ReadConfigure(short_r, out));
+}
+
 TEST_F(ProcClusterTest, SocketWordCountExactCounts) {
   ProcessClusterConfig cfg;
   cfg.num_hosts = 3;

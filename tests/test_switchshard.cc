@@ -447,9 +447,9 @@ TEST(SwitchShardTest, CrossHostTunnelForwardingWithShards) {
   sw1.handle_flow_mod(
       {FlowModCommand::kAdd,
        PortRule(src->id(), 1, 2,
-                {ActionSetTunDst{2}, ActionOutput{sw1.tunnel_port()}})});
+                {ActionSetTunDst{2}, ActionOutput{SoftSwitch::kTunnelPort}})});
   sw2.handle_flow_mod({FlowModCommand::kAdd,
-                       PortRule(sw2.tunnel_port(), 1, 2,
+                       PortRule(SoftSwitch::kTunnelPort, 1, 2,
                                 {ActionOutput{dst->id()}})});
 
   constexpr int kCount = 500;

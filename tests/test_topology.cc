@@ -2,6 +2,8 @@
 // the spec/physical codecs stored in the coordinator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "stream/liveness.h"
 #include "stream/physical.h"
 #include "stream/scheduler.h"
@@ -223,7 +225,9 @@ TEST(Codec, PhysicalRoundTrips) {
   ASSERT_EQ(out.workers.size(), 3u);
   EXPECT_EQ(out.workers[1], p.workers[1]);
   EXPECT_EQ(out.worker_ids_of(10), (std::vector<WorkerId>{1, 2}));
-  EXPECT_EQ(out.workers_on(1).size(), 2u);
+  EXPECT_EQ(std::count_if(out.workers.begin(), out.workers.end(),
+                          [](const PhysicalWorker& w) { return w.host == 1; }),
+            2);
 }
 
 TEST(Codec, SpecRoundTrips) {
@@ -377,6 +381,40 @@ INSTANTIATE_TEST_SUITE_P(
       return info.index == 0 ? std::string("Manager")
                              : std::string("FaultDetector");
     });
+
+// The drain rule over scripted heartbeat ages (no sleeps): only a fresh
+// record that reports depth 0 counts as drained.
+class DrainedTest : public ::testing::Test {
+ protected:
+  static constexpr std::int64_t kNow = 1'000'000'000;
+  const std::int64_t fresh_us_ = kDrainProbeFreshness.count();
+};
+
+TEST_F(DrainedTest, FreshZeroDepthIsDrained) {
+  EXPECT_TRUE(Drained({kNow, 0}, kNow));
+  EXPECT_TRUE(Drained({kNow - fresh_us_ / 2, 0}, kNow));
+}
+
+TEST_F(DrainedTest, StaleZeroDepthIsNotDrained) {
+  EXPECT_FALSE(Drained({kNow - 2 * fresh_us_, 0}, kNow));
+  EXPECT_FALSE(Drained(ParseHeartbeat("garbage"), kNow));
+}
+
+TEST_F(DrainedTest, FreshManagerSeedWithUnknownDepthIsNotDrained) {
+  const Heartbeat seed = ParseHeartbeat(std::to_string(kNow));
+  ASSERT_FALSE(seed.queue_depth.has_value());
+  EXPECT_FALSE(Drained(seed, kNow));
+}
+
+TEST_F(DrainedTest, FreshNonZeroDepthIsNotDrained) {
+  EXPECT_FALSE(Drained({kNow, 1}, kNow));
+  EXPECT_FALSE(Drained({kNow, 4096}, kNow));
+}
+
+TEST_F(DrainedTest, FreshnessBoundaryIsExclusive) {
+  EXPECT_TRUE(Drained({kNow - fresh_us_ + 1, 0}, kNow));
+  EXPECT_FALSE(Drained({kNow - fresh_us_, 0}, kNow));
+}
 
 }  // namespace
 }  // namespace typhoon::stream

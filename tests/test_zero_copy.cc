@@ -510,7 +510,6 @@ TEST(ZeroCopy, ReassemblyStateStaysBoundedUnderLoss) {
 TEST(ZeroCopy, IdleDestinationBuffersAreEvictedOnFlush) {
   net::PacketizerConfig cfg;
   cfg.batch_tuples = 0;  // explicit flush only
-  cfg.idle_flush_evict = 4;
   std::size_t packets = 0;
   net::Packetizer pz(WorkerAddress{kTopo, 1}, cfg,
                      [&](net::PacketPtr) { ++packets; });
@@ -528,7 +527,7 @@ TEST(ZeroCopy, IdleDestinationBuffersAreEvictedOnFlush) {
   EXPECT_EQ(pz.buffer_count(), 2u);
 
   // Keep dst 2 active; dst 3 goes quiet and is retired by the idle sweep.
-  for (int pass = 0; pass < 4; ++pass) {
+  for (std::size_t pass = 0; pass < net::kIdleFlushEvict; ++pass) {
     rec.dst = WorkerAddress{kTopo, 2};
     pz.add(rec);
     pz.flush();
