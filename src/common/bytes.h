@@ -73,16 +73,9 @@ class BufReader {
     pos_ += n;
     return true;
   }
-  // Borrowed (zero-copy) variants of the length-prefixed reads: the result
+  // Borrowed (zero-copy) variant of the length-prefixed read: the result
   // aliases the reader's backing buffer and is only valid while the caller
-  // keeps that buffer alive (e.g. via a PacketPtr keepalive).
-  bool str_view(std::string_view& v) {
-    std::uint32_t n = 0;
-    if (!u32(n) || remaining() < n) return false;
-    v = std::string_view(reinterpret_cast<const char*>(in_.data()) + pos_, n);
-    pos_ += n;
-    return true;
-  }
+  // keeps that buffer alive (e.g. via a PacketPin).
   bool bytes_view(std::span<const std::uint8_t>& v) {
     std::uint32_t n = 0;
     if (!u32(n) || remaining() < n) return false;
@@ -94,6 +87,16 @@ class BufReader {
   bool view(std::size_t n, std::span<const std::uint8_t>& out) {
     if (remaining() < n) return false;
     out = in_.subspan(pos_, n);
+    pos_ += n;
+    return true;
+  }
+
+  // The unread bytes, and a bounds-checked advance over them.
+  [[nodiscard]] std::span<const std::uint8_t> rest() const {
+    return in_.subspan(pos_);
+  }
+  bool skip(std::size_t n) {
+    if (remaining() < n) return false;
     pos_ += n;
     return true;
   }

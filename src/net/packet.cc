@@ -4,6 +4,15 @@
 
 namespace typhoon::net {
 
+void PinPool::Release::operator()(PinPool* pool) const {
+  pool->orphaned_ = true;
+  if (pool->outstanding_ == 0) delete pool;
+}
+
+PinPool::~PinPool() {
+  while (free_ != nullptr) delete std::exchange(free_, free_->next_free);
+}
+
 void EncodeFrame(const Packet& p, common::Bytes& out) {
   common::BufWriter w(out);
   w.u64(p.dst.packed());
@@ -66,17 +75,10 @@ void EncodeChunkHeader(const ChunkHeader& h, common::BufWriter& w) {
 }
 
 bool DecodeChunkHeader(common::BufReader& r, ChunkHeader& h) {
-  if (!(r.u16(h.stream_id) && r.u8(h.flags) && r.u32(h.tuple_seq) &&
-        r.u16(h.seg_index) && r.u16(h.seg_count) && r.u32(h.chunk_len))) {
-    return false;
-  }
-  if (h.traced()) {
-    if (!(r.u64(h.trace_id) && r.u8(h.trace_hop))) return false;
-  } else {
-    h.trace_id = 0;
-    h.trace_hop = 0;
-  }
-  return true;
+  const std::span<const std::uint8_t> rest = r.rest();
+  const std::uint8_t* body =
+      ParseChunkHeader(rest.data(), rest.data() + rest.size(), h);
+  return body != nullptr && r.skip(static_cast<std::size_t>(body - rest.data()));
 }
 
 }  // namespace typhoon::net

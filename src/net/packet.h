@@ -23,11 +23,13 @@
 // Fig 9). Packets born from a PacketPool return to the pool's freelist
 // (payload capacity intact) when the last reference drops; packets made with
 // MakePacket are plain heap objects deleted on last release. Receivers may
-// therefore hold views into `payload` for as long as they hold a PacketPtr.
+// therefore hold views into `payload` for as long as they hold a PacketPtr
+// or a PacketPin (below).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
@@ -209,6 +211,146 @@ class PacketPtr {
   Packet* p_ = nullptr;
 };
 
+// PacketPin — a single-thread share of one PacketPtr. A receiver pops a
+// packet from its port ring (the one atomic reference it takes) and moves
+// that PacketPtr into a pin node; every tuple decoded from the packet that
+// borrows payload bytes then copies the pin, which bumps a plain,
+// non-atomic count. So a packet costs one atomic retain/release per
+// receiver, not two per tuple, and the shared packet's cache line is
+// written once per receiver instead of once per tuple. Nodes come from a
+// PinPool freelist owned by the receiver.
+//
+// Thread contract: a pin, its copies and its pool are used by one thread at
+// a time — the receiving worker's. Handing them to another thread needs a
+// happens-before edge (a join, a lock) covering every copy, as for any
+// non-atomic value.
+class PinPool;
+
+class PacketPin {
+ public:
+  PacketPin() = default;
+  PacketPin(const PacketPin& o) : n_(o.n_) {
+    if (n_ != nullptr) ++n_->refs;
+  }
+  PacketPin(PacketPin&& o) noexcept : n_(std::exchange(o.n_, nullptr)) {}
+  PacketPin& operator=(const PacketPin& o) {
+    if (n_ != o.n_) {
+      release();
+      n_ = o.n_;
+      if (n_ != nullptr) ++n_->refs;
+    }
+    return *this;
+  }
+  PacketPin& operator=(PacketPin&& o) noexcept {
+    if (this != &o) {
+      release();
+      n_ = std::exchange(o.n_, nullptr);
+    }
+    return *this;
+  }
+  ~PacketPin() { release(); }
+
+  explicit operator bool() const { return n_ != nullptr; }
+  [[nodiscard]] const Packet* get() const {
+    return n_ == nullptr ? nullptr : n_->packet.get();
+  }
+  void reset() { release(); }
+  // Holders of this pin's node (0 for an empty pin).
+  [[nodiscard]] std::uint32_t use_count() const {
+    return n_ == nullptr ? 0 : n_->refs;
+  }
+
+ private:
+  friend class PinPool;
+  struct Node {
+    PacketPtr packet;
+    std::uint32_t refs = 0;
+    Node* next_free = nullptr;
+    PinPool* pool = nullptr;
+  };
+  explicit PacketPin(Node* n) : n_(n) {}
+  inline void release();
+
+  Node* n_ = nullptr;
+};
+
+// Freelist of pin nodes. The owner holds it through PinPool::Owner; a pool
+// whose owner is gone lives on until its last outstanding pin drops, so
+// items that outlive their transport stay valid. Same thread contract as
+// PacketPin.
+class PinPool {
+ public:
+  struct Release {
+    void operator()(PinPool* pool) const;
+  };
+  using Owner = std::unique_ptr<PinPool, Release>;
+  static Owner Create() { return Owner(new PinPool()); }
+
+  PinPool(const PinPool&) = delete;
+  PinPool& operator=(const PinPool&) = delete;
+
+  // Takes over `p`'s reference (no atomic RMW) and returns the first pin.
+  PacketPin pin(PacketPtr p) {
+    PacketPin::Node* n = free_;
+    if (n != nullptr) {
+      free_ = n->next_free;
+      --free_count_;
+    } else {
+      n = new PacketPin::Node();
+      n->pool = this;
+      ++allocated_;
+    }
+    n->packet = std::move(p);
+    n->refs = 1;
+    ++outstanding_;
+    return PacketPin(n);
+  }
+
+  // Nodes ever allocated / waiting on the freelist / held by live pins.
+  [[nodiscard]] std::uint64_t allocated() const { return allocated_; }
+  [[nodiscard]] std::size_t free_size() const { return free_count_; }
+  [[nodiscard]] std::size_t outstanding() const { return outstanding_; }
+
+ private:
+  friend class PacketPin;
+  // Recycled nodes beyond this are deleted, so a burst of held packets
+  // does not keep its peak node count forever.
+  static constexpr std::size_t kMaxFree = 256;
+
+  PinPool() = default;
+  ~PinPool();
+
+  // Last pin of a node dropped: release the packet, keep the node.
+  void recycle(PacketPin::Node* n) {
+    n->packet.reset();
+    --outstanding_;
+    if (orphaned_) {
+      delete n;
+      if (outstanding_ == 0) delete this;
+      return;
+    }
+    if (free_count_ >= kMaxFree) {
+      delete n;
+      return;
+    }
+    n->next_free = free_;
+    free_ = n;
+    ++free_count_;
+  }
+
+  PacketPin::Node* free_ = nullptr;
+  std::size_t free_count_ = 0;
+  std::size_t outstanding_ = 0;
+  std::uint64_t allocated_ = 0;
+  // Set when the owner let go while pins were outstanding.
+  bool orphaned_ = false;
+};
+
+inline void PacketPin::release() {
+  Node* n = std::exchange(n_, nullptr);
+  if (n != nullptr && --n->refs == 0) n->pool->recycle(n);
+}
+
 // Heap-allocating fallback for cold paths (tests, control-plane one-offs,
 // copy-on-write rewrites). Hot paths should fill a pool checkout instead.
 inline PacketPtr MakePacket(Packet p) {
@@ -231,5 +373,33 @@ bool DecodeFrameInto(std::span<const std::uint8_t> frame, Packet& out);
 // Chunk header codec within a payload.
 void EncodeChunkHeader(const ChunkHeader& h, common::BufWriter& w);
 bool DecodeChunkHeader(common::BufReader& r, ChunkHeader& h);
+
+// The chunk-header parse behind DecodeChunkHeader, for the receive path:
+// one bounds check for the fixed part (and one for a trace extension).
+// Returns the first byte after the header, or nullptr if [p, end) is too
+// short.
+inline const std::uint8_t* ParseChunkHeader(const std::uint8_t* p,
+                                            const std::uint8_t* end,
+                                            ChunkHeader& h) {
+  if (end - p < static_cast<std::ptrdiff_t>(ChunkHeader::kWireSize)) {
+    return nullptr;
+  }
+  std::memcpy(&h.stream_id, p, 2);
+  h.flags = p[2];
+  std::memcpy(&h.tuple_seq, p + 3, 4);
+  std::memcpy(&h.seg_index, p + 7, 2);
+  std::memcpy(&h.seg_count, p + 9, 2);
+  std::memcpy(&h.chunk_len, p + 11, 4);
+  p += ChunkHeader::kWireSize;
+  if (!h.traced()) {
+    h.trace_id = 0;
+    h.trace_hop = 0;
+    return p;
+  }
+  if (end - p < static_cast<std::ptrdiff_t>(kTraceExtWireSize)) return nullptr;
+  std::memcpy(&h.trace_id, p, 8);
+  h.trace_hop = p[8];
+  return p + kTraceExtWireSize;
+}
 
 }  // namespace typhoon::net

@@ -59,7 +59,7 @@ void Packetizer::emit(const WorkerAddress& dst, DstBuffer& buf) {
 
 void Packetizer::add(const TupleRecord& rec) {
   DstBuffer& buf = buffers_[rec.dst];
-  const std::span<const std::uint8_t> bytes = rec.payload();
+  const std::span<const std::uint8_t> bytes(rec.data);
 
   ChunkHeader h;
   h.stream_id = rec.stream_id;
@@ -153,26 +153,8 @@ Depacketizer::Depacketizer(Sink sink, DepacketizerConfig cfg)
     : sink_(std::move(sink)), cfg_(cfg) {}
 
 bool Depacketizer::consume(const Packet& p) {
-  return consume_impl(p, nullptr);
-}
-
-bool Depacketizer::consume(const PacketPtr& p) {
-  return p ? consume_impl(*p, &p) : false;
-}
-
-bool Depacketizer::consume_impl(const Packet& p, const PacketPtr* keepalive) {
-  ++packets_seen_;
-  // Periodic stale sweep: cheap (map is tiny in steady state) and bounds
-  // how long an abandoned partial can linger.
-  if ((packets_seen_ & 0xff) == 0 && !reassembly_.empty()) evict_stale();
-
-  common::BufReader r(p.payload);
-  while (r.remaining() > 0) {
-    ChunkHeader h;
-    if (!DecodeChunkHeader(r, h)) return false;
-    std::span<const std::uint8_t> data;
-    if (!r.view(h.chunk_len, data)) return false;
-
+  return visit(p, [&](const ChunkHeader& h, std::span<const std::uint8_t> bytes,
+                      common::Bytes* owned) {
     TupleRecord rec;
     rec.src = p.src;
     rec.dst = p.dst;
@@ -180,48 +162,44 @@ bool Depacketizer::consume_impl(const Packet& p, const PacketPtr* keepalive) {
     rec.control = h.control();
     rec.trace_id = h.trace_id;
     rec.trace_hop = h.trace_hop;
+    if (owned != nullptr) {
+      rec.data = std::move(*owned);
+    } else {
+      rec.data.assign(bytes.begin(), bytes.end());
+      bytes_copied_ += bytes.size();
+    }
+    sink_(std::move(rec));
+  });
+}
 
-    if (h.seg_count <= 1) {
-      if (keepalive != nullptr) {
-        // Zero-copy: the record aliases the packet payload; the keepalive
-        // pins the (pooled) packet until the record is dropped.
-        rec.view = data;
-        rec.keepalive = *keepalive;
-      } else {
-        rec.data.assign(data.begin(), data.end());
-        bytes_copied_ += data.size();
-      }
-      sink_(std::move(rec));
-      continue;
-    }
-
-    // Segmented tuple: accumulate until all segments arrive. Segments of
-    // one tuple travel in order over one path, so append-order suffices.
-    const std::uint64_t key =
-        common::HashCombine(p.src.packed(), h.tuple_seq);
-    Partial& part = reassembly_[key];
-    if (part.expected == 0) {
-      part.expected = h.seg_count;
-      part.stream_id = h.stream_id;
-      part.control = h.control();
-      part.trace_id = h.trace_id;
-      part.trace_hop = h.trace_hop;
-      part.born = packets_seen_;
-      if (reassembly_.size() > cfg_.max_reassemblies) evict_oldest(key);
-    }
-    part.data.insert(part.data.end(), data.begin(), data.end());
-    bytes_copied_ += data.size();
-    ++part.received;
-    if (part.received == part.expected) {
-      rec.stream_id = part.stream_id;
-      rec.control = part.control;
-      rec.trace_id = part.trace_id;
-      rec.trace_hop = part.trace_hop;
-      rec.data = std::move(part.data);
-      reassembly_.erase(key);
-      sink_(std::move(rec));
-    }
+bool Depacketizer::reassemble(const Packet& p, ChunkHeader& h,
+                              std::span<const std::uint8_t> data,
+                              common::Bytes& out) {
+  // Segments of one tuple travel in order over one path, so append-order
+  // suffices.
+  const std::uint64_t key = common::HashCombine(p.src.packed(), h.tuple_seq);
+  Partial& part = reassembly_[key];
+  if (part.expected == 0) {
+    part.expected = h.seg_count;
+    part.stream_id = h.stream_id;
+    part.flags = h.flags;
+    part.trace_id = h.trace_id;
+    part.trace_hop = h.trace_hop;
+    part.born = packets_seen_;
+    if (reassembly_.size() > cfg_.max_reassemblies) evict_oldest(key);
   }
+  part.data.insert(part.data.end(), data.begin(), data.end());
+  bytes_copied_ += data.size();
+  if (++part.received != part.expected) return false;
+  h.stream_id = part.stream_id;
+  h.flags = part.flags;
+  h.trace_id = part.trace_id;
+  h.trace_hop = part.trace_hop;
+  h.seg_index = 0;
+  h.seg_count = 1;
+  out = std::move(part.data);
+  h.chunk_len = static_cast<std::uint32_t>(out.size());
+  reassembly_.erase(key);
   return true;
 }
 

@@ -7,11 +7,13 @@
 //
 // Zero-copy contract: the packetizer fills packets checked out of a
 // PacketPool (recycled when the last switch/port reference drops), and the
-// depacketizer's PacketPtr overload delivers unsegmented tuples as *views*
-// into the packet payload, pinned by a per-record keepalive — no byte of an
-// unsegmented tuple is copied between the emitting worker's serialize and
-// the receiving worker's decode. Segmented tuples take the owning-buffer
-// reassembly path (a copy is unavoidable when stitching segments).
+// depacketizer's visit() hands unsegmented tuples out as *views* into the
+// packet payload — no byte of an unsegmented tuple is copied between the
+// emitting worker's serialize and the receiving worker's decode. The
+// receiver keeps those views valid by pinning the packet (a PacketPin, one
+// per packet, shared by its tuples without atomics). Segmented tuples take
+// the owning-buffer reassembly path (a copy is unavoidable when stitching
+// segments).
 #pragma once
 
 #include <atomic>
@@ -29,11 +31,8 @@
 namespace typhoon::net {
 
 // A serialized tuple plus its routing envelope, as handed to/from the I/O
-// layer by the framework layer. Two storage modes:
-//  * owning: bytes live in `data` (send path, reassembled tuples, and the
-//    copying consume overload);
-//  * view: `view` aliases a packet payload and `keepalive` pins the packet
-//    (zero-copy receive path).
+// layer by the framework layer. Owns its bytes: the send path fills `data`,
+// and consume() copies each received tuple into it.
 struct TupleRecord {
   WorkerAddress src;
   WorkerAddress dst;
@@ -44,14 +43,6 @@ struct TupleRecord {
   std::uint64_t trace_id = 0;
   std::uint8_t trace_hop = 0;
   common::Bytes data;
-  std::span<const std::uint8_t> view;
-  PacketPtr keepalive;
-
-  // The serialized tuple bytes, whichever mode this record is in.
-  [[nodiscard]] std::span<const std::uint8_t> payload() const {
-    return keepalive ? view : std::span<const std::uint8_t>(data);
-  }
-  [[nodiscard]] bool is_view() const { return static_cast<bool>(keepalive); }
 };
 
 // A destination whose buffer stays empty for this many flush() passes is
@@ -156,15 +147,22 @@ class Depacketizer {
  public:
   using Sink = std::function<void(TupleRecord)>;
 
-  explicit Depacketizer(Sink sink, DepacketizerConfig cfg = {});
+  explicit Depacketizer(Sink sink = {}, DepacketizerConfig cfg = {});
 
-  // Consume one packet; may deliver zero or more reassembled tuples.
-  // Returns false if the payload is malformed (frame dropped).
-  // The const Packet& overload copies tuple bytes out (callers that don't
-  // keep the packet alive); the PacketPtr overload delivers unsegmented
-  // tuples as views pinned by a keepalive reference — zero copy.
+  // The one chunk parser. Calls `v(header, bytes, owned)` once per whole
+  // tuple in `p`, in wire order. For an unsegmented chunk `owned` is null
+  // and `bytes` aliases p.payload. When the last segment of a segmented
+  // tuple arrives, `owned` points at the reassembled buffer (the visitor
+  // may move from it), `bytes` views it, and `header` carries the tuple's
+  // stream, flags and trace context. Returns false if the payload is
+  // malformed; tuples before the fault have been visited.
+  template <typename Visitor>
+  bool visit(const Packet& p, Visitor&& v);
+
+  // Record-sink wrapper over visit(): copies each tuple into an owning
+  // TupleRecord and hands it to the sink (needs one). For receivers that
+  // don't keep the packet alive; the zero-copy path calls visit().
   bool consume(const Packet& p);
-  bool consume(const PacketPtr& p);
 
   // Number of partially reassembled tuples pending.
   [[nodiscard]] std::size_t pending_reassemblies() const {
@@ -174,9 +172,9 @@ class Depacketizer {
   [[nodiscard]] std::uint64_t reassembly_evicted() const {
     return reassembly_evicted_;
   }
-  // Tuple bytes that had to be copied out of packet payloads (owning-mode
-  // consume + segment reassembly). The zero-copy receive path keeps this
-  // flat while tuples flow.
+  // Tuple bytes that had to be copied out of packet payloads (consume +
+  // segment reassembly). The zero-copy receive path keeps this flat while
+  // tuples flow.
   [[nodiscard]] std::uint64_t bytes_copied() const { return bytes_copied_; }
 
  private:
@@ -185,14 +183,17 @@ class Depacketizer {
     std::uint16_t received = 0;
     std::uint16_t expected = 0;
     StreamId stream_id = 0;
-    bool control = false;
+    std::uint8_t flags = 0;
     std::uint64_t trace_id = 0;
     std::uint8_t trace_hop = 0;
     // packets_seen_ when this partial was created, for age-based eviction.
     std::uint64_t born = 0;
   };
 
-  bool consume_impl(const Packet& p, const PacketPtr* keepalive);
+  // Adds one segment; true once its tuple is whole, which is then moved
+  // into `out` and described by `h` (rewritten to a single-segment header).
+  bool reassemble(const Packet& p, ChunkHeader& h,
+                  std::span<const std::uint8_t> data, common::Bytes& out);
   void evict_stale();
   void evict_oldest(std::uint64_t except_key);
 
@@ -204,5 +205,33 @@ class Depacketizer {
   std::uint64_t reassembly_evicted_ = 0;
   std::uint64_t bytes_copied_ = 0;
 };
+
+template <typename Visitor>
+bool Depacketizer::visit(const Packet& p, Visitor&& v) {
+  ++packets_seen_;
+  // Periodic stale sweep: cheap (map is tiny in steady state) and bounds
+  // how long an abandoned partial can linger.
+  if ((packets_seen_ & 0xff) == 0 && !reassembly_.empty()) evict_stale();
+
+  const std::uint8_t* at = p.payload.data();
+  const std::uint8_t* const end = at + p.payload.size();
+  while (at != end) {
+    ChunkHeader h;
+    at = ParseChunkHeader(at, end, h);
+    if (at == nullptr || static_cast<std::size_t>(end - at) < h.chunk_len) {
+      return false;
+    }
+    const std::span<const std::uint8_t> data(at, h.chunk_len);
+    at += h.chunk_len;
+    if (h.seg_count <= 1) {
+      v(static_cast<const ChunkHeader&>(h), data,
+        static_cast<common::Bytes*>(nullptr));
+    } else if (common::Bytes whole; reassemble(p, h, data, whole)) {
+      v(static_cast<const ChunkHeader&>(h),
+        std::span<const std::uint8_t>(whole), &whole);
+    }
+  }
+  return true;
+}
 
 }  // namespace typhoon::net

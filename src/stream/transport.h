@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -20,17 +21,25 @@
 
 namespace typhoon::stream {
 
+// One received tuple, as poll() hands it to the worker.
+//
+// Items are single-thread values. A borrowed tuple's pin shares its packet
+// with the other items of the same poll through a non-atomic count (see
+// net::PacketPin), so an item and its copies are used and destroyed by the
+// polling thread, or handed to another thread whole under a happens-before
+// edge (a lock, a join). Items may outlive the transport that made them.
 struct ReceivedItem {
-  bool is_control = false;
   // Data tuple (is_control == false). May borrow string/bytes data from
   // `backing` (zero-copy receive); copying the Tuple materializes it.
   Tuple tuple;
   TupleMeta meta;
-  // Control tuple (is_control == true).
-  ControlTuple control;
+  // Control tuple (is_control == true). Heap-held: control tuples are rare,
+  // and holding one inline would more than double every data item.
+  std::shared_ptr<ControlTuple> control;
   // Pins the packet a borrowed tuple's values point into. Must outlive
-  // `tuple`; empty for owning (copied) tuples.
-  net::PacketPtr backing;
+  // `tuple`; empty when no value borrows (owning or inline values).
+  net::PacketPin backing;
+  bool is_control = false;
 };
 
 // Data-plane I/O counters a transport can expose (all monotonically
@@ -60,7 +69,8 @@ class Transport {
   // transports without a control plane.
   virtual void send_to_controller(const ControlTuple& ct) = 0;
 
-  // Drain up to `max` received tuples. Non-blocking.
+  // Drain up to `max` received tuples, appended to `out`. Non-blocking.
+  // The items obey ReceivedItem's thread contract.
   virtual std::size_t poll(std::vector<ReceivedItem>& out,
                            std::size_t max) = 0;
 

@@ -28,17 +28,14 @@ TyphoonTransport::TyphoonTransport(
                       // switch's egress hold expires.
                       if (staged() < kBlockedStageCap) {
                         if (auto rp = port_->recv()) {
-                          depacketizer_.consume(*rp);
+                          take(std::move(*rp), nullptr, 0);
                           continue;
                         }
                       }
                       std::this_thread::sleep_for(
                           std::chrono::microseconds(20));
                     }
-                  }),
-      depacketizer_([this](net::TupleRecord rec) {
-        inbound_.push_back(std::move(rec));
-      }) {}
+                  }) {}
 
 void TyphoonTransport::send(const Tuple& t, StreamId stream,
                             std::uint64_t root_id, std::uint64_t edge_id,
@@ -88,64 +85,103 @@ std::size_t TyphoonTransport::poll(std::vector<ReceivedItem>& out,
   inbound_head_ = 0;
   if (has_injected_.load(std::memory_order_acquire)) {
     std::lock_guard lk(injected_mu_);
-    for (net::TupleRecord& rec : injected_) inbound_.push_back(std::move(rec));
+    for (Staged& s : injected_) inbound_.push_back(std::move(s));
     injected_.clear();
     has_injected_.store(false, std::memory_order_relaxed);
   }
+  std::size_t n = deliver_staged(out, max);
   // Drain only enough packets to cover this poll's delivery budget. The
   // surplus stays in the RX ring, where the switch sees it as pressure and
   // holds further deliveries — that is what propagates back-pressure to
   // senders. An unconditional bulk drain would stage unbounded tuples here
   // and absorb congestion invisibly.
-  while (inbound_.size() < max) {  // inbound_head_ == 0 here
+  while (n < max) {
     auto p = port_->recv();
     if (!p) break;
-    // PacketPtr overload: unsegmented tuples arrive as views into the
-    // (pooled) packet payload — no copy between the switch ring and decode.
-    depacketizer_.consume(*p);
-  }
-  std::size_t n = 0;
-  while (inbound_head_ < inbound_.size() && n < max) {
-    net::TupleRecord& rec = inbound_[inbound_head_++];
-    // Decode straight into the caller's slot; a record that fails to
-    // decode gives the slot back.
-    ReceivedItem& item = out.emplace_back();
-    if (rec.control || rec.stream_id == kControlStream) {
-      item.is_control = true;
-      if (!DecodeControl(rec.payload(), item.control)) {
-        out.pop_back();
-        continue;
-      }
-    } else {
-      item.meta.src_worker = rec.src.worker;
-      item.meta.stream = rec.stream_id;
-      bool ok = false;
-      if (rec.is_view()) {
-        // Borrowed decode: long string/bytes values alias the packet
-        // payload; the keepalive rides along as item.backing so they stay
-        // valid through the bolt's execute().
-        ok = DeserializeTyphoonBorrowed(rec.payload(), item.tuple,
-                                        item.meta.root_id, item.meta.edge_id);
-        item.backing = std::move(rec.keepalive);
-      } else {
-        ok = DeserializeTyphoon(rec.payload(), item.tuple, item.meta.root_id,
-                                item.meta.edge_id);
-      }
-      if (!ok) {
-        out.pop_back();
-        continue;
-      }
-      item.meta.trace_id = rec.trace_id;
-      item.meta.trace_hop = rec.trace_hop;
-      if (rec.trace_id != 0 && recorder_ != nullptr) {
-        recorder_->record({rec.trace_id, trace::Stage::kDeserialize,
-                           rec.trace_hop, self_.worker, common::NowMicros(),
-                           0});
-      }
-    }
-    ++n;
+    n += take(std::move(*p), &out, max - n);
+    // A tuple reassembled from this packet was staged; it goes next.
+    n += deliver_staged(out, max - n);
   }
   return n;
+}
+
+std::size_t TyphoonTransport::take(net::PacketPtr p,
+                                   std::vector<ReceivedItem>* out,
+                                   std::size_t budget) {
+  const net::Packet& pkt = *p;
+  // The ring's reference becomes the packet's one pin; the tuples that
+  // borrow from it share the pin without atomics.
+  const net::PacketPin pin = pins_->pin(std::move(p));
+  std::size_t n = 0;
+  depacketizer_.visit(pkt, [&](const net::ChunkHeader& h,
+                               std::span<const std::uint8_t> bytes,
+                               common::Bytes* owned) {
+    if (owned == nullptr && n < budget && staged() == 0) {
+      if (decode_into(*out, pkt.src.worker, h, bytes, &pin)) ++n;
+      return;
+    }
+    Staged& s = inbound_.emplace_back();
+    s.src = pkt.src.worker;
+    s.head = h;
+    if (owned != nullptr) {
+      s.data = std::move(*owned);
+    } else {
+      s.view = bytes;
+      s.pin = pin;
+    }
+  });
+  return n;
+}
+
+std::size_t TyphoonTransport::deliver_staged(std::vector<ReceivedItem>& out,
+                                             std::size_t budget) {
+  std::size_t n = 0;
+  while (n < budget && inbound_head_ < inbound_.size()) {
+    Staged& s = inbound_[inbound_head_++];
+    const bool ok = s.pin ? decode_into(out, s.src, s.head, s.view, &s.pin)
+                          : decode_into(out, s.src, s.head, s.data, nullptr);
+    if (ok) ++n;
+  }
+  return n;
+}
+
+bool TyphoonTransport::decode_into(std::vector<ReceivedItem>& out,
+                                   WorkerId src, const net::ChunkHeader& head,
+                                   std::span<const std::uint8_t> bytes,
+                                   const net::PacketPin* pin) {
+  ReceivedItem& item = out.emplace_back();
+  if (head.control() || head.stream_id == kControlStream) {
+    item.is_control = true;
+    item.control = std::make_shared<ControlTuple>();
+    if (!DecodeControl(bytes, *item.control)) {
+      out.pop_back();
+      return false;
+    }
+    return true;
+  }
+  item.meta.src_worker = src;
+  item.meta.stream = head.stream_id;
+  // Borrowed decode when the bytes are pinned: long string/bytes values
+  // alias the packet payload, and the item copies the pin so they stay
+  // valid through the bolt's execute(). Owning bytes are decoded by copy.
+  const bool ok =
+      pin != nullptr
+          ? DeserializeTyphoonBorrowed(bytes, item.tuple, item.meta.root_id,
+                                       item.meta.edge_id)
+          : DeserializeTyphoon(bytes, item.tuple, item.meta.root_id,
+                               item.meta.edge_id);
+  if (!ok) {
+    out.pop_back();
+    return false;
+  }
+  if (pin != nullptr && item.tuple.borrows()) item.backing = *pin;
+  item.meta.trace_id = head.trace_id;
+  item.meta.trace_hop = head.trace_hop;
+  if (head.trace_id != 0 && recorder_ != nullptr) {
+    recorder_->record({head.trace_id, trace::Stage::kDeserialize,
+                       head.trace_hop, self_.worker, common::NowMicros(), 0});
+  }
+  return true;
 }
 
 void TyphoonTransport::flush() { packetizer_.flush(); }
@@ -178,14 +214,13 @@ TransportIoStats TyphoonTransport::io_stats() const {
 }
 
 void TyphoonTransport::inject_control(const ControlTuple& ct) {
-  net::TupleRecord rec;
-  rec.src = WorkerAddress{self_.topology, kControllerWorker};
-  rec.dst = self_;
-  rec.stream_id = kControlStream;
-  rec.control = true;
-  rec.data = EncodeControl(ct);
+  Staged s;
+  s.src = kControllerWorker;
+  s.head.stream_id = kControlStream;
+  s.head.flags = net::kChunkFlagControl;
+  s.data = EncodeControl(ct);
   std::lock_guard lk(injected_mu_);
-  injected_.push_back(std::move(rec));
+  injected_.push_back(std::move(s));
   has_injected_.store(true, std::memory_order_release);
 }
 

@@ -4,7 +4,9 @@
 // (destination-independent payload) and handed to the packetizer.
 // Southbound: the packetizer multiplexes/segments/batches them into custom
 // Ethernet packets pushed into the host switch via the port's SPSC ring.
-// Receive side reverses the path: ring -> depacketizer -> deserialize.
+// Receive side reverses the path: ring -> depacketizer -> deserialize, with
+// unsegmented tuples decoded straight into the caller's items (DESIGN.md,
+// "Receive path").
 //
 // An all-grouping emission produces a single packet addressed to the
 // broadcast worker address; replication happens in the switch.
@@ -54,13 +56,45 @@ class TyphoonTransport : public Transport {
   std::shared_ptr<trace::FlightRecorder> recorder_;
   net::Packetizer packetizer_;
   net::Depacketizer depacketizer_;
-  // Tuples staged between RX-ring drain and delivery to the worker: the
-  // live records are inbound_[inbound_head_..]. Kept near the per-poll
-  // budget by poll(); only the blocked-send drain may grow it, up to
-  // kBlockedStageCap. The buffer keeps its capacity across polls, so
-  // staging allocates nothing per tuple.
+  // Pin nodes for received packets (see net::PacketPin). Declared before
+  // inbound_, so staged pins drop first; pins held in items past this
+  // transport keep the pool alive on their own.
+  net::PinPool::Owner pins_ = net::PinPool::Create();
+  // A tuple waiting in inbound_: its head, and either owning bytes
+  // (reassembled or injected) or a view into the packet `pin` holds.
+  struct Staged {
+    WorkerId src = 0;
+    net::ChunkHeader head;
+    common::Bytes data;
+    std::span<const std::uint8_t> view;
+    net::PacketPin pin;
+  };
+
+  // Pins `p` and decodes its tuples straight into `out` while `budget`
+  // lasts and nothing is staged ahead of them; the rest are staged, so
+  // FIFO order holds. Returns the number of items appended.
+  std::size_t take(net::PacketPtr p, std::vector<ReceivedItem>* out,
+                   std::size_t budget);
+  // Moves up to `budget` staged tuples, oldest first, into `out`.
+  std::size_t deliver_staged(std::vector<ReceivedItem>& out,
+                             std::size_t budget);
+  // Decodes one tuple into a new slot at the back of `out`; false (slot
+  // given back) if it does not decode. A non-null `pin` means `bytes` lie
+  // in the packet it pins: long values borrow them, and only an item that
+  // borrows copies the pin.
+  bool decode_into(std::vector<ReceivedItem>& out, WorkerId src,
+                   const net::ChunkHeader& head,
+                   std::span<const std::uint8_t> bytes,
+                   const net::PacketPin* pin);
+
+  // Tuples that could not go straight into a caller's items: the overflow
+  // tail of a poll's last packet, packets drained during a blocked send,
+  // reassembled tuples and injected control tuples. The live ones are
+  // inbound_[inbound_head_..]. Kept near the per-poll budget by poll();
+  // only the blocked-send drain may grow it, up to kBlockedStageCap. The
+  // buffer keeps its capacity across polls.
   static constexpr std::size_t kBlockedStageCap = 65536;
-  std::vector<net::TupleRecord> inbound_;
+  std::vector<Staged> inbound_;
   std::size_t inbound_head_ = 0;
   [[nodiscard]] std::size_t staged() const {
     return inbound_.size() - inbound_head_;
@@ -75,7 +109,7 @@ class TyphoonTransport : public Transport {
   // the lock when nothing was injected.
   std::mutex injected_mu_;
   std::atomic<bool> has_injected_{false};
-  std::vector<net::TupleRecord> injected_;
+  std::vector<Staged> injected_;
 };
 
 }  // namespace typhoon::stream

@@ -15,57 +15,63 @@ enum class ValueTag : std::uint8_t {
   kBool = 5,
 };
 
-// Shared decode loop; `Borrow` selects owned vs view storage for
-// string/bytes values.
+// Shared decode loop over a byte span; `Borrow` selects owned vs view
+// storage for long string/bytes values. Each Value is constructed in its
+// tuple slot, and each field pays one bounds check for its fixed part (plus
+// one for a string/bytes body).
+template <typename T>
+T Load(const std::uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 template <bool Borrow>
-bool DecodeBodyImpl(common::BufReader& r, Tuple& t) {
-  std::uint16_t n = 0;
-  if (!r.u16(n)) return false;
+bool DecodeBody(std::span<const std::uint8_t> in, Tuple& t) {
+  const std::uint8_t* p = in.data();
+  const std::uint8_t* const end = p + in.size();
+  if (end - p < 2) return false;
+  const auto n = Load<std::uint16_t>(p);
+  p += 2;
   t.clear();
   t.reserve(n);
+  Tuple::Values& vals = t.values();
   for (std::uint16_t i = 0; i < n; ++i) {
-    std::uint8_t tag = 0;
-    if (!r.u8(tag)) return false;
-    switch (static_cast<ValueTag>(tag)) {
-      case ValueTag::kI64: {
-        std::int64_t v = 0;
-        if (!r.i64(v)) return false;
-        t.push(v);
+    if (p == end) return false;
+    const auto tag = static_cast<ValueTag>(*p++);
+    const std::ptrdiff_t left = end - p;
+    switch (tag) {
+      case ValueTag::kI64:
+        if (left < 8) return false;
+        vals.emplace_back(Load<std::int64_t>(p));
+        p += 8;
         break;
-      }
-      case ValueTag::kF64: {
-        double v = 0;
-        if (!r.f64(v)) return false;
-        t.push(v);
+      case ValueTag::kF64:
+        if (left < 8) return false;
+        vals.emplace_back(Load<double>(p));
+        p += 8;
         break;
-      }
-      case ValueTag::kStr: {
-        std::string_view v;
-        if (!r.str_view(v)) return false;
-        if constexpr (Borrow) {
-          // Short strings fit inline anyway; only long ones truly borrow.
-          t.push(v.size() <= Value::kInlineCap ? Value(v)
-                                               : Value::borrowed_str(v));
-        } else {
-          t.push(Value(v));
-        }
+      case ValueTag::kBool:
+        if (left < 1) return false;
+        vals.emplace_back(*p != 0);
+        p += 1;
         break;
-      }
+      case ValueTag::kStr:
       case ValueTag::kBytes: {
-        std::span<const std::uint8_t> v;
-        if (!r.bytes_view(v)) return false;
-        if constexpr (Borrow) {
-          t.push(v.size() <= Value::kInlineCap ? Value(v)
-                                               : Value::borrowed_bytes(v));
+        if (left < 4) return false;
+        const auto len = Load<std::uint32_t>(p);
+        p += 4;
+        if (static_cast<std::size_t>(end - p) < len) return false;
+        const std::span<const std::uint8_t> body(p, len);
+        p += len;
+        const Value::Kind kind = tag == ValueTag::kStr ? Value::Kind::kStr
+                                                       : Value::Kind::kBytes;
+        // Short values fit inline anyway; only long ones truly borrow.
+        if (Borrow && len > Value::kInlineCap) {
+          vals.emplace_back(Value::Borrow{}, kind, body);
         } else {
-          t.push(Value(v));
+          vals.emplace_back(kind, body);
         }
-        break;
-      }
-      case ValueTag::kBool: {
-        std::uint8_t v = 0;
-        if (!r.u8(v)) return false;
-        t.push(v != 0);
         break;
       }
       default:
@@ -73,6 +79,15 @@ bool DecodeBodyImpl(common::BufReader& r, Tuple& t) {
     }
   }
   return true;
+}
+
+template <bool Borrow>
+bool DeserializeTyphoonImpl(std::span<const std::uint8_t> data, Tuple& t,
+                            std::uint64_t& root_id, std::uint64_t& edge_id) {
+  if (data.size() < 16) return false;
+  root_id = Load<std::uint64_t>(data.data());
+  edge_id = Load<std::uint64_t>(data.data() + 8);
+  return DecodeBody<Borrow>(data.subspan(16), t);
 }
 }  // namespace
 
@@ -164,14 +179,6 @@ void EncodeTupleBody(const Tuple& t, common::BufWriter& w) {
   }
 }
 
-bool DecodeTupleBody(common::BufReader& r, Tuple& t) {
-  return DecodeBodyImpl<false>(r, t);
-}
-
-bool DecodeTupleBodyBorrowed(common::BufReader& r, Tuple& t) {
-  return DecodeBodyImpl<true>(r, t);
-}
-
 common::Bytes SerializeTyphoon(const Tuple& t, std::uint64_t root_id,
                                std::uint64_t edge_id) {
   common::Bytes out;
@@ -190,15 +197,13 @@ void SerializeTyphoonInto(const Tuple& t, std::uint64_t root_id,
 
 bool DeserializeTyphoon(std::span<const std::uint8_t> data, Tuple& t,
                         std::uint64_t& root_id, std::uint64_t& edge_id) {
-  common::BufReader r(data);
-  return r.u64(root_id) && r.u64(edge_id) && DecodeTupleBody(r, t);
+  return DeserializeTyphoonImpl<false>(data, t, root_id, edge_id);
 }
 
 bool DeserializeTyphoonBorrowed(std::span<const std::uint8_t> data, Tuple& t,
                                 std::uint64_t& root_id,
                                 std::uint64_t& edge_id) {
-  common::BufReader r(data);
-  return r.u64(root_id) && r.u64(edge_id) && DecodeTupleBodyBorrowed(r, t);
+  return DeserializeTyphoonImpl<true>(data, t, root_id, edge_id);
 }
 
 common::Bytes SerializeStorm(const Tuple& t, const StormEnvelope& env) {
@@ -215,9 +220,10 @@ common::Bytes SerializeStorm(const Tuple& t, const StormEnvelope& env) {
 
 bool DeserializeStorm(std::span<const std::uint8_t> data, StormEnvelope& env) {
   common::BufReader r(data);
+  std::span<const std::uint8_t> body;
   return r.u64(env.src) && r.u64(env.dst) && r.u16(env.stream) &&
          r.u64(env.root_id) && r.u64(env.edge_id) &&
-         DecodeTupleBody(r, env.tuple);
+         r.view(r.remaining(), body) && DecodeBody<false>(body, env.tuple);
 }
 
 }  // namespace typhoon::stream

@@ -15,7 +15,7 @@
 // receive path can decode without heap traffic: short strings/byte blobs
 // (≤ kInlineCap) live inline in the Value, longer ones either own a heap
 // block or — in borrowed mode — alias the packet payload they were decoded
-// from (the caller pins the packet via a PacketPtr keepalive). Copying a
+// from (the caller pins the packet via a PacketPin keepalive). Copying a
 // Value always materializes borrowed data into owned storage, so any tuple
 // a bolt stores past the execute() call is self-contained. Tuple keeps its
 // first 4 values inline (SmallVector), so a typical word-count tuple is
@@ -57,18 +57,12 @@ class Value {
       : Value(std::span<const std::uint8_t>(b)) {}
   Value(std::span<const std::uint8_t> b) { set_owned(Kind::kBytes, b); }
 
-  // Zero-copy constructors: the Value aliases `s` and is valid only while
-  // the backing buffer outlives it. Copying materializes to owned storage.
-  static Value borrowed_str(std::string_view s) {
-    Value v;
-    v.set_view(Kind::kStr, AsBytes(s));
-    return v;
-  }
-  static Value borrowed_bytes(std::span<const std::uint8_t> s) {
-    Value v;
-    v.set_view(Kind::kBytes, s);
-    return v;
-  }
+  // A string or bytes value of kind `k`, built in place by the decoder.
+  Value(Kind k, std::span<const std::uint8_t> s) { set_owned(k, s); }
+  // Zero-copy variant: the Value aliases `s` and is valid only while the
+  // backing buffer outlives it. Copying materializes to owned storage.
+  struct Borrow {};
+  Value(Borrow, Kind k, std::span<const std::uint8_t> s) { set_view(k, s); }
 
   Value(const Value& o) { copy_from(o); }
   Value(Value&& o) noexcept { steal_from(o); }
@@ -320,11 +314,6 @@ inline constexpr StreamId kDefaultStream = 1;
 
 // ---- value / tuple body codec (shared by both envelopes) ----
 void EncodeTupleBody(const Tuple& t, common::BufWriter& w);
-bool DecodeTupleBody(common::BufReader& r, Tuple& t);
-// Zero-copy decode: string/bytes values longer than Value::kInlineCap alias
-// the reader's backing buffer instead of copying. The caller must keep that
-// buffer alive for the tuple's lifetime (PacketPtr keepalive).
-bool DecodeTupleBodyBorrowed(common::BufReader& r, Tuple& t);
 
 // ---- Typhoon envelope: [root u64][edge u64][body] ----
 common::Bytes SerializeTyphoon(const Tuple& t, std::uint64_t root_id,
@@ -336,8 +325,9 @@ void SerializeTyphoonInto(const Tuple& t, std::uint64_t root_id,
                           std::uint64_t edge_id, common::Bytes& out);
 bool DeserializeTyphoon(std::span<const std::uint8_t> data, Tuple& t,
                         std::uint64_t& root_id, std::uint64_t& edge_id);
-// Borrowed-decode variant of DeserializeTyphoon (see DecodeTupleBodyBorrowed
-// for the lifetime contract).
+// Zero-copy variant of DeserializeTyphoon: string/bytes values longer than
+// Value::kInlineCap alias `data` instead of copying. The caller must keep
+// that buffer alive for the tuple's lifetime (a PacketPin keepalive).
 bool DeserializeTyphoonBorrowed(std::span<const std::uint8_t> data, Tuple& t,
                                 std::uint64_t& root_id,
                                 std::uint64_t& edge_id);

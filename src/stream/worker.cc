@@ -267,7 +267,7 @@ void Worker::flush_acks() {
 
 void Worker::handle_item(ReceivedItem& item) {
   if (item.is_control) {
-    handle_control(item.control);
+    handle_control(*item.control);
     return;
   }
   if (const std::int64_t slow = fault_slow_us_.load(std::memory_order_relaxed);

@@ -1,6 +1,7 @@
 #include "typhoon/host_process.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "openflow/wire.h"
 #include "typhoon/proc_apps.h"
@@ -10,6 +11,50 @@ namespace {
 
 // How long a starting host keeps redialing the parent's control listener.
 constexpr std::chrono::milliseconds kDialDeadline{10000};
+
+// One budget for a child's whole handshake (dial, hello, configure,
+// peers), so the parent's kParentBootstrapWait really outlasts it. When a
+// step fails, stderr names it and when the step before it finished, so a
+// failed `ProcessCluster::start()` says where the handshake stopped.
+class BootstrapBudget {
+ public:
+  explicit BootstrapBudget(HostId host) : host_(host) {}
+
+  [[nodiscard]] std::chrono::steady_clock::time_point deadline() const {
+    return start_ + kChildBootstrapTimeout;
+  }
+  // What is left of the budget (zero once spent).
+  [[nodiscard]] std::chrono::milliseconds remaining() const {
+    return std::max(std::chrono::milliseconds(0),
+                    std::chrono::duration_cast<std::chrono::milliseconds>(
+                        deadline() - std::chrono::steady_clock::now()));
+  }
+  void done(const char* step) {
+    last_step_ = step;
+    last_ms_ = elapsed_ms();
+  }
+  void stopped(const char* step, const std::string& why = "timed out") const {
+    std::fprintf(stderr,
+                 "typhoon_hostd h%u: bootstrap stopped at step '%s' (%s) "
+                 "after %lld of %lld ms ('%s' done at %lld ms)\n",
+                 static_cast<unsigned>(host_), step, why.c_str(), elapsed_ms(),
+                 static_cast<long long>(kChildBootstrapTimeout.count()),
+                 last_step_, last_ms_);
+  }
+
+ private:
+  [[nodiscard]] long long elapsed_ms() const {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+  }
+
+  HostId host_;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+  const char* last_step_ = "start";
+  long long last_ms_ = 0;
+};
 
 }  // namespace
 
@@ -216,8 +261,13 @@ void HostProcess::apply_peer_update(const PeersMsg& peers) {
 }
 
 int HostProcess::run() {
+  BootstrapBudget budget(opts_.host);
   channel_ = CtlChannel::Dial(opts_.ctl_host, opts_.ctl_port, kDialDeadline);
-  if (!channel_) return 1;
+  if (!channel_) {
+    budget.stopped("dial", "parent's control listener unreachable");
+    return 1;
+  }
+  budget.done("dial");
   coord_ = std::make_unique<RemoteCoordinator>(channel_.get());
 
   // Catalog watch before anything can apply: snapshot entries under
@@ -263,18 +313,30 @@ int HostProcess::run() {
     common::BufWriter w(hello);
     WriteHello(w, {opts_.host});
   }
-  auto hr = channel_->call(kHello, hello, kChildBootstrapTimeout);
-  if (!hr.ok()) return 2;
+  auto hr = channel_->call(kHello, hello, budget.remaining());
+  // The reply carries the parent's verdict (e.g. an unknown host).
+  common::Status hello_st = hr.status();
+  if (hr.ok()) {
+    common::BufReader r(hr.value());
+    if (!ReadStatus(r, hello_st)) hello_st = common::Internal("bad hello reply");
+  }
+  if (!hello_st.ok()) {
+    budget.stopped("hello", hello_st.str());
+    return 2;
+  }
+  budget.done("hello");
 
   // Configure.
   {
     std::unique_lock lk(state_mu_);
-    if (!state_cv_.wait_for(lk, kChildBootstrapTimeout,
-                            [&] { return have_configure_ || shutdown_.load(); }) ||
-        shutdown_.load()) {
+    if (!state_cv_.wait_until(lk, budget.deadline(),
+                              [&] { return have_configure_ || shutdown_.load(); })) {
+      budget.stopped("configure");
       return 3;
     }
+    if (shutdown_.load()) return 3;
   }
+  budget.done("configure");
 
   switchd::SoftSwitchConfig scfg;
   scfg.host = opts_.host;
@@ -305,11 +367,12 @@ int HostProcess::run() {
   PeersMsg peers;
   {
     std::unique_lock lk(state_mu_);
-    if (!state_cv_.wait_for(lk, kChildBootstrapTimeout,
-                            [&] { return have_peers_ || shutdown_.load(); }) ||
-        shutdown_.load()) {
+    if (!state_cv_.wait_until(lk, budget.deadline(),
+                              [&] { return have_peers_ || shutdown_.load(); })) {
+      budget.stopped("peers");
       return 6;
     }
+    if (shutdown_.load()) return 6;
     peers = peers_;
   }
   if (!connect_tunnels(peers)) return 7;

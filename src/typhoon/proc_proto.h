@@ -67,10 +67,10 @@ enum MsgType : std::uint8_t {
   kSwEvent = 43,             // one-way: child -> parent
 };
 
-// Bootstrap waits. The parent's wait for a host to report listening/ready
-// outlasts the child's wait for any one bootstrap step, so a child that
-// gives up exits with its own failure code before the parent declares it
-// lost.
+// Bootstrap waits. A child gets one kChildBootstrapTimeout budget for its
+// whole handshake (dial, hello, configure, peers); the parent's wait for a
+// host to report ready outlasts it, so a child that gives up exits with its
+// own failure code, naming the step, before the parent declares it lost.
 inline constexpr std::chrono::milliseconds kParentBootstrapWait{20000};
 inline constexpr std::chrono::milliseconds kChildBootstrapTimeout{15000};
 static_assert(kParentBootstrapWait > kChildBootstrapTimeout);

@@ -112,6 +112,10 @@ common::Status ProcessCluster::spawn_host(HostId host) {
   }
   const std::string host_arg = "--host=" + std::to_string(host);
   const std::string port_arg = "--ctl-port=" + std::to_string(ctl_port_);
+  // Hold hosts_mu_ across the fork: a child that says hello before this
+  // thread runs again must find its record, not "unknown host". The child
+  // only execs, so it never touches the copied lock.
+  std::lock_guard lk(hosts_mu_);
   const pid_t pid = ::fork();
   if (pid < 0) {
     return common::Internal("fork failed: " + std::string(strerror(errno)));
@@ -125,7 +129,6 @@ common::Status ProcessCluster::spawn_host(HostId host) {
     _exit(127);
   }
   ::setpgid(pid, pid);  // also from the parent: close the fork/exec race
-  std::lock_guard lk(hosts_mu_);
   HostProc& hp = procs_[host];
   hp.id = host;
   hp.pid = pid;
@@ -199,9 +202,15 @@ void ProcessCluster::accept_loop() {
     channel->set_on_close([this, ctx] {
       if (ctx->host != 0) on_channel_down(ctx->host);
     });
-    channel->start();
-    std::lock_guard lk(hosts_mu_);
-    pending_channels_.emplace_back(ctx, std::move(channel));
+    // Register before start(): the child's hello, handled on the reader
+    // thread, claims the channel from pending_channels_. A hello that ran
+    // first left the host without a channel, so it never got kPeers.
+    CtlChannel* raw = channel.get();
+    {
+      std::lock_guard lk(hosts_mu_);
+      pending_channels_.emplace_back(ctx, std::move(channel));
+    }
+    raw->start();
   }
 }
 

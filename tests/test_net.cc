@@ -1068,7 +1068,9 @@ void ExpectEverySingleByteFlipDropped(TunnelEndpoint& tx, TunnelEndpoint& rx,
     bad[off] ^= static_cast<std::uint8_t>(off % 255 + 1);  // never zero
     ASSERT_TRUE(WireAccess::push(tx, std::move(bad)));
     // Drain in rounds that fit the smallest (shm) ring.
-    if (++injected % 32 == 0) ASSERT_TRUE(drain_until(injected));
+    if (++injected % 32 == 0) {
+      ASSERT_TRUE(drain_until(injected));
+    }
   }
   ASSERT_TRUE(drain_until(injected));
   EXPECT_EQ(rx.rx_corrupt_drops() - drops_before, wire->size());

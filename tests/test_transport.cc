@@ -187,8 +187,8 @@ TEST_F(TyphoonTransportTest, InjectedControlTupleDecodes) {
   t1->poll(got, 8);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_TRUE(got[0].is_control);
-  EXPECT_EQ(got[0].control.type, ControlType::kBatchSize);
-  EXPECT_EQ(got[0].control.batch_size, 77u);
+  EXPECT_EQ(got[0].control->type, ControlType::kBatchSize);
+  EXPECT_EQ(got[0].control->batch_size, 77u);
 }
 
 TEST_F(TyphoonTransportTest, MultipleDestinationsReuseSerializedBytes) {
@@ -204,6 +204,90 @@ TEST_F(TyphoonTransportTest, MultipleDestinationsReuseSerializedBytes) {
   std::vector<ReceivedItem> g3;
   EXPECT_EQ(PollUntil(*t2, g2, 1), 1u);
   EXPECT_EQ(PollUntil(*t3, g3, 1), 1u);
+}
+
+// A packet holding more tuples than the poll budget: the tail arrives on
+// the following polls in wire order, an injected control tuple queues
+// behind it, and the next packet follows the control tuple.
+TEST_F(TyphoonTransportTest, PacketTailBeyondBudgetKeepsFifoOrder) {
+  auto t1 = MakeTransport(1, /*batch=*/10);
+  auto t2 = MakeTransport(2);
+  Wire(1, 2);
+  for (int i = 0; i < 10; ++i) {  // exactly one packet
+    t1->send(Tuple{std::int64_t{i}}, kDefaultStream, 0, 0, kToW2, false);
+  }
+  std::vector<ReceivedItem> got;
+  ASSERT_TRUE(WaitFor([&] { return t2->poll(got, 4) != 0; }, 2s));
+  ASSERT_EQ(got.size(), 4u);  // budget 4; six tuples staged
+
+  ControlTuple ct;
+  ct.type = ControlType::kBatchSize;
+  ct.batch_size = 5;
+  t2->inject_control(ct);
+  for (int i = 10; i < 15; ++i) {
+    t1->send(Tuple{std::int64_t{i}}, kDefaultStream, 0, 0, kToW2, false);
+  }
+  t1->flush();
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        EXPECT_LE(t2->poll(got, 4), 4u);
+        return got.size() >= 16;
+      },
+      2s));
+  ASSERT_EQ(got.size(), 16u);
+  std::vector<std::int64_t> order;
+  for (const ReceivedItem& item : got) {
+    order.push_back(item.is_control ? -1 : item.tuple.i64(0));
+  }
+  EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                              -1, 10, 11, 12, 13, 14}));
+  EXPECT_EQ(got[10].control->batch_size, 5u);
+}
+
+// Packets a transport drains from its RX ring while its own send is
+// blocked on a full TX ring are staged, then delivered in FIFO order.
+TEST(TyphoonTransportBlockedSend, DrainedRecordsArriveInFifoOrder) {
+  switchd::SoftSwitchConfig cfg;
+  cfg.host = 1;
+  cfg.ring_capacity = 16;
+  switchd::SoftSwitch sw(cfg);
+  sw.start();
+  auto port_a = sw.attach_port(101);
+  auto port_b = sw.attach_port(102);
+  net::PacketizerConfig pcfg;
+  pcfg.batch_tuples = 4;
+  TyphoonTransport a(WorkerAddress{kTopo, 1}, port_a, pcfg);
+  TyphoonTransport b(WorkerAddress{kTopo, 2}, port_b, pcfg);
+  FlowRule r;
+  r.match.in_port = 102;
+  r.match.dl_src = A(2);
+  r.match.dl_dst = A(1);
+  r.match.ether_type = net::kTyphoonEtherType;
+  r.actions = {ActionOutput{static_cast<PortId>(101)}};
+  sw.handle_flow_mod({FlowModCommand::kAdd, r});
+
+  // b -> a: 20 tuples in five packets, parked in a's RX ring.
+  constexpr WorkerId kToW1[] = {1};
+  for (int i = 0; i < 20; ++i) {
+    b.send(Tuple{std::int64_t{i}}, kDefaultStream, 0, 0, kToW1, false);
+  }
+  ASSERT_TRUE(WaitFor([&] { return port_a->rx_queue_depth() == 5; }, 2s));
+  // With the switch stopped, a's TX ring fills and its next send blocks;
+  // while blocked it drains its RX ring into staging, then gives up.
+  sw.stop();
+  a.set_batch_size(1);
+  for (int i = 0; i < 64 && a.send_drops() == 0; ++i) {
+    a.send(Tuple{std::int64_t{-1}}, kDefaultStream, 0, 0, kToW2, false);
+  }
+  ASSERT_EQ(a.send_drops(), 1u);
+  EXPECT_EQ(port_a->rx_queue_depth(), 0u);
+  EXPECT_EQ(a.input_queue_depth(), 20u);
+
+  std::vector<ReceivedItem> got;
+  while (a.poll(got, 7) != 0) {
+  }
+  ASSERT_EQ(got.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(got[i].tuple.i64(0), i);
 }
 
 // ---- Storm baseline ----

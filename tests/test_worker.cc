@@ -417,7 +417,7 @@ ReceivedItem DataItem(std::int64_t seq) {
 ReceivedItem ControlItem(ControlTuple ct) {
   ReceivedItem item;
   item.is_control = true;
-  item.control = std::move(ct);
+  item.control = std::make_shared<ControlTuple>(std::move(ct));
   return item;
 }
 

@@ -12,6 +12,7 @@
 //    live Workers) is amortized allocation-free too (< 1 per tuple).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <deque>
@@ -368,6 +369,167 @@ TEST(ZeroCopy, BorrowedTuplesSurvivePoolRecycling) {
   sw.stop();
 }
 
+// Tuples polled from one packet share one reference to it: the ring's
+// reference becomes the packet's single pin, and each borrowing tuple copies
+// the pin, not the PacketPtr.
+TEST(ZeroCopy, HeldTuplesShareOnePacketReference) {
+  switchd::SoftSwitchConfig scfg;
+  scfg.host = 1;
+  switchd::SoftSwitch sw(scfg);
+  sw.start();
+  auto port1 = sw.attach_port(101);
+  auto port2 = sw.attach_port(102);
+  TyphoonTransport t2(WorkerAddress{kTopo, 2}, port2, net::PacketizerConfig{});
+  FlowRule r;
+  r.match.in_port = 101;
+  r.match.dl_src = A(1);
+  r.match.dl_dst = A(2);
+  r.match.ether_type = net::kTyphoonEtherType;
+  r.actions = {ActionOutput{static_cast<PortId>(102)}};
+  sw.handle_flow_mod({FlowModCommand::kAdd, r});
+
+  // One packet of 64 tuples, each with a 40-byte string (longer than
+  // Value::kInlineCap, so every decoded tuple borrows).
+  constexpr int kTuples = 64;
+  std::vector<net::PacketPtr> wire;
+  net::PacketizerConfig pcfg;
+  pcfg.batch_tuples = kTuples;
+  net::Packetizer pz(WorkerAddress{kTopo, 1}, pcfg,
+                     [&](net::PacketPtr p) { wire.push_back(std::move(p)); });
+  for (int i = 0; i < kTuples; ++i) {
+    net::TupleRecord rec;
+    rec.dst = WorkerAddress{kTopo, 2};
+    rec.stream_id = kDefaultStream;
+    SerializeTyphoonInto(Tuple{std::string(40, static_cast<char>('a' + i % 26))},
+                         static_cast<std::uint64_t>(i), 0, rec.data);
+    pz.add(rec);
+  }
+  ASSERT_EQ(wire.size(), 1u);
+  const net::PacketPtr pkt = std::move(wire[0]);  // the test's one handle
+  wire.clear();
+  ASSERT_TRUE(port1->send(pkt));
+
+  std::vector<ReceivedItem> held;
+  const auto deadline = common::Now() + 2s;
+  while (held.size() < kTuples && common::Now() < deadline) {
+    t2.poll(held, kTuples);
+    std::this_thread::sleep_for(100us);
+  }
+  ASSERT_EQ(held.size(), std::size_t{kTuples});
+  for (const ReceivedItem& item : held) ASSERT_TRUE(item.tuple.borrows());
+  // The switch lets go of its copies right after forwarding.
+  const auto settle = common::Now() + 2s;
+  while (pkt.use_count() > 2 && common::Now() < settle) {
+    std::this_thread::sleep_for(100us);
+  }
+  EXPECT_EQ(pkt.use_count(), 2u) << "the test's handle plus one pin";
+  held.clear();
+  EXPECT_EQ(pkt.use_count(), 1u);
+  sw.stop();
+}
+
+// Held items keep their borrowed bytes valid after the transport, its pin
+// pool, the switch and the sender's packet pool are all gone.
+TEST(ZeroCopy, BorrowedItemsOutliveTheirTransport) {
+  std::vector<ReceivedItem> held;  // outlives everything below
+  {
+    switchd::SoftSwitchConfig scfg;
+    scfg.host = 1;
+    switchd::SoftSwitch sw(scfg);
+    sw.start();
+    auto port1 = sw.attach_port(101);
+    auto port2 = sw.attach_port(102);
+    net::PacketizerConfig pcfg;
+    pcfg.batch_tuples = 4;
+    TyphoonTransport t1(WorkerAddress{kTopo, 1}, port1, pcfg);
+    TyphoonTransport t2(WorkerAddress{kTopo, 2}, port2, pcfg);
+    FlowRule r;
+    r.match.in_port = 101;
+    r.match.dl_src = A(1);
+    r.match.dl_dst = A(2);
+    r.match.ether_type = net::kTyphoonEtherType;
+    r.actions = {ActionOutput{static_cast<PortId>(102)}};
+    sw.handle_flow_mod({FlowModCommand::kAdd, r});
+    for (int i = 0; i < 8; ++i) {
+      t1.send(Tuple{std::string(40, static_cast<char>('a' + i))},
+              kDefaultStream, 0, 0, kToW2, false);
+    }
+    t1.flush();
+    const auto deadline = common::Now() + 2s;
+    while (held.size() < 8 && common::Now() < deadline) {
+      t2.poll(held, 64);
+      std::this_thread::sleep_for(100us);
+    }
+    sw.stop();
+  }
+  ASSERT_EQ(held.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(held[i].backing);
+    EXPECT_EQ(held[i].tuple.str(0),
+              std::string(40, static_cast<char>('a' + i)));
+  }
+  held.clear();  // the last pins free the orphaned pin pool
+}
+
+// ---- packet pin -----------------------------------------------------------
+
+TEST(PacketPin, CopyMoveAndReleaseShareOneReference) {
+  net::PinPool::Owner pins = net::PinPool::Create();
+  net::PacketPtr mine = net::MakePacket(net::Packet{});
+  net::PacketPin a = pins->pin(mine);
+  EXPECT_EQ(a.get(), mine.get());
+  EXPECT_EQ(mine.use_count(), 2u);
+  EXPECT_EQ(a.use_count(), 1u);
+  {
+    net::PacketPin b = a;  // copy: the pin's count, not the packet's
+    EXPECT_EQ(a.use_count(), 2u);
+    EXPECT_EQ(mine.use_count(), 2u);
+    net::PacketPin c = std::move(b);
+    EXPECT_FALSE(b);
+    EXPECT_EQ(c.use_count(), 2u);
+  }
+  EXPECT_EQ(a.use_count(), 1u);
+  net::PacketPin d;
+  d = a;
+  EXPECT_EQ(a.use_count(), 2u);
+  d = std::move(a);
+  EXPECT_FALSE(a);
+  EXPECT_EQ(d.use_count(), 1u);
+  EXPECT_EQ(pins->outstanding(), 1u);
+  d.reset();  // last pin: the packet reference goes, the node is kept
+  EXPECT_FALSE(d);
+  EXPECT_EQ(mine.use_count(), 1u);
+  EXPECT_EQ(pins->outstanding(), 0u);
+  EXPECT_EQ(pins->free_size(), 1u);
+}
+
+TEST(PacketPin, NodesRecycleWithoutAllocationOnceWarm) {
+  constexpr std::size_t kHeld = 8;
+  net::PinPool::Owner pins = net::PinPool::Create();
+  std::array<net::PacketPtr, kHeld> packets;
+  for (auto& p : packets) p = net::MakePacket(net::Packet{});
+  std::array<net::PacketPin, kHeld> held;
+  for (std::size_t i = 0; i < kHeld; ++i) held[i] = pins->pin(packets[i]);
+  for (auto& pin : held) pin.reset();  // warm: kHeld nodes on the freelist
+  ASSERT_EQ(pins->allocated(), kHeld);
+
+  std::array<net::PacketPin, kHeld> copies;
+  const std::uint64_t before = g_heap_allocs.load();
+  for (int round = 0; round < 100; ++round) {
+    for (std::size_t i = 0; i < kHeld; ++i) {
+      held[i] = pins->pin(packets[i]);
+      copies[i] = held[i];
+    }
+    for (std::size_t i = 0; i < kHeld; ++i) {
+      held[i].reset();
+      copies[i].reset();
+    }
+  }
+  EXPECT_EQ(g_heap_allocs.load() - before, 0u);
+  EXPECT_EQ(pins->allocated(), kHeld);
+  for (const auto& p : packets) EXPECT_EQ(p.use_count(), 1u);
+}
+
 // ---- packetizer <-> depacketizer property test ----------------------------
 
 struct ExpectRec {
@@ -393,8 +555,7 @@ TEST(ZeroCopy, PacketizerDepacketizerPropertyRoundTrip) {
   std::vector<ExpectRec> got;
   net::Depacketizer dz([&](net::TupleRecord rec) {
     ExpectRec e;
-    const auto pl = rec.payload();
-    e.data.assign(pl.begin(), pl.end());
+    e.data = std::move(rec.data);
     e.stream_id = rec.stream_id;
     e.control = rec.control;
     e.trace_id = rec.trace_id;
@@ -434,7 +595,7 @@ TEST(ZeroCopy, PacketizerDepacketizerPropertyRoundTrip) {
       pz.add(rec);
     }
     pz.flush();
-    for (const auto& p : wire) ASSERT_TRUE(dz.consume(p));
+    for (const auto& p : wire) ASSERT_TRUE(dz.consume(*p));
     wire.clear();  // drops the last refs -> frames return to the pool
 
     ASSERT_EQ(got.size(), sent.size()) << "round " << round;
@@ -474,7 +635,9 @@ TEST(ZeroCopy, ReassemblyStateStaysBoundedUnderLoss) {
   net::Packetizer pz(WorkerAddress{kTopo, 1}, cfg, [&](net::PacketPtr p) {
     // The deterministic loss schedule sits between packetizer and
     // depacketizer, exactly where an impaired tunnel would drop frames.
-    if (!imp.next().drop) ASSERT_TRUE(dz.consume(p));
+    if (!imp.next().drop) {
+      ASSERT_TRUE(dz.consume(*p));
+    }
   });
 
   std::mt19937_64 rng(7);
