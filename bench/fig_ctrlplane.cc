@@ -103,12 +103,8 @@ Row MeasurePoint(int workers, int iters) {
   // ---- delta path: diff against cached state, apply only the changes ----
   {
     RuleCompiler c;
-    const RulesByHost deployed = c.compile_full(spec_n, phys_n);
-    {
-      RuleCompiler probe;
-      probe.compile_full(spec_n, phys_n);
-      row.delta_rules = probe.compile_delta(spec_n1, phys_n1).total();
-    }
+    const RulesByHost deployed = c.compile_delta(spec_n, phys_n).adds;
+    row.delta_rules = c.compile_delta(spec_n1, phys_n1).total();
     std::map<HostId, openflow::FlowTable> tables;
     for (const auto& [h, rs] : deployed) {
       for (const auto& r : rs) tables[h].add(r);
@@ -116,7 +112,7 @@ Row MeasurePoint(int workers, int iters) {
     const common::TimePoint t0 = common::Now();
     for (int i = 0; i < iters; ++i) {
       RuleCompiler fresh;
-      fresh.compile_full(spec_n, phys_n);
+      fresh.compile_delta(spec_n, phys_n);
       const RuleDelta d = fresh.compile_delta(spec_n1, phys_n1);
       for (const auto* part : {&d.adds, &d.mods}) {
         for (const auto& [h, rs] : *part) {
@@ -127,15 +123,15 @@ Row MeasurePoint(int workers, int iters) {
         for (const auto& r : rs) tables[h].erase(r.match, r.cookie);
       }
     }
-    // Delta timing includes the cache seed (compile_full) so the full and
-    // delta columns both pay one fresh compile; the difference isolates
-    // diff+apply vs reinstall-the-world. Report it net of the seed by
-    // measuring the seed alone and subtracting.
+    // Delta timing includes the cache seed (a first compile_delta) so the
+    // full and delta columns both pay one fresh compile; the difference
+    // isolates diff+apply vs reinstall-the-world. Report it net of the seed
+    // by measuring the seed alone and subtracting.
     const double with_seed_us = common::SecondsSince(t0) * 1e6 / iters;
     const common::TimePoint s0 = common::Now();
     for (int i = 0; i < iters; ++i) {
       RuleCompiler seed_only;
-      seed_only.compile_full(spec_n, phys_n);
+      seed_only.compile_delta(spec_n, phys_n);
     }
     const double seed_us = common::SecondsSince(s0) * 1e6 / iters;
     row.delta_us = with_seed_us - seed_us;

@@ -18,9 +18,14 @@ Prints the field count and the never-set fields per struct, then the
 totals. Exits 1 when some field is never set: a value no caller changes
 belongs in a named constant next to the code that reads it.
 
-Matching is by field name, not by type: `.ring_capacity = 64` counts for
-every audited struct with a `ring_capacity` member, so a name shared
-across structs can hide a never-set field.
+Matching is by field name, not by type. A name that only one audited
+struct has is credited to that struct. A setter of a name that several
+structs share (`enable_failure_detector` in ClusterConfig, ManagerOptions
+and ProcessClusterConfig) is credited only to those of them that the
+setter's file names, and to just one of them when the file declares the
+receiver with that struct's type (`ManagerOptions mopts;` ...
+`mopts.enable_failure_detector = cfg_.enable_failure_detector`), so one
+struct's setters cannot hide another's never-set twin.
 
 Usage: python3 scripts/knob_audit.py [--root DIR] [--verbose]
 """
@@ -97,25 +102,41 @@ def audited_structs(root):
     return structs
 
 
-def setters(root, names):
-    """Returns {field: (direct setter count, [pass-through source names])}."""
-    sources = []
+def setters(root, structs):
+    """Returns {(struct, field): [direct setter count, [(struct, field)
+    pass-through sources]]}."""
+    owners = {}
+    for sname, (_, fields) in structs.items():
+        for f in fields:
+            owners.setdefault(f, []).append(sname)
+    out = {(s, f): [0, []] for f, ss in owners.items() for s in ss}
     for d in SCAN_DIRS:
         for path in sorted((root / d).rglob("*")):
-            if path.suffix in SUFFIXES:
-                sources.append(strip_comments(path.read_text(errors="replace")))
-    text = "\n".join(sources)
-    out = {}
-    for name in names:
-        direct, through = 0, []
-        for m in re.finditer(r"(?:\.|->)\s*" + name + SET_TAIL, text):
-            rhs = CAST_RE.sub("", (m.group(1) or "").strip()).rstrip(")")
-            src = re.fullmatch(r"\w+(?:(?:\.|->)\w+)*(?:\.|->)(\w+)", rhs)
-            if src and src.group(1) in names:
-                through.append(src.group(1))
-            else:
-                direct += 1
-        out[name] = (direct, through)
+            if path.suffix not in SUFFIXES:
+                continue
+            text = strip_comments(path.read_text(errors="replace"))
+            named = {s for s in structs if re.search(r"\b" + s + r"\b", text)}
+
+            def credited(field, recv=None):
+                ss = owners[field]
+                if len(ss) == 1:
+                    return ss
+                declared = [s for s in ss if recv and re.search(
+                    r"\b" + s + r"\s*[&*]?\s*\b" + recv + r"\b", text)]
+                return declared or [s for s in ss if s in named]
+
+            for name in owners:
+                for m in re.finditer(r"(?:(\w+)\s*)?(?:\.|->)\s*" + name +
+                                     SET_TAIL, text):
+                    rhs = CAST_RE.sub("", (m.group(2) or "").strip()).rstrip(")")
+                    src = re.fullmatch(r"\w+(?:(?:\.|->)\w+)*(?:\.|->)(\w+)",
+                                       rhs)
+                    for target in credited(name, m.group(1)):
+                        if src and src.group(1) in owners:
+                            out[(target, name)][1] += [
+                                (s, src.group(1)) for s in owners[src.group(1)]]
+                        else:
+                            out[(target, name)][0] += 1
     return out
 
 
@@ -128,26 +149,25 @@ def main():
     args = ap.parse_args()
 
     structs = audited_structs(args.root)
-    names = {f for _, fields in structs.values() for f in fields}
-    counts = setters(args.root, names)
+    counts = setters(args.root, structs)
 
-    live = {n for n, (direct, _) in counts.items() if direct}
+    live = {k for k, (direct, _) in counts.items() if direct}
     changed = True
     while changed:
         changed = False
-        for n, (_, through) in counts.items():
-            if n not in live and any(s in live for s in through):
-                live.add(n)
+        for k, (_, through) in counts.items():
+            if k not in live and any(s in live for s in through):
+                live.add(k)
                 changed = True
 
     total, dead = 0, []
     for sname, (path, fields) in sorted(structs.items()):
-        never = [f for f in fields if f not in live]
+        never = [f for f in fields if (sname, f) not in live]
         total += len(fields)
         dead += [f"{sname}::{f}" for f in never]
         print(f"{sname:24} {len(fields):3} fields  ({path})")
         for f in fields if args.verbose else []:
-            direct, through = counts[f]
+            direct, through = counts[(sname, f)]
             print(f"    {f:32} {direct:3} set  {len(through):2} pass-through")
         for f in never:
             print(f"    never set: {f}")

@@ -172,9 +172,11 @@ void ControlPlane::takeover(Shard& s, std::size_t replica_idx) {
     if (r.u64(seq)) ctl->set_next_control_seq(seq);
   }
 
-  // 2. Topologies: decode each checkpoint and run the full deploy path —
-  //    the idempotent rule install repairs/confirms switch state, reseeds
-  //    the delta-compiler cache, and re-checkpoints.
+  // 2. Topologies: decode each checkpoint and diff it against this
+  //    replica's empty rule cache — every rule is an idempotent add that
+  //    repairs/confirms switch state — which seeds the cache and
+  //    re-checkpoints. Hooks deferred while leaderless replay only after
+  //    this (make_leader), so none reaches a topology without cached state.
   for (const std::string& name : coord_->children(prefix + "/topo")) {
     auto res = coord_->get(prefix + "/topo/" + name);
     if (!res.ok()) continue;
@@ -189,7 +191,7 @@ void ControlPlane::takeover(Shard& s, std::size_t replica_idx) {
         !stream::DecodePhysical(phys_b, phys)) {
       continue;
     }
-    ctl->on_topology_deployed(spec, phys);
+    ctl->on_topology_updated(spec, phys, {});
   }
 
   // 3. In-flight sequenced control tuples: requeued for retransmission.
@@ -266,26 +268,11 @@ TyphoonController* ControlPlane::leader_of(TopologyId id) const {
   return shard_leader(ShardOfTopology(id, shards_.size()));
 }
 
-void ControlPlane::on_topology_deployed(const stream::TopologySpec& spec,
-                                        const stream::PhysicalTopology& phys) {
-  route(spec.id, [spec, phys](TyphoonController& ctl) {
-    ctl.on_topology_deployed(spec, phys);
-  });
-}
-
-void ControlPlane::on_workers_added(
-    const stream::TopologySpec& spec, const stream::PhysicalTopology& phys,
-    const std::vector<stream::PhysicalWorker>& added) {
-  route(spec.id, [spec, phys, added](TyphoonController& ctl) {
-    ctl.on_workers_added(spec, phys, added);
-  });
-}
-
-void ControlPlane::on_workers_removed(
+void ControlPlane::on_topology_updated(
     const stream::TopologySpec& spec, const stream::PhysicalTopology& phys,
     const std::vector<stream::PhysicalWorker>& removed) {
   route(spec.id, [spec, phys, removed](TyphoonController& ctl) {
-    ctl.on_workers_removed(spec, phys, removed);
+    ctl.on_topology_updated(spec, phys, removed);
   });
 }
 

@@ -17,8 +17,8 @@
 // Standby replicas watch the leader znode; when the leader's session dies
 // the first live standby claims it (create; kAlreadyExists = lost the
 // race), restores the checkpointed seq counter / topologies / in-flight
-// control tuples, repairs switch state with an idempotent full rule
-// install, replays hooks that arrived during the leaderless window, and
+// control tuples, repairs switch state with a rule diff against its empty
+// cache (every rule an idempotent add), replays hooks that arrived during the leaderless window, and
 // only then publishes itself — so no sequenced control tuple is lost and
 // no seq is ever reused (worker dedup windows make the replays invisible).
 //
@@ -71,12 +71,7 @@ class ControlPlane final : public stream::SdnHooks {
 
   // ---- SdnHooks: routed to the owning shard's leader; buffered while the
   // shard is leaderless mid-failover and replayed by the incoming leader.
-  void on_topology_deployed(const stream::TopologySpec& spec,
-                            const stream::PhysicalTopology& phys) override;
-  void on_workers_added(
-      const stream::TopologySpec& spec, const stream::PhysicalTopology& phys,
-      const std::vector<stream::PhysicalWorker>& added) override;
-  void on_workers_removed(
+  void on_topology_updated(
       const stream::TopologySpec& spec, const stream::PhysicalTopology& phys,
       const std::vector<stream::PhysicalWorker>& removed) override;
   void send_routing_update(const stream::PhysicalTopology& phys,

@@ -119,7 +119,7 @@ std::size_t TyphoonController::install(const RulesByHost& rules,
   return flowmods;
 }
 
-void TyphoonController::apply_delta(const RuleDelta& delta) {
+std::size_t TyphoonController::apply_delta(const RuleDelta& delta) {
   std::size_t flowmods = 0;
   flowmods += install(delta.adds, openflow::FlowModCommand::kAdd);
   // Mods go out as kAdd too: same match+priority replaces in place keeping
@@ -127,102 +127,44 @@ void TyphoonController::apply_delta(const RuleDelta& delta) {
   // the match regardless of priority.
   flowmods += install(delta.mods, openflow::FlowModCommand::kAdd);
   flowmods += install(delta.dels, openflow::FlowModCommand::kDelete);
-  flowmods_delta_.fetch_add(static_cast<std::int64_t>(flowmods),
-                            std::memory_order_relaxed);
+  return flowmods;
 }
 
-void TyphoonController::on_topology_deployed(
-    const stream::TopologySpec& spec, const stream::PhysicalTopology& phys) {
-  if (crashed()) return;
-  RulesByHost full;
-  {
-    std::lock_guard lk(mu_);
-    topologies_[spec.id] = TopoState{spec, phys};
-    full = compiler_.compile_full(spec, phys);
-  }
-  flowmods_full_.fetch_add(static_cast<std::int64_t>(install(full)),
-                           std::memory_order_relaxed);
-  checkpoint_topology(spec, phys);
-  LOG_INFO("controller") << "installed rules for topology " << spec.name;
-}
-
-void TyphoonController::on_workers_added(
-    const stream::TopologySpec& spec, const stream::PhysicalTopology& phys,
-    const std::vector<stream::PhysicalWorker>& added) {
-  (void)added;
-  if (crashed()) return;
-  bool use_delta = false;
-  RuleDelta delta;
-  RulesByHost full;
-  {
-    std::lock_guard lk(mu_);
-    topologies_[spec.id] = TopoState{spec, phys};
-    // Delta compile: diff against the cached per-topology state and emit
-    // only the FlowMods that changed.
-    if (compiler_.state(spec.id) != nullptr) {
-      delta = compiler_.compile_delta(spec, phys);
-      use_delta = true;
-    } else {
-      // No cached state (deployed before this controller took over):
-      // idempotent full re-install seeds it.
-      full = compiler_.compile_full(spec, phys);
-    }
-  }
-  if (use_delta) {
-    apply_delta(delta);
-  } else {
-    flowmods_full_.fetch_add(static_cast<std::int64_t>(install(full)),
-                             std::memory_order_relaxed);
-  }
-  checkpoint_topology(spec, phys);
-}
-
-void TyphoonController::on_workers_removed(
+void TyphoonController::on_topology_updated(
     const stream::TopologySpec& spec, const stream::PhysicalTopology& phys,
     const std::vector<stream::PhysicalWorker>& removed) {
   if (crashed()) return;
-  bool use_delta = false;
+  bool first = false;
   RuleDelta delta;
-  RulesByHost full;
   std::vector<switchd::SwitchControl*> sws;
   {
     std::lock_guard lk(mu_);
     topologies_[spec.id] = TopoState{spec, phys};
+    // Every hook finds cached state except a topology's first: the manager
+    // deploys before it reconfigures, and a takeover winner reseeds the
+    // cache from the checkpoints before it replays deferred hooks.
+    first = compiler_.state(spec.id) == nullptr;
+    delta = compiler_.compile_delta(spec, phys);
     for (auto& [h, sw] : switches_) sws.push_back(sw);
-    if (compiler_.state(spec.id) != nullptr) {
-      delta = compiler_.compile_delta(spec, phys);
-      use_delta = true;
-    } else {
-      full = compiler_.compile_full(spec, phys);
-    }
   }
-  if (use_delta) {
-    // Delta dels cover every compiler-emitted rule of the removed workers —
-    // including the worker→controller rule and emptied broadcast receivers,
-    // whose matches don't name the removed address and which therefore
-    // outlive an address sweep forever at the default idle_timeout of 0.
-    apply_delta(delta);
-    // App-installed rules (load-balancer redirects at kPrioLoadBalance) are
-    // outside the compiler's state; sweep those by address. The sweep must
-    // stay off compiler-owned priorities: a relocated worker keeps its
-    // address, so an unrestricted sweep here would erase the new-host rules
-    // the delta just installed (and the cache would never re-add them).
-    for (const stream::PhysicalWorker& w : removed) {
-      const std::uint64_t addr = WorkerAddress{spec.id, w.id}.packed();
-      for (switchd::SwitchControl* sw : sws) {
-        sw->remove_rules_mentioning(addr, kPrioLoadBalance);
-      }
+  const auto flowmods = static_cast<std::int64_t>(apply_delta(delta));
+  (first ? flowmods_full_ : flowmods_delta_)
+      .fetch_add(flowmods, std::memory_order_relaxed);
+  // The delta deletes every compiler-emitted rule of the removed workers.
+  // App-installed rules (load-balancer redirects at kPrioLoadBalance) are
+  // outside the compiler's state; sweep those by address. The sweep stays
+  // off compiler-owned priorities: a relocated worker keeps its address, so
+  // an unrestricted sweep would erase the new-host rules just installed.
+  for (const stream::PhysicalWorker& w : removed) {
+    const std::uint64_t addr = WorkerAddress{spec.id, w.id}.packed();
+    for (switchd::SwitchControl* sw : sws) {
+      sw->remove_rules_mentioning(addr, kPrioLoadBalance);
     }
-  } else {
-    for (const stream::PhysicalWorker& w : removed) {
-      const std::uint64_t addr = WorkerAddress{spec.id, w.id}.packed();
-      for (switchd::SwitchControl* sw : sws) sw->remove_rules_mentioning(addr);
-    }
-    // Re-install so broadcast rules shrink to the remaining destinations.
-    flowmods_full_.fetch_add(static_cast<std::int64_t>(install(full)),
-                             std::memory_order_relaxed);
   }
   checkpoint_topology(spec, phys);
+  if (first) {
+    LOG_INFO("controller") << "installed rules for topology " << spec.name;
+  }
 }
 
 void TyphoonController::send_routing_update(

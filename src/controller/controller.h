@@ -71,15 +71,8 @@ class TyphoonController final : public stream::SdnHooks {
   void stop();
 
   // ---- SdnHooks (driven by the streaming manager) ----
-  void on_topology_deployed(const stream::TopologySpec& spec,
-                            const stream::PhysicalTopology& phys) override;
-  void on_workers_added(
-      const stream::TopologySpec& spec,
-      const stream::PhysicalTopology& phys,
-      const std::vector<stream::PhysicalWorker>& added) override;
-  void on_workers_removed(
-      const stream::TopologySpec& spec,
-      const stream::PhysicalTopology& phys,
+  void on_topology_updated(
+      const stream::TopologySpec& spec, const stream::PhysicalTopology& phys,
       const std::vector<stream::PhysicalWorker>& removed) override;
   void send_routing_update(const stream::PhysicalTopology& phys,
                            WorkerId target,
@@ -129,7 +122,8 @@ class TyphoonController final : public stream::SdnHooks {
   void restore_pending(std::uint64_t seq, TopologyId topology, WorkerId dst,
                        stream::ControlTuple ct);
 
-  // Rule-compilation stats: FlowMods emitted on the delta vs the full path,
+  // Rule-installation stats: FlowMods emitted by diffs against cached state
+  // (delta) and against an empty cache (full: deploys, takeover repair),
   // and table entries the switches report actually touched.
   [[nodiscard]] std::int64_t flowmods_delta() const {
     return flowmods_delta_.load();
@@ -213,12 +207,10 @@ class TyphoonController final : public stream::SdnHooks {
   void handle_event(HostId host, switchd::SwitchEvent ev);
   // Emit one FlowMod per rule; returns the number emitted and accumulates
   // the switches' reported table deltas into rules_touched_.
-  std::size_t install(
-      const RulesByHost& rules,
-      openflow::FlowModCommand cmd = openflow::FlowModCommand::kAdd);
+  std::size_t install(const RulesByHost& rules, openflow::FlowModCommand cmd);
   // Install a compiled delta: adds and mods as kAdd (replace-in-place),
-  // dels as kDelete. Bumps flowmods_delta_.
-  void apply_delta(const RuleDelta& delta);
+  // dels as kDelete. Returns the number of FlowMods emitted.
+  std::size_t apply_delta(const RuleDelta& delta);
 
   // Checkpointing to the coordinator (DESIGN.md Sec 15 schema); all no-ops
   // when checkpoint_prefix is empty or the controller has crashed. Callers

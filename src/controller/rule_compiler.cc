@@ -17,12 +17,10 @@ using stream::TopologySpec;
 
 namespace {
 
-FlowRule BaseRule(const TopologySpec& spec, std::uint16_t priority,
-                  std::uint32_t idle_s) {
+FlowRule BaseRule(const TopologySpec& spec, std::uint16_t priority) {
   FlowRule r;
   r.priority = priority;
   r.cookie = spec.id;
-  r.idle_timeout_s = idle_s;
   r.match.ether_type = net::kTyphoonEtherType;
   return r;
 }
@@ -49,7 +47,7 @@ void RuleCompiler::emit_data_rules(const TopologySpec& spec,
       const std::uint64_t dst_addr = WorkerAddress{spec.id, d.id}.packed();
       if (d.host == src.host) {
         // Local transfer.
-        FlowRule r = BaseRule(spec, kPrioData, cfg_.data_rule_idle_timeout_s);
+        FlowRule r = BaseRule(spec, kPrioData);
         r.match.in_port = src.port;
         r.match.dl_src = src_addr;
         r.match.dl_dst = dst_addr;
@@ -57,7 +55,7 @@ void RuleCompiler::emit_data_rules(const TopologySpec& spec,
         out[src.host].push_back(std::move(r));
       } else {
         // Remote transfer, sender side.
-        FlowRule s = BaseRule(spec, kPrioData, cfg_.data_rule_idle_timeout_s);
+        FlowRule s = BaseRule(spec, kPrioData);
         s.match.in_port = src.port;
         s.match.dl_src = src_addr;
         s.match.dl_dst = dst_addr;
@@ -65,7 +63,7 @@ void RuleCompiler::emit_data_rules(const TopologySpec& spec,
                      ActionOutput{switchd::SoftSwitch::kTunnelPort}};
         out[src.host].push_back(std::move(s));
         // Remote transfer, receiver side.
-        FlowRule rr = BaseRule(spec, kPrioData, cfg_.data_rule_idle_timeout_s);
+        FlowRule rr = BaseRule(spec, kPrioData);
         rr.match.in_port = switchd::SoftSwitch::kTunnelPort;
         rr.match.dl_src = src_addr;
         rr.match.dl_dst = dst_addr;
@@ -82,7 +80,7 @@ void RuleCompiler::emit_data_rules(const TopologySpec& spec,
   // rules fan the copy out locally.
   const std::uint64_t bcast_addr =
       BroadcastAddress(spec.id).packed();
-  FlowRule b = BaseRule(spec, kPrioData, cfg_.data_rule_idle_timeout_s);
+  FlowRule b = BaseRule(spec, kPrioData);
   b.match.in_port = src.port;
   b.match.dl_dst = bcast_addr;
   std::set<HostId> remote_hosts;
@@ -100,7 +98,7 @@ void RuleCompiler::emit_data_rules(const TopologySpec& spec,
   out[src.host].push_back(std::move(b));
 
   for (HostId h : remote_hosts) {
-    FlowRule rr = BaseRule(spec, kPrioData, cfg_.data_rule_idle_timeout_s);
+    FlowRule rr = BaseRule(spec, kPrioData);
     rr.match.in_port = switchd::SoftSwitch::kTunnelPort;
     rr.match.dl_src = src_addr;
     rr.match.dl_dst = bcast_addr;
@@ -119,14 +117,14 @@ void RuleCompiler::emit_control_rules(const TopologySpec& spec,
       WorkerAddress{spec.id, kControllerWorker}.packed();
 
   // SDN controller -> worker (PacketOut-injected control tuples).
-  FlowRule to_worker = BaseRule(spec, kPrioControl, 0);
+  FlowRule to_worker = BaseRule(spec, kPrioControl);
   to_worker.match.in_port = kPortController;
   to_worker.match.dl_dst = w_addr;
   to_worker.actions = {ActionOutput{w.port}};
   out[w.host].push_back(std::move(to_worker));
 
   // Worker -> SDN controller (METRIC_RESP via PacketIn).
-  FlowRule to_ctl = BaseRule(spec, kPrioControl, 0);
+  FlowRule to_ctl = BaseRule(spec, kPrioControl);
   to_ctl.match.in_port = w.port;
   to_ctl.match.dl_dst = ctl_addr;
   to_ctl.actions = {ActionOutputController{}};
@@ -143,29 +141,30 @@ RulesByHost RuleCompiler::compile(const TopologySpec& spec,
   return out;
 }
 
-CompiledRuleState RuleCompiler::Keyed(const RulesByHost& rules) {
+CompiledRuleState RuleCompiler::Keyed(RulesByHost rules) {
   CompiledRuleState keyed;
-  for (const auto& [host, rs] : rules) {
-    for (const openflow::FlowRule& r : rs) {
-      keyed.insert_or_assign(RuleKey::Of(host, r), r);
+  for (auto& [host, rs] : rules) {
+    for (openflow::FlowRule& r : rs) {
+      const RuleKey key = RuleKey::Of(host, r);
+      keyed.insert_or_assign(key, std::move(r));
     }
   }
   return keyed;
 }
 
 RuleDelta RuleCompiler::Diff(const CompiledRuleState& old_state,
-                             const RulesByHost& fresh) {
+                             const CompiledRuleState& fresh) {
   RuleDelta d;
-  const CompiledRuleState now = Keyed(fresh);
-  // Walk both sorted maps in lockstep: a key only in `now` is an add, only in
-  // `old_state` a delete, and in both with different actions/timeout a mod.
+  // Walk both sorted maps in lockstep: a key only in `fresh` is an add, only
+  // in `old_state` a delete, and in both with different actions/timeout a
+  // mod.
   auto oi = old_state.begin();
-  auto ni = now.begin();
-  while (oi != old_state.end() || ni != now.end()) {
-    if (oi == old_state.end() || (ni != now.end() && ni->first < oi->first)) {
+  auto ni = fresh.begin();
+  while (oi != old_state.end() || ni != fresh.end()) {
+    if (oi == old_state.end() || (ni != fresh.end() && ni->first < oi->first)) {
       d.adds[ni->first.host].push_back(ni->second);
       ++ni;
-    } else if (ni == now.end() || oi->first < ni->first) {
+    } else if (ni == fresh.end() || oi->first < ni->first) {
       d.dels[oi->first.host].push_back(oi->second);
       ++oi;
     } else {
@@ -182,19 +181,12 @@ RuleDelta RuleCompiler::Diff(const CompiledRuleState& old_state,
   return d;
 }
 
-RulesByHost RuleCompiler::compile_full(const TopologySpec& spec,
-                                       const stream::PhysicalTopology& phys) {
-  RulesByHost out = compile(spec, phys);
-  state_[spec.id] = Keyed(out);
-  return out;
-}
-
 RuleDelta RuleCompiler::compile_delta(const TopologySpec& spec,
                                       const stream::PhysicalTopology& phys) {
-  const RulesByHost fresh = compile(spec, phys);
+  CompiledRuleState fresh = Keyed(compile(spec, phys));
   CompiledRuleState& cached = state_[spec.id];  // empty -> pure adds
   RuleDelta d = Diff(cached, fresh);
-  cached = Keyed(fresh);
+  cached = std::move(fresh);
   return d;
 }
 

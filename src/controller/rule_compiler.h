@@ -9,22 +9,19 @@
 //   worker -> controller in_port=worker.port, dl_dst=CONTROLLER   -> output CONTROLLER
 //
 // Every rule carries cookie = topology id, so a killed topology's rules are
-// swept in one call. Installation is idempotent (same match+priority
-// replaces), so full re-installs are always safe.
+// swept in one call. Data rules are permanent (idle timeout 0): a removed
+// worker's rules go by explicit delete, never by expiry.
 //
-// Two compilation modes (DESIGN.md Sec 15):
-//   - compile() / compile_full(): the complete Table 3 set. Used for
-//     initial deploys and as the recovery/repair path after a controller
-//     failover (idempotent adds converge the switch to the full set).
-//   - compile_delta(): DeltaPath-style incremental recompilation. The
-//     compiler keeps a per-topology CompiledRuleState cache of the last
-//     emitted set (keyed by host + match + priority + cookie) and diffs the
-//     freshly compiled set against it, so a one-worker rebalance emits only
-//     the O(worker-degree) adds/mods/dels that actually changed — including
-//     the explicit deletes for removed workers' rules (the to-controller
-//     rule and emptied broadcast receivers don't mention the worker's
-//     address in their match, so an address sweep alone leaks them when
-//     data_rule_idle_timeout_s == 0, the default).
+// One installation path (DESIGN.md Sec 15): compile_delta() is
+// DeltaPath-style incremental recompilation. The compiler keeps a
+// per-topology CompiledRuleState cache of the last emitted set (keyed by
+// host + match + priority + cookie) and diffs the freshly compiled set
+// against it. Against an empty cache (first deploy, or a standby's takeover
+// repair) the diff is every rule as an add; a one-worker rebalance emits
+// only the O(worker-degree) adds/mods/dels that actually changed —
+// including the explicit deletes for removed workers' rules (the
+// to-controller rule and emptied broadcast receivers don't mention the
+// worker's address in their match, so an address sweep alone leaks them).
 #pragma once
 
 #include <cstdint>
@@ -85,49 +82,33 @@ struct RuleDelta {
   [[nodiscard]] bool empty() const { return total() == 0; }
 };
 
-// Last emitted rule set of one topology, keyed for diffing. Checkpointable
-// state: a standby controller rebuilds it with compile_full during takeover.
+// Last emitted rule set of one topology, keyed for diffing. A standby
+// controller rebuilds it during takeover by diffing against an empty cache.
 using CompiledRuleState = std::map<RuleKey, openflow::FlowRule>;
-
-struct RuleCompilerConfig {
-  // Idle timeout for per-pair data rules; 0 = permanent. With delta
-  // compilation removed workers' rules are deleted explicitly, so this is a
-  // belt-and-braces knob rather than the only cleanup path (Sec 3.5).
-  std::uint32_t data_rule_idle_timeout_s = 0;
-};
 
 class RuleCompiler {
  public:
-  explicit RuleCompiler(RuleCompilerConfig cfg = {}) : cfg_(cfg) {}
-
   // Full Table 3 rule set for a topology. Pure; does not touch the cache.
   [[nodiscard]] RulesByHost compile(
       const stream::TopologySpec& spec,
       const stream::PhysicalTopology& phys) const;
 
-  // Full compile that also (re)seeds the per-topology state cache —
-  // the initial-deploy and post-failover repair path.
-  RulesByHost compile_full(const stream::TopologySpec& spec,
-                           const stream::PhysicalTopology& phys);
-
-  // Incremental compile: diff the freshly compiled set against the cached
-  // state and update the cache. Falls back to "everything is an add" when
-  // the topology has no cached state (e.g. a recovered controller that
-  // chose not to repair first).
+  // Compile, diff the fresh set against the cached state and replace the
+  // cache with it. Without cached state every rule is an add.
   RuleDelta compile_delta(const stream::TopologySpec& spec,
                           const stream::PhysicalTopology& phys);
 
-  // Diff two compiled sets without touching the cache (bench/test probe).
+  // Diff two keyed sets without touching the cache.
   static RuleDelta Diff(const CompiledRuleState& old_state,
-                        const RulesByHost& fresh);
+                        const CompiledRuleState& fresh);
 
   // Keyed view of a compiled set.
-  static CompiledRuleState Keyed(const RulesByHost& rules);
+  static CompiledRuleState Keyed(RulesByHost rules);
 
   // Drop the cached state of a killed topology.
   void forget(TopologyId id) { state_.erase(id); }
 
-  // Cached state of a topology; nullptr when never fully compiled.
+  // Cached state of a topology; nullptr before its first compile_delta.
   [[nodiscard]] const CompiledRuleState* state(TopologyId id) const {
     auto it = state_.find(id);
     return it == state_.end() ? nullptr : &it->second;
@@ -142,7 +123,6 @@ class RuleCompiler {
                           const stream::PhysicalWorker& w,
                           RulesByHost& out) const;
 
-  RuleCompilerConfig cfg_;
   std::map<TopologyId, CompiledRuleState> state_;
 };
 

@@ -129,7 +129,8 @@ struct FlowRule {
   SharedActions actions;
   std::uint16_t priority = 100;
   // Seconds of inactivity after which the rule is evicted; 0 = permanent.
-  // (Stale rules from removed workers lapse this way, Sec 3.5.)
+  // Compiled Table 3 rules are permanent; removed workers' rules are
+  // deleted explicitly.
   std::uint32_t idle_timeout_s = 0;
   std::uint64_t cookie = 0;
 

@@ -17,18 +17,12 @@ class SdnHooks {
  public:
   virtual ~SdnHooks() = default;
 
-  // Install the full Table 3 rule set for a newly scheduled topology.
-  virtual void on_topology_deployed(const TopologySpec& spec,
-                                    const PhysicalTopology& physical) = 0;
-
-  // Install rules connecting newly added workers (scale-up / logic swap).
-  virtual void on_workers_added(const TopologySpec& spec,
-                                const PhysicalTopology& physical,
-                                const std::vector<PhysicalWorker>& added) = 0;
-
-  // Remove rules for workers leaving the topology (the switch's idle
-  // timeout would reclaim them anyway; explicit removal keeps tables tidy).
-  virtual void on_workers_removed(
+  // Converge the switches on the Table 3 rule set of (spec, physical): the
+  // first call for a topology installs every rule, later calls emit only
+  // the rules that changed (adds, mods, and deletes for workers that left).
+  // `removed` names the workers that left since the last call, so rules
+  // that control-plane apps installed for them are swept too.
+  virtual void on_topology_updated(
       const TopologySpec& spec, const PhysicalTopology& physical,
       const std::vector<PhysicalWorker>& removed) = 0;
 

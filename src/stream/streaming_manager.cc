@@ -105,14 +105,15 @@ common::Status StreamingManager::launch(
 }
 
 common::Status StreamingManager::wait_for_drain(
-    const std::string& topology, const std::vector<WorkerId>& workers,
-    std::chrono::milliseconds timeout) {
-  const common::TimePoint deadline = common::Now() + timeout;
+    const Deployed& d, const std::vector<PhysicalWorker>& workers) {
+  const std::string& topology = d.spec.name;
+  const common::TimePoint deadline = common::Now() + d.options.launch_timeout;
   auto drained = [&](WorkerId w) {
     auto hb = coord_->get_str(WorkerHeartbeatPath(topology, w));
     return hb && Drained(ParseHeartbeat(*hb), common::NowMicros());
   };
-  for (WorkerId w : workers) {
+  for (const PhysicalWorker& pw : workers) {
+    const WorkerId w = pw.id;
     int consecutive_empty = 0;
     for (;;) {
       // A worker that can no longer emit has nothing left to drain.
@@ -178,7 +179,7 @@ common::Result<TopologyId> StreamingManager::submit(
 
   // Step (iii) Notification / network setup: the SDN controller programs
   // Table 3 rules before any worker starts.
-  if (hooks_) hooks_->on_topology_deployed(d.spec, d.physical);
+  if (hooks_) hooks_->on_topology_updated(d.spec, d.physical, {});
 
   // Step (iv) Application setup, bolts first so the pipeline downstream of
   // every spout exists before tuples flow.
@@ -213,21 +214,61 @@ common::Status StreamingManager::kill(const std::string& topology) {
   return common::Status::Ok();
 }
 
-void StreamingManager::send_predecessor_routing(const Deployed& d,
-                                                NodeId node) {
-  if (!hooks_) return;
-  const std::vector<WorkerId> hops = d.physical.worker_ids_of(node);
+// ---- stable-update steps (Sec 3.5); every procedure below is a sequence
+// of these plus its own SIGNALs ----
+
+common::Result<std::vector<WorkerId>> StreamingManager::add_workers(
+    Deployed& d, NodeId node, int count) {
+  // Rules before launch, launch before any predecessor learns about the
+  // new workers: no tuple can reach a worker that is not connected yet.
+  const std::vector<PhysicalWorker> added = opts_.scheduler->place_additional(
+      d.physical, node, count, opts_.hosts, ids_);
+  ++d.physical.version;
+  write_global_state(d);
+  hooks_->on_topology_updated(d.spec, d.physical, {});
+  if (common::Status st = launch(d, added); !st.ok()) return st;
+  std::vector<WorkerId> ids;
+  for (const PhysicalWorker& w : added) ids.push_back(w.id);
+  return ids;
+}
+
+void StreamingManager::route_predecessors(
+    const Deployed& d, NodeId node,
+    const std::optional<std::vector<WorkerId>>& hops) {
   for (const EdgeSpec& e : d.spec.in_edges(node)) {
     RoutingUpdate ru;
     ru.to_node = node;
-    ru.state.type = e.grouping;
-    ru.state.key_indices = e.key_indices;
-    ru.state.next_hops = hops;
+    if (hops) {
+      ru.state.type = e.grouping;
+      ru.state.key_indices = e.key_indices;
+      ru.state.next_hops = *hops;
+    } else {
+      ru.remove = true;
+    }
     for (WorkerId pred : d.physical.worker_ids_of(e.from)) {
       hooks_->send_routing_update(d.physical, pred, ru);
     }
   }
 }
+
+void StreamingManager::retire_workers(
+    Deployed& d, const std::vector<PhysicalWorker>& victims) {
+  std::erase_if(d.physical.workers, [&](const PhysicalWorker& w) {
+    return std::ranges::any_of(
+        victims, [&](const PhysicalWorker& v) { return v.id == w.id; });
+  });
+  ++d.physical.version;
+  // The control plane forgets the victims first so their port-removal
+  // events read as administrative (not faults); then agents tear the
+  // workers down.
+  hooks_->on_topology_updated(d.spec, d.physical, victims);
+  for (const PhysicalWorker& w : victims) {
+    coord_->remove(AssignmentPath(w.host, w.id));
+  }
+  write_global_state(d);
+}
+
+// ---- the seven reconfigurations ----
 
 common::Status StreamingManager::scale_up(Deployed& d,
                                           const ReconfigRequest& req) {
@@ -236,19 +277,14 @@ common::Status StreamingManager::scale_up(Deployed& d,
   const NodeId node_id = node->id;
   const std::vector<WorkerId> existing = d.physical.worker_ids_of(node_id);
 
-  // 1. Launch new workers and connect them (flow rules) before any
-  //    predecessor learns about them — no tuple can be lost (Fig 6(a)).
-  const std::vector<PhysicalWorker> added = opts_.scheduler->place_additional(
-      d.physical, node_id, req.count, opts_.hosts, ids_);
+  // 1. Launch and connect the new workers (Fig 6(a)).
   for (NodeSpec& n : d.spec.nodes) {
     if (n.id == node_id) n.parallelism += req.count;
   }
-  ++d.physical.version;
   ++d.spec.version;
-  write_global_state(d);
-  hooks_->on_workers_added(d.spec, d.physical, added);
-
-  if (common::Status st = launch(d, added); !st.ok()) return st;
+  if (auto added = add_workers(d, node_id, req.count); !added.ok()) {
+    return added.status();
+  }
 
   // 2. Stateful node: flush existing caches right before the key space
   //    changes (Fig 6(b)).
@@ -259,7 +295,7 @@ common::Status StreamingManager::scale_up(Deployed& d,
   }
 
   // 3. Swap routing state in all predecessors via ROUTING control tuples.
-  send_predecessor_routing(d, node_id);
+  route_predecessors(d, node_id, d.physical.worker_ids_of(node_id));
   return common::Status::Ok();
 }
 
@@ -268,53 +304,37 @@ common::Status StreamingManager::scale_down(Deployed& d,
   const NodeSpec* node = d.spec.node_by_name(req.node);
   if (node == nullptr) return common::NotFound("node " + req.node);
   const NodeId node_id = node->id;
-  std::vector<PhysicalWorker> workers = d.physical.workers_of(node_id);
+  const std::vector<PhysicalWorker> workers = d.physical.workers_of(node_id);
   if (req.count <= 0 ||
       static_cast<std::size_t>(req.count) >= workers.size()) {
     return common::InvalidArgument("scale-down must leave >= 1 worker");
   }
 
   // Victims: highest task indices.
-  std::vector<PhysicalWorker> victims(workers.end() - req.count,
-                                      workers.end());
-  std::vector<WorkerId> victim_ids;
-  for (const PhysicalWorker& w : victims) victim_ids.push_back(w.id);
-
-  // 1. Update predecessors first so no more tuples reach the victims.
-  std::erase_if(d.physical.workers, [&](const PhysicalWorker& w) {
-    return std::find(victim_ids.begin(), victim_ids.end(), w.id) !=
-           victim_ids.end();
-  });
+  const std::vector<PhysicalWorker> victims(workers.end() - req.count,
+                                            workers.end());
+  std::vector<WorkerId> survivors = d.physical.worker_ids_of(node_id);
+  survivors.resize(survivors.size() - req.count);
   for (NodeSpec& n : d.spec.nodes) {
     if (n.id == node_id) n.parallelism -= req.count;
   }
-  ++d.physical.version;
   ++d.spec.version;
-  send_predecessor_routing(d, node_id);
 
-  // 2. Let the victims finish emitting ongoing tuples.
-  if (common::Status st = wait_for_drain(d.spec.name, victim_ids,
-                                         d.options.launch_timeout);
-      !st.ok()) {
-    return st;
-  }
+  // 1. Update predecessors first so no more tuples reach the victims, then
+  //    let the victims finish emitting ongoing tuples.
+  route_predecessors(d, node_id, survivors);
+  if (common::Status st = wait_for_drain(d, victims); !st.ok()) return st;
 
-  // 3. Stateful victims flush residual window state downstream.
+  // 2. Stateful victims flush residual window state downstream.
   if (node->stateful) {
-    for (WorkerId w : victim_ids) {
-      hooks_->send_signal(d.physical, w, "drain");
+    for (const PhysicalWorker& w : victims) {
+      hooks_->send_signal(d.physical, w.id, "drain");
     }
     common::SleepFor(kDrainSettle);
   }
 
-  // 4. Remove from the cluster. The SDN control plane forgets the victims
-  //    first so their port-removal events are recognized as administrative
-  //    (not faults); then agents tear the workers down.
-  hooks_->on_workers_removed(d.spec, d.physical, victims);
-  for (const PhysicalWorker& w : victims) {
-    coord_->remove(AssignmentPath(w.host, w.id));
-  }
-  write_global_state(d);
+  // 3. Remove from the cluster.
+  retire_workers(d, victims);
   return common::Status::Ok();
 }
 
@@ -344,7 +364,7 @@ common::Status StreamingManager::change_grouping(Deployed& d,
       hooks_->send_signal(d.physical, w, "regroup");
     }
   }
-  send_predecessor_routing(d, to->id);
+  route_predecessors(d, to->id, d.physical.worker_ids_of(to->id));
   return common::Status::Ok();
 }
 
@@ -355,57 +375,26 @@ common::Status StreamingManager::swap_logic(Deployed& d,
   const NodeId node_id = node->id;
   const std::vector<PhysicalWorker> old_workers =
       d.physical.workers_of(node_id);
-  const int count = static_cast<int>(old_workers.size());
 
   // 1. Launch replacement workers running the newly registered factory.
-  const std::vector<PhysicalWorker> added = opts_.scheduler->place_additional(
-      d.physical, node_id, count, opts_.hosts, ids_);
-  ++d.physical.version;
   ++d.spec.version;
-  write_global_state(d);
-  hooks_->on_workers_added(d.spec, d.physical, added);
-
-  if (common::Status st = launch(d, added); !st.ok()) return st;
+  auto added =
+      add_workers(d, node_id, static_cast<int>(old_workers.size()));
+  if (!added.ok()) return added.status();
 
   // 2. Divert all traffic to the replacements.
-  std::vector<WorkerId> added_ids;
-  for (const PhysicalWorker& w : added) added_ids.push_back(w.id);
-  if (hooks_) {
-    const std::vector<EdgeSpec> in = d.spec.in_edges(node_id);
-    for (const EdgeSpec& e : in) {
-      RoutingUpdate ru;
-      ru.to_node = node_id;
-      ru.state.type = e.grouping;
-      ru.state.key_indices = e.key_indices;
-      ru.state.next_hops = added_ids;
-      for (WorkerId pred : d.physical.worker_ids_of(e.from)) {
-        hooks_->send_routing_update(d.physical, pred, ru);
-      }
-    }
-  }
+  route_predecessors(d, node_id, added.value());
 
   // 3. Drain and kill the old workers.
-  std::vector<WorkerId> old_ids;
-  for (const PhysicalWorker& w : old_workers) old_ids.push_back(w.id);
   if (node->stateful) {
-    for (WorkerId w : old_ids) hooks_->send_signal(d.physical, w, "swap");
+    for (const PhysicalWorker& w : old_workers) {
+      hooks_->send_signal(d.physical, w.id, "swap");
+    }
   }
-  if (common::Status st = wait_for_drain(d.spec.name, old_ids,
-                                         d.options.launch_timeout);
-      !st.ok()) {
+  if (common::Status st = wait_for_drain(d, old_workers); !st.ok()) {
     return st;
   }
-  std::erase_if(d.physical.workers, [&](const PhysicalWorker& w) {
-    return std::find(old_ids.begin(), old_ids.end(), w.id) != old_ids.end();
-  });
-  // Control plane forgets the old workers before their ports vanish, so the
-  // fault detector does not treat the teardown as a failure.
-  hooks_->on_workers_removed(d.spec, d.physical, old_workers);
-  for (const PhysicalWorker& w : old_workers) {
-    coord_->remove(AssignmentPath(w.host, w.id));
-  }
-  ++d.physical.version;
-  write_global_state(d);
+  retire_workers(d, old_workers);
   return common::Status::Ok();
 }
 
@@ -434,42 +423,27 @@ common::Status StreamingManager::relocate(Deployed& d,
   //    node the update carries an empty hop list: predecessors *park*
   //    emitted tuples until the resume update arrives (the pause half of
   //    pause-and-resume).
-  std::vector<WorkerId> others;
-  for (const PhysicalWorker& w : d.physical.workers_of(node->id)) {
-    if (w.id != before.id) others.push_back(w.id);
-  }
-  for (const EdgeSpec& e : d.spec.in_edges(node->id)) {
-    RoutingUpdate ru;
-    ru.to_node = node->id;
-    ru.state.type = e.grouping;
-    ru.state.key_indices = e.key_indices;
-    ru.state.next_hops = others;
-    for (WorkerId pred : d.physical.worker_ids_of(e.from)) {
-      hooks_->send_routing_update(d.physical, pred, ru);
-    }
-  }
+  std::vector<WorkerId> others = d.physical.worker_ids_of(node->id);
+  std::erase(others, before.id);
+  route_predecessors(d, node->id, others);
 
-  // 2. Drain in-flight tuples, then tear down at the old host. The global
-  //    state is flipped to the target host first so the control plane
-  //    treats the old port's disappearance as administrative.
-  if (common::Status st = wait_for_drain(d.spec.name, {before.id},
-                                         d.options.launch_timeout);
-      !st.ok()) {
-    return st;
-  }
+  // 2. Drain in-flight tuples, then move the worker. The global state is
+  //    flipped to the target host and the rules follow it (old-host rules
+  //    deleted, new-host rules added) before the old host tears it down, so
+  //    the control plane treats the old port's disappearance as
+  //    administrative.
+  if (common::Status st = wait_for_drain(d, {before}); !st.ok()) return st;
   moving->host = req.target_host;
   ++d.physical.version;
   write_global_state(d);
-  hooks_->on_workers_removed(d.spec, d.physical, {before});
+  hooks_->on_topology_updated(d.spec, d.physical, {before});
   coord_->remove(AssignmentPath(before.host, before.id));
 
   // 3. Resume on the target host (same worker id; ports are per-host, so
-  //    the port number carries over).
-  hooks_->on_workers_added(d.spec, d.physical, {*moving});
+  //    the port number carries over) and re-include it in its
+  //    predecessors' routing state.
   if (common::Status st = launch(d, {*moving}); !st.ok()) return st;
-
-  // 4. Re-include the worker in its predecessors' routing state.
-  send_predecessor_routing(d, node->id);
+  route_predecessors(d, node->id, d.physical.worker_ids_of(node->id));
   return common::Status::Ok();
 }
 
@@ -502,17 +476,12 @@ common::Status StreamingManager::attach_query(Deployed& d,
   ++d.spec.version;
 
   // 2. Launch the query workers and connect them (rules before routing).
-  const std::vector<PhysicalWorker> added = opts_.scheduler->place_additional(
-      d.physical, node.id, req.count, opts_.hosts, ids_);
-  ++d.physical.version;
-  write_global_state(d);
-  hooks_->on_workers_added(d.spec, d.physical, added);
-
-  if (common::Status st = launch(d, added); !st.ok()) return st;
+  auto added = add_workers(d, node.id, req.count);
+  if (!added.ok()) return added.status();
 
   // 3. The source node's workers learn the brand-new out-edge via ROUTING
   //    control tuples (the framework layer creates the edge on the fly).
-  send_predecessor_routing(d, node.id);
+  route_predecessors(d, node.id, added.value());
   return common::Status::Ok();
 }
 
@@ -527,41 +496,18 @@ common::Status StreamingManager::detach_query(Deployed& d,
   }
 
   // 1. Unplug: predecessors drop the edge entirely.
-  if (hooks_) {
-    for (const EdgeSpec& e : d.spec.in_edges(node_id)) {
-      RoutingUpdate ru;
-      ru.to_node = node_id;
-      ru.remove = true;
-      for (WorkerId pred : d.physical.worker_ids_of(e.from)) {
-        hooks_->send_routing_update(d.physical, pred, ru);
-      }
-    }
-  }
+  route_predecessors(d, node_id, std::nullopt);
 
   // 2. Drain and remove the query workers.
   const std::vector<PhysicalWorker> victims = d.physical.workers_of(node_id);
-  std::vector<WorkerId> victim_ids;
-  for (const PhysicalWorker& w : victims) victim_ids.push_back(w.id);
-  if (common::Status st = wait_for_drain(d.spec.name, victim_ids,
-                                         d.options.launch_timeout);
-      !st.ok()) {
-    return st;
-  }
-  std::erase_if(d.physical.workers, [&](const PhysicalWorker& w) {
-    return w.node == node_id;
-  });
+  if (common::Status st = wait_for_drain(d, victims); !st.ok()) return st;
   std::erase_if(d.spec.nodes,
                 [&](const NodeSpec& n) { return n.id == node_id; });
   std::erase_if(d.spec.edges, [&](const EdgeSpec& e) {
     return e.from == node_id || e.to == node_id;
   });
   ++d.spec.version;
-  ++d.physical.version;
-  hooks_->on_workers_removed(d.spec, d.physical, victims);
-  for (const PhysicalWorker& w : victims) {
-    coord_->remove(AssignmentPath(w.host, w.id));
-  }
-  write_global_state(d);
+  retire_workers(d, victims);
   return common::Status::Ok();
 }
 
@@ -683,12 +629,8 @@ void StreamingManager::failure_detector() {
         opts_.scheduler->reschedule_worker(d.physical, w.id, live);
         ++d.physical.version;
         write_global_state(d);
-        const PhysicalWorker moved = *d.physical.worker(w.id);
-        if (hooks_) {
-          hooks_->on_workers_removed(d.spec, d.physical, {w});
-          hooks_->on_workers_added(d.spec, d.physical, {moved});
-        }
-        assign_worker(name, moved.host, w.id);
+        if (hooks_) hooks_->on_topology_updated(d.spec, d.physical, {w});
+        assign_worker(name, d.physical.worker(w.id)->host, w.id);
         reschedules_.fetch_add(1);
         // Predecessors re-include the worker once it is actually RUNNING on
         // the new host (checked on subsequent monitor rounds).
@@ -704,7 +646,10 @@ void StreamingManager::failure_detector() {
       auto state = coord_->get_str(WorkerStatePath(name, wid));
       if (!state || *state != "RUNNING") return false;
       const PhysicalWorker* pw = it->second.physical.worker(wid);
-      if (pw != nullptr) send_predecessor_routing(it->second, pw->node);
+      if (pw != nullptr) {
+        route_predecessors(it->second, pw->node,
+                           it->second.physical.worker_ids_of(pw->node));
+      }
       return true;
     });
   }

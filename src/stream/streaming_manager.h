@@ -8,8 +8,10 @@
 //
 // Reconfiguration (Typhoon only): per-node parallelism, computation logic,
 // and routing policy, each following the stable-update procedures of
-// Sec 3.5 (launch -> rules -> [SIGNAL for stateful] -> ROUTING to
-// predecessors; removals update predecessors first and drain before kill).
+// Sec 3.5 (rules -> launch -> [SIGNAL for stateful] -> ROUTING to
+// predecessors; removals update predecessors first and drain before kill),
+// built from three shared steps: add_workers, route_predecessors and
+// retire_workers.
 //
 // Failure detection: scans worker heartbeats; a stale worker is re-scheduled
 // onto another host (Storm's Nimbus-timeout path, used by both modes — the
@@ -20,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "coordinator/coordinator.h"
@@ -74,7 +77,6 @@ struct ReconfigRequest {
 struct ManagerOptions {
   std::vector<HostId> hosts;
   std::unique_ptr<Scheduler> scheduler;  // defaults to RoundRobinScheduler
-  bool typhoon_mode = true;
   bool enable_failure_detector = true;
   std::chrono::milliseconds heartbeat_timeout{1500};
   std::chrono::milliseconds monitor_interval{100};
@@ -117,9 +119,10 @@ class StreamingManager {
     SubmitOptions options;
   };
 
-  common::Status wait_for_drain(const std::string& topology,
-                                const std::vector<WorkerId>& workers,
-                                std::chrono::milliseconds timeout);
+  // Wait until each worker has drained its in-flight tuples (or the
+  // topology's launch_timeout passes).
+  common::Status wait_for_drain(const Deployed& d,
+                                const std::vector<PhysicalWorker>& workers);
   void write_global_state(const Deployed& d);
   // Seed the worker's heartbeat, then assign it to `host`: the manager's
   // stale-heartbeat clock starts before the agent launches the worker.
@@ -128,7 +131,18 @@ class StreamingManager {
   // topology's launch_timeout passes).
   common::Status launch(const Deployed& d,
                         const std::vector<PhysicalWorker>& workers);
-  void send_predecessor_routing(const Deployed& d, NodeId node);
+  // Stable-update steps shared by the reconfigurations (DESIGN.md Sec 6).
+  // Place `count` more workers of `node`, publish the global state,
+  // install their rules, then launch them; returns their ids.
+  common::Result<std::vector<WorkerId>> add_workers(Deployed& d, NodeId node,
+                                                    int count);
+  // ROUTING to every predecessor worker of `node`: `hops` is the node's
+  // new worker list; nullopt drops the edge entirely.
+  void route_predecessors(const Deployed& d, NodeId node,
+                          const std::optional<std::vector<WorkerId>>& hops);
+  // Take drained workers out of the topology: the control plane drops
+  // their rules, their assignments go, then the global state is published.
+  void retire_workers(Deployed& d, const std::vector<PhysicalWorker>& victims);
   void failure_detector();
   common::Status scale_up(Deployed& d, const ReconfigRequest& req);
   common::Status scale_down(Deployed& d, const ReconfigRequest& req);

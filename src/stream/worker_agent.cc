@@ -10,6 +10,9 @@ namespace typhoon::stream {
 
 namespace {
 
+// How often the monitor thread checks for crashed workers to restart.
+constexpr std::chrono::milliseconds kMonitorInterval{20};
+
 // Parse the worker id out of an assignment path ".../w<ID>".
 WorkerId WorkerIdFromPath(const std::string& path) {
   const auto slash = path.find_last_of('/');
@@ -80,31 +83,6 @@ bool WorkerAgent::probe_worker(
   auto it = workers_.find(id);
   if (it == workers_.end() || !it->second.worker) return false;
   fn(*it->second.worker);
-  return true;
-}
-
-bool WorkerAgent::inject_crash(WorkerId id) {
-  std::lock_guard lk(mu_);
-  auto it = workers_.find(id);
-  if (it == workers_.end() || !it->second.worker) return false;
-  it->second.worker->inject_crash();
-  return true;
-}
-
-bool WorkerAgent::inject_hang(WorkerId id, std::chrono::milliseconds d) {
-  std::lock_guard lk(mu_);
-  auto it = workers_.find(id);
-  if (it == workers_.end() || !it->second.worker) return false;
-  it->second.worker->inject_hang(d);
-  return true;
-}
-
-bool WorkerAgent::inject_slowdown(WorkerId id,
-                                  std::chrono::microseconds per_tuple) {
-  std::lock_guard lk(mu_);
-  auto it = workers_.find(id);
-  if (it == workers_.end() || !it->second.worker) return false;
-  it->second.worker->inject_slowdown(per_tuple);
   return true;
 }
 
@@ -220,7 +198,7 @@ bool WorkerAgent::launch(WorkerId id, const std::string& topology,
   }
 
   // Transport (the I/O layer of Fig 4).
-  if (opts_.typhoon_mode) {
+  if (opts_.sw != nullptr) {
     auto port = opts_.sw->attach_port(pw->port);
     if (!port) {
       LOG_ERROR("agent") << "host" << opts_.host << ": port " << pw->port
@@ -258,7 +236,7 @@ void WorkerAgent::remove_worker(WorkerId id) {
 
 void WorkerAgent::monitor() {
   while (running_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(opts_.monitor_interval);
+    std::this_thread::sleep_for(kMonitorInterval);
 
     std::vector<WorkerId> crashed;
     {

@@ -30,16 +30,16 @@ namespace typhoon::stream {
 
 struct AgentOptions {
   HostId host = 0;
-  bool typhoon_mode = true;
-  switchd::SoftSwitch* sw = nullptr;      // Typhoon mode
-  StormFabric* fabric = nullptr;          // Storm mode
+  // Typhoon mode attaches workers to this switch; without one (Storm
+  // mode) they connect through `fabric`.
+  switchd::SoftSwitch* sw = nullptr;
+  StormFabric* fabric = nullptr;
   coordinator::Coordinator* coord = nullptr;
   AppRegistry* registry = nullptr;
 
   // Local restart policy for crashed workers (0 restarts = give up at once).
   int max_local_restarts = 3;
   std::chrono::milliseconds restart_delay{150};
-  std::chrono::milliseconds monitor_interval{20};
 
   // Cross-layer tracing registry (usually the cluster's). Each launched
   // worker acquires the "worker-<id>" recorder — a restart reuses its
@@ -64,20 +64,12 @@ class WorkerAgent {
   // racing restarts must use probe_worker instead.
   [[nodiscard]] Worker* find_worker(WorkerId id) const;
   // Run `fn` on the live worker under the agent lock, so the monitor
-  // thread cannot free it mid-read. False when the worker is not (or no
-  // longer) hosted here.
+  // thread cannot free it mid-read (or mid-fault-injection: a crash
+  // injected this way flows through the normal crash machinery). False
+  // when the worker is not (or no longer) hosted here.
   bool probe_worker(WorkerId id, const std::function<void(Worker&)>& fn) const;
   [[nodiscard]] std::vector<WorkerId> worker_ids() const;
   [[nodiscard]] std::int64_t restarts() const { return restarts_.load(); }
-
-  // ---- process-level fault injection (faultinject layer) ----
-  // Inject a fault into a managed worker. False when the worker is not
-  // (or no longer) hosted here. A crash flows through the normal crash
-  // machinery: the monitor detaches the switch port (PortStatus kDelete)
-  // and applies the local-restart policy, like a real user-code crash.
-  bool inject_crash(WorkerId id);
-  bool inject_hang(WorkerId id, std::chrono::milliseconds d);
-  bool inject_slowdown(WorkerId id, std::chrono::microseconds per_tuple);
 
  private:
   struct Managed {

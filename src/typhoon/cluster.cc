@@ -44,7 +44,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   for (auto& h : hosts_) {
     stream::AgentOptions aopts;
     aopts.host = h->id;
-    aopts.typhoon_mode = cfg_.mode == TransportMode::kTyphoon;
     aopts.sw = h->sw.get();
     aopts.fabric = &fabric_;
     aopts.coord = &coord_;
@@ -57,7 +56,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
 
   stream::ManagerOptions mopts;
   mopts.hosts = host_ids_;
-  mopts.typhoon_mode = cfg_.mode == TransportMode::kTyphoon;
   mopts.enable_failure_detector = cfg_.enable_failure_detector;
   mopts.heartbeat_timeout = cfg_.heartbeat_timeout;
   mopts.monitor_interval = cfg_.manager_monitor_interval;
@@ -249,38 +247,6 @@ std::optional<WorkerId> Cluster::resolve_worker_id(const std::string& topology,
     if (w.task_index == task_index) return w.id;
   }
   return std::nullopt;
-}
-
-bool Cluster::inject_worker_crash(const std::string& topology,
-                                  const std::string& node, int task_index) {
-  const auto id = resolve_worker_id(topology, node, task_index);
-  if (!id) return false;
-  for (const auto& h : hosts_) {
-    if (h->agent->inject_crash(*id)) return true;
-  }
-  return false;
-}
-
-bool Cluster::inject_worker_hang(const std::string& topology,
-                                 const std::string& node, int task_index,
-                                 std::chrono::milliseconds d) {
-  const auto id = resolve_worker_id(topology, node, task_index);
-  if (!id) return false;
-  for (const auto& h : hosts_) {
-    if (h->agent->inject_hang(*id, d)) return true;
-  }
-  return false;
-}
-
-bool Cluster::inject_worker_slowdown(const std::string& topology,
-                                     const std::string& node, int task_index,
-                                     std::chrono::microseconds per_tuple) {
-  const auto id = resolve_worker_id(topology, node, task_index);
-  if (!id) return false;
-  for (const auto& h : hosts_) {
-    if (h->agent->inject_slowdown(*id, per_tuple)) return true;
-  }
-  return false;
 }
 
 void Cluster::set_controller_partition(HostId host, bool partitioned) {

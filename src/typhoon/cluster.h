@@ -119,7 +119,8 @@ class Cluster {
   // Restart-safe worker probe: runs `fn` on the live worker under its
   // agent's lock (the monitor thread cannot free it mid-read). False when
   // the worker is not currently running. Use this instead of dereferencing
-  // find_worker() results while agent restarts may be in flight.
+  // find_worker() results while agent restarts may be in flight — and to
+  // inject worker faults (Worker::inject_crash/hang/slowdown).
   bool probe_worker(const std::string& topology, const std::string& node,
                     int task_index,
                     const std::function<void(stream::Worker&)>& fn);
@@ -144,16 +145,6 @@ class Cluster {
   // The raw endpoints of the a<->b tunnel ({a-side, b-side}); harness probes.
   [[nodiscard]] std::pair<net::TunnelEndpoint*, net::TunnelEndpoint*>
   tunnel_between(HostId a, HostId b) const;
-
-  // Fault injection: worker-process faults, resolved by (topology, node,
-  // task index). False when the worker is not currently running.
-  bool inject_worker_crash(const std::string& topology,
-                           const std::string& node, int task_index);
-  bool inject_worker_hang(const std::string& topology, const std::string& node,
-                          int task_index, std::chrono::milliseconds d);
-  bool inject_worker_slowdown(const std::string& topology,
-                              const std::string& node, int task_index,
-                              std::chrono::microseconds per_tuple);
 
   // Fault injection: controller-channel partition of one host (Typhoon
   // mode; no-op otherwise).
@@ -195,8 +186,8 @@ class Cluster {
 
  private:
   // Assignment lookup (topology, node name, task index) -> stable worker id.
-  // Fault injectors resolve an id and poke the worker through its agent —
-  // never through a raw Worker*, which the agent's monitor thread can free
+  // Probes resolve an id and reach the worker through its agent — never
+  // through a raw Worker*, which the agent's monitor thread can free
   // mid-restart.
   [[nodiscard]] std::optional<WorkerId> resolve_worker_id(
       const std::string& topology, const std::string& node, int task_index);

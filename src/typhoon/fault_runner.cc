@@ -157,19 +157,23 @@ void FaultPlanRunner::apply(const Armed& armed, std::int64_t elapsed_ms,
       break;
     }
     case fi::FaultKind::kCrashWorker:
-      applied = cluster_->inject_worker_crash(ev.topology, ev.node,
-                                              ev.task_index);
+      applied = cluster_->probe_worker(
+          ev.topology, ev.node, ev.task_index,
+          [](stream::Worker& w) { w.inject_crash(); });
       break;
     case fi::FaultKind::kHangWorker:
-      applied = cluster_->inject_worker_hang(
-          ev.topology, ev.node, ev.task_index,
-          std::chrono::milliseconds(ev.duration_ms > 0 ? ev.duration_ms
-                                                       : 1000));
+      applied = cluster_->probe_worker(
+          ev.topology, ev.node, ev.task_index, [&](stream::Worker& w) {
+            w.inject_hang(std::chrono::milliseconds(
+                ev.duration_ms > 0 ? ev.duration_ms : 1000));
+          });
       break;
     case fi::FaultKind::kSlowWorker:
-      applied = cluster_->inject_worker_slowdown(
-          ev.topology, ev.node, ev.task_index,
-          std::chrono::microseconds(armed.is_reversal ? 0 : ev.slow_us));
+      applied = cluster_->probe_worker(
+          ev.topology, ev.node, ev.task_index, [&](stream::Worker& w) {
+            w.inject_slowdown(std::chrono::microseconds(
+                armed.is_reversal ? 0 : ev.slow_us));
+          });
       break;
     case fi::FaultKind::kPartitionController:
       cluster_->set_controller_partition(ev.host_a, !armed.is_reversal);

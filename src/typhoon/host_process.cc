@@ -387,9 +387,7 @@ int HostProcess::run() {
 
   stream::AgentOptions aopts;
   aopts.host = opts_.host;
-  aopts.typhoon_mode = true;
   aopts.sw = sw_.get();
-  aopts.fabric = &fabric_;
   aopts.coord = coord_.get();
   aopts.registry = &registry_;
   agent_ = std::make_unique<stream::WorkerAgent>(aopts);

@@ -32,7 +32,6 @@
 #include "net/ring_tunnel.h"
 #include "net/socket_tunnel.h"
 #include "stream/app_registry.h"
-#include "stream/transport_storm.h"
 #include "stream/worker_agent.h"
 #include "switchd/soft_switch.h"
 #include "typhoon/ctl_channel.h"
@@ -71,7 +70,6 @@ class HostProcess {
   std::unique_ptr<CtlChannel> channel_;
   std::unique_ptr<RemoteCoordinator> coord_;
   stream::AppRegistry registry_;
-  stream::StormFabric fabric_;  // unused in typhoon mode; agent requires one
 
   std::unique_ptr<switchd::SoftSwitch> sw_;
   std::unique_ptr<net::SocketTunnelListener> listener_;

@@ -518,11 +518,10 @@ common::Status ProcessCluster::start() {
   }
 
   // Control plane over remote switch proxies.
-  controller::ControlPlaneOptions cpopts;
-  cpopts.shards = cfg_.controller_shards;
-  cpopts.controller.tick_interval = cfg_.controller_tick;
-  control_plane_ =
-      std::make_unique<controller::ControlPlane>(&coord_, cpopts);
+  // One controller shard on the default 50 ms tick, running the stock
+  // apps; the manager runs its failure detector (the option defaults).
+  control_plane_ = std::make_unique<controller::ControlPlane>(
+      &coord_, controller::ControlPlaneOptions{});
   {
     std::lock_guard lk(hosts_mu_);
     for (auto& [id, hp] : procs_) {
@@ -530,19 +529,15 @@ common::Status ProcessCluster::start() {
       control_plane_->add_switch(id, hp.rsw.get());
     }
   }
-  if (cfg_.default_apps) {
-    control_plane_->set_app_factory([](controller::TyphoonController& c) {
-      c.add_app(std::make_unique<controller::FaultDetector>());
-      c.add_app(std::make_unique<controller::LiveDebugger>());
-      c.add_app(std::make_unique<controller::LoadBalancer>());
-    });
-  }
+  control_plane_->set_app_factory([](controller::TyphoonController& c) {
+    c.add_app(std::make_unique<controller::FaultDetector>());
+    c.add_app(std::make_unique<controller::LiveDebugger>());
+    c.add_app(std::make_unique<controller::LoadBalancer>());
+  });
   control_plane_->start();
 
   stream::ManagerOptions mopts;
   mopts.hosts = host_ids_;
-  mopts.typhoon_mode = true;
-  mopts.enable_failure_detector = cfg_.enable_failure_detector;
   mopts.heartbeat_timeout = cfg_.heartbeat_timeout;
   mopts.monitor_interval = cfg_.manager_monitor_interval;
   mopts.scheduler = std::make_unique<stream::RoundRobinScheduler>();

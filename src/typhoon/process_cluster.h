@@ -49,13 +49,7 @@ struct ProcessClusterConfig {
   // Path to the typhoon_hostd binary; empty consults $TYPHOON_HOSTD.
   std::string hostd_path;
 
-  // Control-plane knobs (mirroring ClusterConfig).
-  bool default_apps = true;
-  int controller_shards = 1;
-  std::chrono::milliseconds controller_tick{50};
-
   // Manager knobs; chaos tests tighten these for fast failover.
-  bool enable_failure_detector = true;
   std::chrono::milliseconds heartbeat_timeout{1500};
   std::chrono::milliseconds manager_monitor_interval{100};
 };

@@ -37,7 +37,6 @@ class AgentFixture : public ::testing::Test {
 
     AgentOptions aopts;
     aopts.host = 1;
-    aopts.typhoon_mode = true;
     aopts.sw = sw_.get();
     aopts.coord = &coord_;
     aopts.registry = &registry_;

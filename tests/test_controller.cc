@@ -43,7 +43,7 @@ struct Fixture {
 
 TEST(Controller, DeployInstallsRulesOnEverySwitch) {
   Fixture f;
-  f.ctl.on_topology_deployed(f.spec, f.phys);
+  f.ctl.on_topology_updated(f.spec, f.phys, {});
   // host1: local + remote-sender + 2x2 control; host2: remote-receiver +
   // 2 control.
   EXPECT_EQ(f.sw1.flow_count(), 6u);
@@ -56,15 +56,15 @@ TEST(Controller, DeployInstallsRulesOnEverySwitch) {
 
 TEST(Controller, ReinstallIsIdempotent) {
   Fixture f;
-  f.ctl.on_topology_deployed(f.spec, f.phys);
+  f.ctl.on_topology_updated(f.spec, f.phys, {});
   const std::size_t n1 = f.sw1.flow_count();
-  f.ctl.on_workers_added(f.spec, f.phys, {});
+  f.ctl.on_topology_updated(f.spec, f.phys, {});
   EXPECT_EQ(f.sw1.flow_count(), n1);
 }
 
 TEST(Controller, KillSweepsByCookie) {
   Fixture f;
-  f.ctl.on_topology_deployed(f.spec, f.phys);
+  f.ctl.on_topology_updated(f.spec, f.phys, {});
   ASSERT_GT(f.sw1.flow_count(), 0u);
   f.ctl.on_topology_killed(9);
   EXPECT_EQ(f.sw1.flow_count(), 0u);
@@ -74,13 +74,13 @@ TEST(Controller, KillSweepsByCookie) {
 
 TEST(Controller, WorkerRemovalDropsItsRules) {
   Fixture f;
-  f.ctl.on_topology_deployed(f.spec, f.phys);
+  f.ctl.on_topology_updated(f.spec, f.phys, {});
   const std::size_t before = f.sw2.flow_count();
 
   stream::PhysicalWorker removed = f.phys.workers[2];  // w21 on host2
   std::erase_if(f.phys.workers,
                 [&](const auto& w) { return w.id == removed.id; });
-  f.ctl.on_workers_removed(f.spec, f.phys, {removed});
+  f.ctl.on_topology_updated(f.spec, f.phys, {removed});
   EXPECT_LT(f.sw2.flow_count(), before);
   for (const auto& r : f.sw2.flow_rules()) {
     const std::uint64_t addr = WorkerAddress{9, removed.id}.packed();
@@ -91,7 +91,7 @@ TEST(Controller, WorkerRemovalDropsItsRules) {
 
 TEST(Controller, WorkerByPortResolvesAcrossTopologies) {
   Fixture f;
-  f.ctl.on_topology_deployed(f.spec, f.phys);
+  f.ctl.on_topology_updated(f.spec, f.phys, {});
   auto ref = f.ctl.worker_by_port(2, 121);
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(ref->topology, 9);
@@ -106,7 +106,7 @@ TEST(Controller, SendControlValidatesTargets) {
   ct.type = stream::ControlType::kSignal;
   EXPECT_EQ(f.ctl.send_control(9, 10, ct).code(),
             common::ErrorCode::kNotFound);  // topology unknown yet
-  f.ctl.on_topology_deployed(f.spec, f.phys);
+  f.ctl.on_topology_updated(f.spec, f.phys, {});
   EXPECT_TRUE(f.ctl.send_control(9, 10, ct).ok());
   EXPECT_EQ(f.ctl.send_control(9, 777, ct).code(),
             common::ErrorCode::kNotFound);  // worker unknown
@@ -114,7 +114,7 @@ TEST(Controller, SendControlValidatesTargets) {
 
 TEST(Controller, MetricQueryTimesOutWithoutWorker) {
   Fixture f;
-  f.ctl.on_topology_deployed(f.spec, f.phys);
+  f.ctl.on_topology_updated(f.spec, f.phys, {});
   f.ctl.start();
   // No worker attached to the port: the PacketOut disappears and the query
   // must time out rather than hang.

@@ -90,8 +90,7 @@ TEST(CtrlPlane, DeltaCompileIsWorkerDegreeBoundedAt512Workers) {
   BigTopology(512, 8, spec512, phys512);
 
   RuleCompiler c;
-  const RulesByHost full = c.compile_full(spec512, phys512);
-  const std::size_t full_rules = CountRules(full);
+  const std::size_t full_rules = c.compile_delta(spec512, phys512).total();
   // 4x512 unicast pairs (1 or 2 rules each) + 2 control rules per worker.
   ASSERT_GT(full_rules, 3000u);
 
@@ -137,14 +136,13 @@ TEST(CtrlPlane, DeltaFallsBackToFullAddsWithoutCachedState) {
   stream::PhysicalTopology phys;
   BigTopology(8, 2, spec, phys);
   RuleCompiler c;
-  // No compile_full first: everything is an add (recovered-controller path).
+  // No cached state: everything is an add (deploy / takeover-repair path).
   const RuleDelta d = c.compile_delta(spec, phys);
   EXPECT_EQ(d.total(), CountRules(c.compile(spec, phys)));
   EXPECT_EQ(CountRules(d.dels), 0u);
 }
 
-// Satellite regression: at the default data_rule_idle_timeout_s == 0 a
-// scale-down must leave no rule on any switch that references a removed
+// Regression: with permanent data rules (idle timeout 0) a scale-down must leave no rule on any switch that references a removed
 // worker's port or address — the leak was rules whose match does not
 // mention the worker's address (to-controller, emptied broadcast legs).
 TEST(CtrlPlane, ScaleDownLeavesNoOrphanRulesOnAnySwitch) {
@@ -210,6 +208,223 @@ TEST(CtrlPlane, ScaleDownLeavesNoOrphanRulesOnAnySwitch) {
   EXPECT_GT(cluster.controller()->flowmods_delta(), 0);
   cluster.stop();
 }
+
+// Rule tables stay exact across every stable update (DESIGN.md Sec 6): after
+// each step every switch holds, for the topology's cookie at the compiler's
+// priorities, exactly RuleCompiler().compile(spec, phys) for that host, and
+// the control plane emitted exactly as many FlowMods as the diff between
+// the rule sets before and after the step.
+enum class Update {
+  kScaleUp,
+  kScaleDown,
+  kChangeGrouping,
+  kSwap,
+  kRelocate,
+  kAttach,
+  kDetach,
+  kReschedule,
+};
+
+std::string UpdateName(const ::testing::TestParamInfo<Update>& info) {
+  switch (info.param) {
+    case Update::kScaleUp: return "ScaleUp";
+    case Update::kScaleDown: return "ScaleDown";
+    case Update::kChangeGrouping: return "ChangeGrouping";
+    case Update::kSwap: return "Swap";
+    case Update::kRelocate: return "Relocate";
+    case Update::kAttach: return "Attach";
+    case Update::kDetach: return "Detach";
+    case Update::kReschedule: return "Reschedule";
+  }
+  return "Unknown";
+}
+
+class RuleTablesExact : public ::testing::TestWithParam<Update> {
+ protected:
+  static constexpr const char* kTopo = "exact";
+
+  // Table 3 set of the manager's current (spec, physical).
+  controller::CompiledRuleState Expected() {
+    return RuleCompiler::Keyed(
+        RuleCompiler().compile(cluster_.manager().spec(kTopo).value(),
+                               cluster_.manager().physical(kTopo).value()));
+  }
+
+  std::int64_t FlowMods() {
+    return cluster_.control_plane()->flowmods_delta() +
+           cluster_.control_plane()->flowmods_full();
+  }
+
+  // Compare every switch's compiler-owned rules of the topology with
+  // `expected`, and the FlowMods emitted since `flowmods_before` with the
+  // diff from `before` to `expected`.
+  void ExpectExact(const controller::CompiledRuleState& before,
+                   std::int64_t flowmods_before, const std::string& step) {
+    SCOPED_TRACE(step);
+    const controller::CompiledRuleState expected = Expected();
+    for (HostId h : cluster_.hosts()) {
+      RulesByHost installed;
+      for (const openflow::FlowRule& r : cluster_.switch_at(h)->flow_rules()) {
+        if (r.cookie == tid_ && (r.priority == controller::kPrioData ||
+                                 r.priority == controller::kPrioControl)) {
+          installed[h].push_back(r);
+        }
+      }
+      RulesByHost wanted;
+      for (const auto& [key, rule] : expected) {
+        if (key.host == h) wanted[h].push_back(rule);
+      }
+      // Exact iff neither side has a rule the other lacks or differs on.
+      EXPECT_TRUE(RuleCompiler::Diff(RuleCompiler::Keyed(std::move(installed)),
+                                     RuleCompiler::Keyed(std::move(wanted)))
+                      .empty())
+          << "host " << h << " rules differ from the compiled set";
+    }
+    EXPECT_EQ(FlowMods() - flowmods_before,
+              static_cast<std::int64_t>(
+                  RuleCompiler::Diff(before, expected).total()));
+  }
+
+  // Run one reconfiguration and check the tables it leaves.
+  void Reconfigure(ReconfigRequest req, const std::string& step) {
+    req.topology = kTopo;
+    const controller::CompiledRuleState before = Expected();
+    const std::int64_t flowmods = FlowMods();
+    const common::Status st = cluster_.reconfigure(req);
+    ASSERT_TRUE(st.ok()) << step << ": " << st.str();
+    ExpectExact(before, flowmods, step);
+  }
+
+  void Attach() {
+    cluster_.registry().add_bolt(kTopo, "query", [state = query_] {
+      return std::make_unique<CollectingSink>(state);
+    });
+    ReconfigRequest req;
+    req.kind = ReconfigRequest::Kind::kAttachQuery;
+    req.from_node = "mid";
+    req.node = "query";
+    req.count = 2;
+    Reconfigure(req, "attach");
+  }
+
+  static ClusterConfig Config() {
+    ClusterConfig cfg;
+    cfg.num_hosts = 3;
+    if (GetParam() == Update::kReschedule) {
+      // Fast death verdict for the failed host's worker.
+      cfg.heartbeat_timeout = 500ms;
+      cfg.manager_monitor_interval = 50ms;
+    }
+    return cfg;
+  }
+
+  Cluster cluster_{Config()};
+  std::shared_ptr<SinkState> sink_ = std::make_shared<SinkState>();
+  std::shared_ptr<SinkState> query_ = std::make_shared<SinkState>();
+  TopologyId tid_ = 0;
+};
+
+TEST_P(RuleTablesExact, AfterEveryStableUpdate) {
+  cluster_.start();
+  TopologyBuilder b(kTopo);
+  const NodeId src = b.add_spout(
+      "src", [] { return std::make_unique<SequenceSpout>(0, 8, 0, 5000.0); },
+      1);
+  const NodeId mid = b.add_bolt(
+      "mid", [] { return std::make_unique<ForwardBolt>(); }, 2);
+  const NodeId sink = b.add_bolt(
+      "sink", [state = sink_] { return std::make_unique<CollectingSink>(state); },
+      1);
+  b.shuffle(src, mid);
+  b.shuffle(mid, sink);
+  const std::int64_t deploy_flowmods = FlowMods();
+  auto tid = cluster_.submit(b.build().value());
+  ASSERT_TRUE(tid.ok());
+  tid_ = tid.value();
+  ExpectExact({}, deploy_flowmods, "deploy");
+  ASSERT_TRUE(WaitFor([&] { return sink_->received.load() > 500; }, 10s));
+
+  ReconfigRequest req;
+  req.node = "mid";
+  switch (GetParam()) {
+    case Update::kScaleUp:
+      req.kind = ReconfigRequest::Kind::kScaleUp;
+      req.count = 2;
+      Reconfigure(req, "scale-up");
+      break;
+    case Update::kScaleDown:
+      req.kind = ReconfigRequest::Kind::kScaleDown;
+      req.count = 1;
+      Reconfigure(req, "scale-down");
+      break;
+    case Update::kChangeGrouping:
+      req.kind = ReconfigRequest::Kind::kChangeGrouping;
+      req.from_node = "src";
+      req.new_grouping = {stream::GroupingType::kFields, {0}};
+      Reconfigure(req, "change-grouping");
+      break;
+    case Update::kSwap:
+      req.kind = ReconfigRequest::Kind::kSwapLogic;
+      Reconfigure(req, "swap");
+      break;
+    case Update::kRelocate: {
+      const auto phys = cluster_.manager().physical(kTopo).value();
+      const auto mids = phys.workers_of(
+          cluster_.manager().spec(kTopo).value().node_by_name("mid")->id);
+      req.kind = ReconfigRequest::Kind::kRelocate;
+      req.task_index = mids.front().task_index;
+      for (HostId h : cluster_.hosts()) {
+        if (h != mids.front().host) req.target_host = h;
+      }
+      Reconfigure(req, "relocate");
+      break;
+    }
+    case Update::kAttach:
+      Attach();
+      break;
+    case Update::kDetach:
+      Attach();
+      req.kind = ReconfigRequest::Kind::kDetachQuery;
+      req.node = "query";
+      Reconfigure(req, "detach");
+      break;
+    case Update::kReschedule: {
+      // Fail a host that runs exactly one worker: the manager reschedules
+      // it alone, in one rule update.
+      const stream::PhysicalTopology placed =
+          cluster_.manager().physical(kTopo).value();
+      std::map<HostId, int> per_host;
+      for (const stream::PhysicalWorker& w : placed.workers) ++per_host[w.host];
+      HostId victim = 0;
+      for (const auto& [h, n] : per_host) {
+        if (n == 1) victim = h;
+      }
+      ASSERT_NE(victim, 0u) << "no host runs exactly one worker";
+      const controller::CompiledRuleState before = Expected();
+      const std::int64_t flowmods = FlowMods();
+      cluster_.fail_host(victim);
+      ASSERT_TRUE(
+          WaitFor([&] { return cluster_.manager().reschedules() >= 1; }, 10s));
+      EXPECT_EQ(cluster_.manager().reschedules(), 1);
+      const stream::PhysicalTopology after =
+          cluster_.manager().physical(kTopo).value();
+      for (const stream::PhysicalWorker& w : after.workers) {
+        EXPECT_NE(w.host, victim);
+      }
+      ExpectExact(before, flowmods, "reschedule");
+      break;
+    }
+  }
+  cluster_.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CtrlPlane, RuleTablesExact,
+    ::testing::Values(Update::kScaleUp, Update::kScaleDown,
+                      Update::kChangeGrouping, Update::kSwap,
+                      Update::kRelocate, Update::kAttach, Update::kDetach,
+                      Update::kReschedule),
+    UpdateName);
 
 // Multi-shard partitioning: topologies hash to fixed shards, hooks and
 // switch events reach only the owning shard's leader, and data still flows

@@ -474,7 +474,8 @@ TEST(WorkerInjectors, CrashKillsWorkerAndAgentRestartsIt) {
   ASSERT_TRUE(cluster.submit(PipelineTopo(state, 0, 1, 20000.0)).ok());
   ASSERT_TRUE(WaitFor([&] { return state->received.load() > 500; }, 10s));
 
-  ASSERT_TRUE(cluster.inject_worker_crash("fi", "mid", 0));
+  ASSERT_TRUE(cluster.probe_worker("fi", "mid", 0,
+                                   [](stream::Worker& w) { w.inject_crash(); }));
   // Supervisor restarts the crashed worker locally; traffic resumes.
   ASSERT_TRUE(WaitFor([&] { return cluster.agent_restarts() >= 1; }, 10s));
   const std::int64_t mark = state->received.load();
@@ -493,7 +494,8 @@ TEST(WorkerInjectors, HangPausesThenResumes) {
   ASSERT_TRUE(cluster.submit(PipelineTopo(state, 0, 1, 20000.0)).ok());
   ASSERT_TRUE(WaitFor([&] { return state->received.load() > 500; }, 10s));
 
-  ASSERT_TRUE(cluster.inject_worker_hang("fi", "mid", 0, 400ms));
+  ASSERT_TRUE(cluster.probe_worker(
+      "fi", "mid", 0, [](stream::Worker& w) { w.inject_hang(400ms); }));
   common::SleepMillis(150);  // hang has started, residual in-flight drained
   const std::int64_t frozen = state->received.load();
   common::SleepMillis(150);
@@ -513,14 +515,16 @@ TEST(WorkerInjectors, SlowdownThrottlesThroughput) {
   ASSERT_TRUE(WaitFor([&] { return state->received.load() > 2000; }, 10s));
 
   // ~1ms per tuple caps the mid stage near 1k tuples/s.
-  ASSERT_TRUE(cluster.inject_worker_slowdown("fi", "mid", 0, 1000us));
+  ASSERT_TRUE(cluster.probe_worker(
+      "fi", "mid", 0, [](stream::Worker& w) { w.inject_slowdown(1000us); }));
   common::SleepMillis(200);  // let in-flight batches clear
   const std::int64_t t0 = state->received.load();
   common::SleepMillis(500);
   const std::int64_t slow_rate = (state->received.load() - t0) * 2;
   EXPECT_LT(slow_rate, 4000);  // far below unthrottled throughput
 
-  ASSERT_TRUE(cluster.inject_worker_slowdown("fi", "mid", 0, 0us));
+  ASSERT_TRUE(cluster.probe_worker(
+      "fi", "mid", 0, [](stream::Worker& w) { w.inject_slowdown(0us); }));
   const std::int64_t t1 = state->received.load();
   ASSERT_TRUE(WaitFor([&] { return state->received.load() > t1 + 5000; },
                       10s));

@@ -159,23 +159,6 @@ TEST(RuleCompiler, RuleCountMatchesTopologyShape) {
   EXPECT_EQ(total, 9u);
 }
 
-TEST(RuleCompiler, IdleTimeoutAppliedToDataRulesOnly) {
-  Fixture f;
-  RuleCompilerConfig cfg;
-  cfg.data_rule_idle_timeout_s = 30;
-  RuleCompiler c(cfg);
-  auto rules = c.compile(f.spec, f.phys);
-  for (const auto& [host, rs] : rules) {
-    for (const FlowRule& r : rs) {
-      if (r.priority == kPrioData) {
-        EXPECT_EQ(r.idle_timeout_s, 30u);
-      } else {
-        EXPECT_EQ(r.idle_timeout_s, 0u);
-      }
-    }
-  }
-}
-
 TEST(RuleCompiler, NoDataRulesForNodeWithoutEdges) {
   TopologySpec spec;
   spec.id = 1;
