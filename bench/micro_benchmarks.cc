@@ -102,29 +102,6 @@ void BM_PacketizerBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketizerBatch)->Arg(1)->Arg(100)->Arg(1000);
 
-void BM_FlowTableLookup(benchmark::State& state) {
-  const int rules = static_cast<int>(state.range(0));
-  openflow::FlowTable table;
-  for (int i = 0; i < rules; ++i) {
-    openflow::FlowRule r;
-    r.match.in_port = static_cast<PortId>(100 + i);
-    r.match.dl_src = WorkerAddress{1, static_cast<WorkerId>(i)}.packed();
-    r.match.dl_dst =
-        WorkerAddress{1, static_cast<WorkerId>(i + 1)}.packed();
-    r.match.ether_type = net::kTyphoonEtherType;
-    r.actions = {openflow::ActionOutput{1}};
-    table.add(r);
-  }
-  net::Packet pkt;
-  pkt.src = WorkerAddress{1, static_cast<WorkerId>(rules - 1)};
-  pkt.dst = WorkerAddress{1, static_cast<WorkerId>(rules)};
-  const PortId in_port = static_cast<PortId>(100 + rules - 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookup(pkt, in_port));  // worst case
-  }
-}
-BENCHMARK(BM_FlowTableLookup)->Arg(8)->Arg(64)->Arg(512);
-
 // Reusing the caller-owned buffer skips the per-tuple Bytes allocation that
 // SerializeTyphoon pays (the transport send-scratch path).
 void BM_SerializeTyphoonReuse(benchmark::State& state) {
@@ -163,8 +140,10 @@ void BM_FlowTableSnapshotBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTableSnapshotBuild)->Arg(8)->Arg(64)->Arg(512);
 
-// Lock-free scan of the published snapshot (the microflow-cache miss path).
-void BM_FlowSnapshotLookup(benchmark::State& state) {
+// The switch's classifier on a microflow-cache miss: one lookup_batch pass
+// over the published snapshot, here for a single packet matching the last
+// rule (worst case).
+void BM_FlowTableLookup(benchmark::State& state) {
   const int rules = static_cast<int>(state.range(0));
   openflow::FlowTable table = BuildExactTable(rules);
   auto snap = table.snapshot();
@@ -172,11 +151,14 @@ void BM_FlowSnapshotLookup(benchmark::State& state) {
   pkt.src = WorkerAddress{1, static_cast<WorkerId>(rules - 1)};
   pkt.dst = WorkerAddress{1, static_cast<WorkerId>(rules)};
   const PortId in_port = static_cast<PortId>(100 + rules - 1);
+  const net::Packet* pkts[] = {&pkt};
+  const openflow::FlowSnapshotEntry* hits[] = {nullptr};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(snap->lookup(pkt, in_port));  // worst case
+    snap->lookup_batch(pkts, in_port, hits);
+    benchmark::DoNotOptimize(hits[0]);
   }
 }
-BENCHMARK(BM_FlowSnapshotLookup)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK(BM_FlowTableLookup)->Arg(8)->Arg(64)->Arg(512);
 
 // The tier-1 hit path: one hash, one generation compare, one key compare.
 void BM_MicroflowCacheHit(benchmark::State& state) {
@@ -189,7 +171,7 @@ void BM_MicroflowCacheHit(benchmark::State& state) {
   auto actions = std::make_shared<const std::vector<openflow::FlowAction>>(
       std::vector<openflow::FlowAction>{openflow::ActionOutput{7}});
   auto stats = std::make_shared<openflow::RuleStats>();
-  cache.insert(key, /*generation=*/1, actions, stats, /*track_idle=*/false);
+  cache.insert(key, /*generation=*/1, actions, stats);
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.lookup(key, /*generation=*/1));
   }

@@ -105,17 +105,21 @@ void MicroBench() {
   const double install_us =
       common::SecondsSince(i0) * 1e6 / kInstallIters;
 
-  // Lookup cost on the host-1 table.
+  // Lookup cost on the host-1 table, through the switch's classifier.
   openflow::FlowTable table;
   for (const auto& r : rules.at(1)) table.add(r);
+  const auto snap = table.snapshot();
   net::Packet pkt;
   pkt.src = WorkerAddress{1, 1};
   pkt.dst = WorkerAddress{1, 2};
+  const net::Packet* pkts[] = {&pkt};
+  const openflow::FlowSnapshotEntry* hit[] = {nullptr};
   constexpr int kLookups = 2000000;
   const common::TimePoint l0 = common::Now();
   std::size_t hits = 0;
   for (int i = 0; i < kLookups; ++i) {
-    hits += table.lookup(pkt, 101) != nullptr;
+    snap->lookup_batch(pkts, 101, hit);
+    hits += hit[0] != nullptr;
   }
   const double lookup_ns = common::SecondsSince(l0) * 1e9 / kLookups;
 

@@ -31,10 +31,6 @@ class ControlPlaneApp {
     (void)host;
     (void)ev;
   }
-  virtual void on_flow_removed(HostId host, const openflow::FlowRemoved& ev) {
-    (void)host;
-    (void)ev;
-  }
 
   // Periodic work (stat pulls, threshold checks).
   virtual void tick() {}

@@ -38,7 +38,7 @@ void FaultDetector::push_routing(TopologyId topology,
     ru.state.next_hops = hops;
     for (WorkerId pred : phys->worker_ids_of(e.from)) {
       if (down.contains(pred)) continue;
-      ctl_->send_routing_update(*phys, pred, ru);
+      ctl_->send_control_tuple(*phys, pred, stream::MakeRouting(ru));
     }
   }
 }

@@ -106,16 +106,11 @@ void ControlPlane::route(TopologyId id,
 }
 
 void ControlPlane::route_event(HostId host, switchd::SwitchEvent ev) {
-  // Route by owning topology: a PacketIn by its frame's source topology, a
-  // FlowRemoved by its rule cookie. PortStatus concerns the host rather
-  // than any topology, so every shard leader gets a copy (each resolves it
-  // against only its own partition's workers).
-  TopologyId topo = 0;
-  if (const auto* pin = std::get_if<openflow::PacketIn>(&ev)) {
-    topo = pin->packet->src.topology;
-  } else if (const auto* fr = std::get_if<openflow::FlowRemoved>(&ev)) {
-    topo = static_cast<TopologyId>(fr->rule.cookie);
-  } else {
+  // Route a PacketIn by its frame's source topology. PortStatus concerns
+  // the host rather than any topology, so every shard leader gets a copy
+  // (each resolves it against only its own partition's workers).
+  const auto* pin = std::get_if<openflow::PacketIn>(&ev);
+  if (pin == nullptr) {
     for (auto& s : shards_) {
       std::lock_guard lk(s->mu);
       if (s->leader != nullptr) {
@@ -130,7 +125,7 @@ void ControlPlane::route_event(HostId host, switchd::SwitchEvent ev) {
     }
     return;
   }
-  Shard& s = shard_of(topo);
+  Shard& s = shard_of(pin->packet->src.topology);
   std::lock_guard lk(s.mu);
   if (s.leader != nullptr) {
     s.leader->ingest_event(host, std::move(ev));
@@ -273,21 +268,6 @@ void ControlPlane::on_topology_updated(
     const std::vector<stream::PhysicalWorker>& removed) {
   route(spec.id, [spec, phys, removed](TyphoonController& ctl) {
     ctl.on_topology_updated(spec, phys, removed);
-  });
-}
-
-void ControlPlane::send_routing_update(const stream::PhysicalTopology& phys,
-                                       WorkerId target,
-                                       const stream::RoutingUpdate& update) {
-  route(phys.id, [phys, target, update](TyphoonController& ctl) {
-    ctl.send_routing_update(phys, target, update);
-  });
-}
-
-void ControlPlane::send_signal(const stream::PhysicalTopology& phys,
-                               WorkerId target, const std::string& tag) {
-  route(phys.id, [phys, target, tag](TyphoonController& ctl) {
-    ctl.send_signal(phys, target, tag);
   });
 }
 

@@ -74,11 +74,6 @@ class ControlPlane final : public stream::SdnHooks {
   void on_topology_updated(
       const stream::TopologySpec& spec, const stream::PhysicalTopology& phys,
       const std::vector<stream::PhysicalWorker>& removed) override;
-  void send_routing_update(const stream::PhysicalTopology& phys,
-                           WorkerId target,
-                           const stream::RoutingUpdate& update) override;
-  void send_signal(const stream::PhysicalTopology& phys, WorkerId target,
-                   const std::string& tag) override;
   void send_control_tuple(const stream::PhysicalTopology& phys,
                           WorkerId target,
                           const stream::ControlTuple& ct) override;

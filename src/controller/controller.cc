@@ -167,23 +167,6 @@ void TyphoonController::on_topology_updated(
   }
 }
 
-void TyphoonController::send_routing_update(
-    const stream::PhysicalTopology& phys, WorkerId target,
-    const stream::RoutingUpdate& update) {
-  stream::ControlTuple ct;
-  ct.type = stream::ControlType::kRouting;
-  ct.routing = update;
-  (void)send_control(phys.id, target, ct, /*reliable=*/true);
-}
-
-void TyphoonController::send_signal(const stream::PhysicalTopology& phys,
-                                    WorkerId target, const std::string& tag) {
-  stream::ControlTuple ct;
-  ct.type = stream::ControlType::kSignal;
-  ct.signal_tag = tag;
-  (void)send_control(phys.id, target, ct, /*reliable=*/true);
-}
-
 void TyphoonController::send_control_tuple(
     const stream::PhysicalTopology& phys, WorkerId target,
     const stream::ControlTuple& ct) {
@@ -599,8 +582,6 @@ void TyphoonController::handle_event(HostId host, switchd::SwitchEvent ev) {
             a->on_packet_in(host, e);
           } else if constexpr (std::is_same_v<T, openflow::PortStatus>) {
             a->on_port_status(host, e);
-          } else if constexpr (std::is_same_v<T, openflow::FlowRemoved>) {
-            a->on_flow_removed(host, e);
           }
         },
         ev);

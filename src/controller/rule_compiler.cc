@@ -156,8 +156,7 @@ RuleDelta RuleCompiler::Diff(const CompiledRuleState& old_state,
                              const CompiledRuleState& fresh) {
   RuleDelta d;
   // Walk both sorted maps in lockstep: a key only in `fresh` is an add, only
-  // in `old_state` a delete, and in both with different actions/timeout a
-  // mod.
+  // in `old_state` a delete, and in both with different actions a mod.
   auto oi = old_state.begin();
   auto ni = fresh.begin();
   while (oi != old_state.end() || ni != fresh.end()) {
@@ -170,8 +169,7 @@ RuleDelta RuleCompiler::Diff(const CompiledRuleState& old_state,
     } else {
       const openflow::FlowRule& was = oi->second;
       const openflow::FlowRule& is = ni->second;
-      if (!(was.actions == is.actions) ||
-          was.idle_timeout_s != is.idle_timeout_s) {
+      if (!(was.actions == is.actions)) {
         d.mods[ni->first.host].push_back(is);
       }
       ++oi;

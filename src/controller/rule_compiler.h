@@ -9,8 +9,8 @@
 //   worker -> controller in_port=worker.port, dl_dst=CONTROLLER   -> output CONTROLLER
 //
 // Every rule carries cookie = topology id, so a killed topology's rules are
-// swept in one call. Data rules are permanent (idle timeout 0): a removed
-// worker's rules go by explicit delete, never by expiry.
+// swept in one call. Rules are permanent: a removed worker's rules go by
+// explicit delete.
 //
 // One installation path (DESIGN.md Sec 15): compile_delta() is
 // DeltaPath-style incremental recompilation. The compiler keeps a
@@ -46,7 +46,7 @@ inline constexpr std::uint16_t kPrioControl = 400;
 // Identity of one installed rule: where it lives plus the (match, priority,
 // cookie) triple the switch's FlowTable replaces/erases on. Two compiled
 // sets are diffed by this key; a key present in both with different actions
-// or timeouts is a modification.
+// is a modification.
 struct RuleKey {
   HostId host = 0;
   std::uint16_t priority = 0;
@@ -65,7 +65,7 @@ struct RuleKey {
 };
 
 // The FlowMods a reconfiguration must emit: adds (new keys), mods (same key,
-// changed actions/timeout; installed with kAdd, which replaces in place) and
+// changed actions; installed with kAdd, which replaces in place) and
 // dels (keys gone from the new set; installed with kDelete).
 struct RuleDelta {
   RulesByHost adds;

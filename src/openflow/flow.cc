@@ -74,7 +74,6 @@ std::string FlowRule::str() const {
     os << ActionStr(actions[i]);
   }
   os << "]";
-  if (idle_timeout_s) os << " idle=" << idle_timeout_s << "s";
   return os.str();
 }
 

@@ -124,14 +124,12 @@ class SharedActions {
   Ptr list_;
 };
 
+// A rule is permanent: it stays installed until a FlowMod or a sweep
+// (e.g. of a removed worker's address) deletes it.
 struct FlowRule {
   FlowMatch match;
   SharedActions actions;
   std::uint16_t priority = 100;
-  // Seconds of inactivity after which the rule is evicted; 0 = permanent.
-  // Compiled Table 3 rules are permanent; removed workers' rules are
-  // deleted explicitly.
-  std::uint32_t idle_timeout_s = 0;
   std::uint64_t cookie = 0;
 
   [[nodiscard]] std::string str() const;
@@ -205,11 +203,6 @@ struct FlowStats {
   FlowRule rule;
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
-};
-
-struct FlowRemoved {
-  FlowRule rule;
-  enum class Reason { kIdleTimeout, kDelete } reason = Reason::kIdleTimeout;
 };
 
 }  // namespace typhoon::openflow

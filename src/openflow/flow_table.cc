@@ -4,22 +4,6 @@
 
 namespace typhoon::openflow {
 
-namespace {
-std::int64_t ToMicros(common::TimePoint tp) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             tp.time_since_epoch())
-      .count();
-}
-}  // namespace
-
-const FlowSnapshotEntry* FlowSnapshot::lookup(const net::Packet& p,
-                                              PortId in_port) const {
-  for (const FlowSnapshotEntry& e : entries) {
-    if (e.match.matches(p, in_port)) return &e;
-  }
-  return nullptr;
-}
-
 void FlowSnapshot::lookup_batch(std::span<const net::Packet* const> pkts,
                                 PortId in_port,
                                 std::span<const FlowSnapshotEntry*> out) const {
@@ -51,16 +35,12 @@ bool FlowTable::add(FlowRule rule) {
   for (Entry& e : entries_) {
     if (e.rule.match == rule.match && e.rule.priority == rule.priority) {
       e.rule = std::move(rule);
-      e.stats->last_used_us.store(ToMicros(common::Now()),
-                                  std::memory_order_relaxed);
       return true;
     }
   }
   Entry e;
   e.rule = std::move(rule);
   e.stats = std::make_shared<RuleStats>();
-  e.stats->last_used_us.store(ToMicros(common::Now()),
-                              std::memory_order_relaxed);
   e.seq = next_seq_++;
   entries_.push_back(std::move(e));
   sort_entries();
@@ -72,8 +52,6 @@ bool FlowTable::modify(const FlowMatch& match, SharedActions actions) {
   for (Entry& e : entries_) {
     if (e.rule.match == match) {
       e.rule.actions = actions;
-      e.stats->last_used_us.store(ToMicros(common::Now()),
-                                  std::memory_order_relaxed);
       any = true;
     }
   }
@@ -107,44 +85,11 @@ std::size_t FlowTable::erase_mentioning(std::uint64_t addr,
   return before - entries_.size();
 }
 
-const FlowRule* FlowTable::lookup(const net::Packet& p, PortId in_port) {
-  for (Entry& e : entries_) {
-    if (e.rule.match.matches(p, in_port)) {
-      e.stats->packets.fetch_add(1, std::memory_order_relaxed);
-      e.stats->bytes.fetch_add(p.wire_size(), std::memory_order_relaxed);
-      e.stats->last_used_us.store(ToMicros(common::Now()),
-                                  std::memory_order_relaxed);
-      return &e.rule;
-    }
-  }
-  return nullptr;
-}
-
-std::size_t FlowTable::sweep_idle(
-    common::TimePoint now,
-    const std::function<void(const FlowRule&)>& on_removed) {
-  const std::int64_t now_us = ToMicros(now);
-  std::size_t evicted = 0;
-  std::erase_if(entries_, [&](const Entry& e) {
-    if (e.rule.idle_timeout_s == 0) return false;
-    const std::int64_t idle_us =
-        now_us - e.stats->last_used_us.load(std::memory_order_relaxed);
-    if (idle_us < std::int64_t{e.rule.idle_timeout_s} * 1'000'000) {
-      return false;
-    }
-    if (on_removed) on_removed(e.rule);
-    ++evicted;
-    return true;
-  });
-  return evicted;
-}
-
 std::shared_ptr<const FlowSnapshot> FlowTable::snapshot() const {
   auto snap = std::make_shared<FlowSnapshot>();
   snap->entries.reserve(entries_.size());
   for (const Entry& e : entries_) {
-    snap->entries.push_back({e.rule.match, e.rule.actions.shared(), e.stats,
-                             e.rule.idle_timeout_s});
+    snap->entries.push_back({e.rule.match, e.rule.actions.shared(), e.stats});
   }
   return snap;
 }

@@ -1,31 +1,29 @@
-// Priority-ordered flow table with wildcard matching, per-rule counters,
-// and idle-timeout eviction. Mutations are serialized by the owning switch
-// (under its table mutex); the forwarding path never touches this class
-// directly — it reads an immutable FlowSnapshot published after every
-// mutation and bumps the rule's shared atomic counters on a hit.
+// Priority-ordered flow table with wildcard matching and per-rule counters.
+// Rules are permanent until a FlowMod or sweep deletes them. Mutations are
+// serialized by the owning switch (under its control-state mutex); the
+// forwarding path never touches this class directly — it classifies
+// against the immutable FlowSnapshot published after every mutation
+// (FlowSnapshot::lookup_batch) and bumps the rule's shared atomic counters
+// on a hit.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "common/clock.h"
 #include "openflow/flow.h"
 
 namespace typhoon::openflow {
 
 // Hit counters shared between a table entry and every snapshot that names
 // it. Plain atomics so lock-free forwarding threads can account while
-// control threads read stats; last_used drives the idle-timeout sweep.
+// control threads read stats.
 struct RuleStats {
   std::atomic<std::uint64_t> packets{0};
   std::atomic<std::uint64_t> bytes{0};
-  // Microseconds on the steady clock of the most recent hit.
-  std::atomic<std::int64_t> last_used_us{0};
 };
 
 // One row of the immutable, priority-ordered table view consumed by the
@@ -35,23 +33,20 @@ struct FlowSnapshotEntry {
   FlowMatch match;
   SharedActions::Ptr actions;
   std::shared_ptr<RuleStats> stats;
-  std::uint32_t idle_timeout_s = 0;
 };
 
 struct FlowSnapshot {
-  std::vector<FlowSnapshotEntry> entries;  // priority desc, specificity desc
-
-  // Highest-priority matching entry, or nullptr. Pure read — callers
-  // account via the entry's stats block.
-  [[nodiscard]] const FlowSnapshotEntry* lookup(const net::Packet& p,
-                                                PortId in_port) const;
+  // Priority desc, then specificity desc, then insertion order: the first
+  // matching entry is the winning rule.
+  std::vector<FlowSnapshotEntry> entries;
 
   // Batched lookup for a burst of packets sharing one ingress port: a
   // single priority-ordered pass over the table resolves every packet
   // (each entry's match fields are loaded once for the whole burst instead
   // of once per packet). out[i] receives the highest-priority match for
   // pkts[i], or nullptr on a table miss. out.size() must equal
-  // pkts.size(); the pass exits early once every packet is resolved.
+  // pkts.size(); the pass exits early once every packet is resolved. Pure
+  // read — callers account via the entry's stats block.
   void lookup_batch(std::span<const net::Packet* const> pkts, PortId in_port,
                     std::span<const FlowSnapshotEntry*> out) const;
 };
@@ -76,17 +71,6 @@ class FlowTable {
   // restricts the sweep to rules at exactly that priority (used to clear
   // app-installed rules without touching compiler-owned ones).
   std::size_t erase_mentioning(std::uint64_t addr, std::uint16_t priority = 0);
-
-  // Highest-priority rule matching the packet as received on `in_port`
-  // (ties broken by match specificity, then insertion order). Updates match
-  // counters. Serialized-caller slow path; the switch forwards via
-  // snapshot() + FlowSnapshot::lookup instead.
-  const FlowRule* lookup(const net::Packet& p, PortId in_port);
-
-  // Evict rules idle longer than their timeout; invokes `on_removed` for
-  // each. Returns the number evicted.
-  std::size_t sweep_idle(common::TimePoint now,
-                         const std::function<void(const FlowRule&)>& on_removed);
 
   // Immutable ordered view sharing action lists and stat blocks with this
   // table. O(n) to build; call once per mutation, not per packet.

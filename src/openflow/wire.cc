@@ -117,7 +117,6 @@ void WriteFlowRule(common::BufWriter& w, const FlowRule& rule) {
   w.u32(static_cast<std::uint32_t>(rule.actions.size()));
   for (const FlowAction& a : rule.actions) WriteFlowAction(w, a);
   w.u16(rule.priority);
-  w.u32(rule.idle_timeout_s);
   w.u64(rule.cookie);
 }
 
@@ -136,8 +135,7 @@ bool ReadFlowRule(common::BufReader& r, FlowRule& rule) {
     actions.push_back(std::move(a));
   }
   rule.actions = SharedActions(std::move(actions));
-  return r.u16(rule.priority) && r.u32(rule.idle_timeout_s) &&
-         r.u64(rule.cookie);
+  return r.u16(rule.priority) && r.u64(rule.cookie);
 }
 
 void WriteFlowMod(common::BufWriter& w, const FlowMod& mod) {
@@ -279,21 +277,6 @@ bool ReadPortStatus(common::BufReader& r, PortStatus& ps) {
     return false;
   }
   ps.reason = static_cast<PortReason>(reason);
-  return true;
-}
-
-void WriteFlowRemoved(common::BufWriter& w, const FlowRemoved& fr) {
-  WriteFlowRule(w, fr.rule);
-  w.u8(static_cast<std::uint8_t>(fr.reason));
-}
-
-bool ReadFlowRemoved(common::BufReader& r, FlowRemoved& fr) {
-  std::uint8_t reason = 0;
-  if (!ReadFlowRule(r, fr.rule) || !r.u8(reason) ||
-      reason > static_cast<std::uint8_t>(FlowRemoved::Reason::kDelete)) {
-    return false;
-  }
-  fr.reason = static_cast<FlowRemoved::Reason>(reason);
   return true;
 }
 

@@ -47,7 +47,4 @@ bool ReadPacketIn(common::BufReader& r, PacketIn& pi);
 void WritePortStatus(common::BufWriter& w, const PortStatus& ps);
 bool ReadPortStatus(common::BufReader& r, PortStatus& ps);
 
-void WriteFlowRemoved(common::BufWriter& w, const FlowRemoved& fr);
-bool ReadFlowRemoved(common::BufReader& r, FlowRemoved& fr);
-
 }  // namespace typhoon::openflow

@@ -17,6 +17,20 @@ const char* ControlTypeName(ControlType t) {
   return "?";
 }
 
+ControlTuple MakeRouting(RoutingUpdate update) {
+  ControlTuple ct;
+  ct.type = ControlType::kRouting;
+  ct.routing = std::move(update);
+  return ct;
+}
+
+ControlTuple MakeSignal(std::string tag) {
+  ControlTuple ct;
+  ct.type = ControlType::kSignal;
+  ct.signal_tag = std::move(tag);
+  return ct;
+}
+
 common::Bytes EncodeControl(const ControlTuple& ct) {
   common::Bytes out;
   common::BufWriter w(out);

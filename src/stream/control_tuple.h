@@ -67,6 +67,10 @@ struct ControlTuple {
   std::string signal_tag;
 };
 
+// The two stable-update tuples (Sec 3.5).
+ControlTuple MakeRouting(RoutingUpdate update);
+ControlTuple MakeSignal(std::string tag);
+
 common::Bytes EncodeControl(const ControlTuple& ct);
 bool DecodeControl(std::span<const std::uint8_t> data, ControlTuple& ct);
 

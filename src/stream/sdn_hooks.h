@@ -5,7 +5,6 @@
 // where none of these operations exist.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "stream/control_tuple.h"
@@ -26,16 +25,9 @@ class SdnHooks {
       const TopologySpec& spec, const PhysicalTopology& physical,
       const std::vector<PhysicalWorker>& removed) = 0;
 
-  // Deliver a ROUTING control tuple to one worker (PacketOut).
-  virtual void send_routing_update(const PhysicalTopology& physical,
-                                   WorkerId target,
-                                   const RoutingUpdate& update) = 0;
-
-  // Inject a SIGNAL control tuple (stateful-worker cache flush, Fig 6(b)).
-  virtual void send_signal(const PhysicalTopology& physical, WorkerId target,
-                           const std::string& tag) = 0;
-
-  // Deliver an arbitrary control tuple (Table 2) to one worker.
+  // Deliver a control tuple (Table 2) to one worker over the reliable
+  // control channel (PacketOut): ROUTING to predecessors, SIGNAL for a
+  // stateful-worker cache flush (Fig 6(b)), and the rest.
   virtual void send_control_tuple(const PhysicalTopology& physical,
                                   WorkerId target,
                                   const ControlTuple& ct) = 0;

@@ -246,7 +246,7 @@ void StreamingManager::route_predecessors(
       ru.remove = true;
     }
     for (WorkerId pred : d.physical.worker_ids_of(e.from)) {
-      hooks_->send_routing_update(d.physical, pred, ru);
+      hooks_->send_control_tuple(d.physical, pred, MakeRouting(ru));
     }
   }
 }
@@ -290,7 +290,7 @@ common::Status StreamingManager::scale_up(Deployed& d,
   //    changes (Fig 6(b)).
   if (node->stateful) {
     for (WorkerId w : existing) {
-      hooks_->send_signal(d.physical, w, "scale");
+      hooks_->send_control_tuple(d.physical, w, MakeSignal("scale"));
     }
   }
 
@@ -328,7 +328,7 @@ common::Status StreamingManager::scale_down(Deployed& d,
   // 2. Stateful victims flush residual window state downstream.
   if (node->stateful) {
     for (const PhysicalWorker& w : victims) {
-      hooks_->send_signal(d.physical, w.id, "drain");
+      hooks_->send_control_tuple(d.physical, w.id, MakeSignal("drain"));
     }
     common::SleepFor(kDrainSettle);
   }
@@ -357,11 +357,13 @@ common::Status StreamingManager::change_grouping(Deployed& d,
                                       req.node);
   ++d.spec.version;
   write_global_state(d);
+  // All-grouping edges are switch replication rules: recompile them.
+  hooks_->on_topology_updated(d.spec, d.physical, {});
 
   // Stateful consumers flush before their key space shifts.
   if (to->stateful) {
     for (WorkerId w : d.physical.worker_ids_of(to->id)) {
-      hooks_->send_signal(d.physical, w, "regroup");
+      hooks_->send_control_tuple(d.physical, w, MakeSignal("regroup"));
     }
   }
   route_predecessors(d, to->id, d.physical.worker_ids_of(to->id));
@@ -388,7 +390,7 @@ common::Status StreamingManager::swap_logic(Deployed& d,
   // 3. Drain and kill the old workers.
   if (node->stateful) {
     for (const PhysicalWorker& w : old_workers) {
-      hooks_->send_signal(d.physical, w.id, "swap");
+      hooks_->send_control_tuple(d.physical, w.id, MakeSignal("swap"));
     }
   }
   if (common::Status st = wait_for_drain(d, old_workers); !st.ok()) {
@@ -417,7 +419,7 @@ common::Status StreamingManager::relocate(Deployed& d,
   // Pause-and-resume (paper Sec 8): quiesce the worker, flush its window
   // state downstream / to external storage (SIGNAL), stop routing to it,
   // then bring it up on the target host and re-include it.
-  hooks_->send_signal(d.physical, before.id, "relocate");
+  hooks_->send_control_tuple(d.physical, before.id, MakeSignal("relocate"));
 
   // 1. Divert traffic to the node's other workers. For a single-worker
   //    node the update carries an empty hop list: predecessors *park*

@@ -3,13 +3,12 @@
 // ether_type); a hit maps straight to the matched rule's shared action list
 // and stat block with no wildcard scan, no mutex, and no refcount traffic.
 //
-// Correctness rides on the owning switch's table-generation counter: every
-// entry is stamped with the generation of the table snapshot it was filled
-// from, and a lookup only hits when the stamp equals the current generation.
-// Any FlowMod / GroupMod / rule removal / idle-timeout eviction publishes a
-// new snapshot and bumps the generation, so every cached entry goes stale
-// at once — stable-update semantics (Sec 4) are preserved without explicit
-// per-entry invalidation.
+// Correctness rides on the owning switch's table epoch: every entry is
+// stamped with the epoch of the table snapshot it was filled from, and a
+// lookup only hits when the stamp equals the current epoch. Any FlowMod /
+// GroupMod / rule removal publishes a new snapshot under a new epoch, so
+// every cached entry goes stale at once — stable-update semantics (Sec 4)
+// are preserved without explicit per-entry invalidation.
 //
 // Single-consumer by design: only the switch's forwarding thread reads or
 // writes entries. Hit/miss counters are relaxed atomics so control threads
@@ -51,8 +50,6 @@ class MicroflowCache {
     // nullptr = cached wildcard-table miss (the flow is a known drop).
     openflow::SharedActions::Ptr actions;
     std::shared_ptr<openflow::RuleStats> stats;
-    // Skip the per-packet clock read unless the rule has an idle timeout.
-    bool track_idle = false;
   };
 
   explicit MicroflowCache(std::size_t entries = kDefaultEntries)
@@ -95,7 +92,7 @@ class MicroflowCache {
   // way on a full set — collisions only cost a re-scan, never correctness).
   Entry* insert(const MicroflowKey& key, std::uint64_t gen,
                 openflow::SharedActions::Ptr actions,
-                std::shared_ptr<openflow::RuleStats> stats, bool track_idle) {
+                std::shared_ptr<openflow::RuleStats> stats) {
     const std::uint64_t h = key.hash();
     Entry* victim = &slots_[h & mask_];
     for (std::size_t i = 0; i < kWays; ++i) {
@@ -109,7 +106,6 @@ class MicroflowCache {
     victim->key = key;
     victim->actions = std::move(actions);
     victim->stats = std::move(stats);
-    victim->track_idle = track_idle;
     return victim;
   }
 

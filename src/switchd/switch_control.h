@@ -28,8 +28,7 @@ namespace typhoon::switchd {
 class PortHandle;
 
 // Async events a datapath raises toward its controller.
-using SwitchEvent = std::variant<openflow::PacketIn, openflow::PortStatus,
-                                 openflow::FlowRemoved>;
+using SwitchEvent = std::variant<openflow::PacketIn, openflow::PortStatus>;
 
 // What one FlowMod actually changed in the table — kAdd reports added or
 // modified (replace-in-place), kModify/kDelete report the rule count

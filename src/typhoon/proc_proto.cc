@@ -167,7 +167,6 @@ namespace {
 enum : std::uint8_t {
   kEvPacketIn = 0,
   kEvPortStatus = 1,
-  kEvFlowRemoved = 2,
 };
 }  // namespace
 
@@ -178,9 +177,6 @@ void WriteSwitchEvent(common::BufWriter& w, const switchd::SwitchEvent& ev) {
   } else if (const auto* ps = std::get_if<openflow::PortStatus>(&ev)) {
     w.u8(kEvPortStatus);
     openflow::WritePortStatus(w, *ps);
-  } else if (const auto* fr = std::get_if<openflow::FlowRemoved>(&ev)) {
-    w.u8(kEvFlowRemoved);
-    openflow::WriteFlowRemoved(w, *fr);
   }
 }
 
@@ -198,12 +194,6 @@ bool ReadSwitchEvent(common::BufReader& r, switchd::SwitchEvent& ev) {
       openflow::PortStatus ps;
       if (!openflow::ReadPortStatus(r, ps)) return false;
       ev = ps;
-      return true;
-    }
-    case kEvFlowRemoved: {
-      openflow::FlowRemoved fr;
-      if (!openflow::ReadFlowRemoved(r, fr)) return false;
-      ev = std::move(fr);
       return true;
     }
     default:

@@ -1,6 +1,6 @@
 // Sharded, failover-capable control plane (DESIGN.md Sec 15): incremental
 // (delta) rule compilation bounded by worker degree rather than topology
-// size, orphan-free rule removal at the default idle_timeout 0, hash
+// size, orphan-free removal of permanent rules, hash
 // partitioning of topologies across shard leaders, and leader-crash
 // failover (FaultPlan `controller_crash`) that loses no sequenced control
 // tuples mid-run.
@@ -142,9 +142,10 @@ TEST(CtrlPlane, DeltaFallsBackToFullAddsWithoutCachedState) {
   EXPECT_EQ(CountRules(d.dels), 0u);
 }
 
-// Regression: with permanent data rules (idle timeout 0) a scale-down must leave no rule on any switch that references a removed
-// worker's port or address — the leak was rules whose match does not
-// mention the worker's address (to-controller, emptied broadcast legs).
+// Regression: rules are permanent, so a scale-down must leave no rule on
+// any switch that references a removed worker's port or address — the
+// leak was rules whose match does not mention the worker's address
+// (to-controller, emptied broadcast legs).
 TEST(CtrlPlane, ScaleDownLeavesNoOrphanRulesOnAnySwitch) {
   ClusterConfig cfg;
   cfg.num_hosts = 2;
@@ -360,7 +361,8 @@ TEST_P(RuleTablesExact, AfterEveryStableUpdate) {
     case Update::kChangeGrouping:
       req.kind = ReconfigRequest::Kind::kChangeGrouping;
       req.from_node = "src";
-      req.new_grouping = {stream::GroupingType::kFields, {0}};
+      // To all-grouping: the switches must gain the broadcast rules.
+      req.new_grouping = {stream::GroupingType::kAll, {}};
       Reconfigure(req, "change-grouping");
       break;
     case Update::kSwap:

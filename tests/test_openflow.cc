@@ -1,6 +1,6 @@
 // Flow table semantics: wildcard matching, priority and specificity
-// ordering, counters, idle timeout, cookie sweeps, and group-table weighted
-// round-robin.
+// ordering (as the switch's classifier, FlowSnapshot::lookup_batch, sees
+// them), cookie sweeps, and group-table weighted round-robin.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -23,6 +23,20 @@ net::Packet MakePkt(WorkerId src, WorkerId dst,
 }
 
 std::uint64_t A(WorkerId w) { return WorkerAddress{1, w}.packed(); }
+
+// The entry the switch's classifier picks for one packet, or nullptr on a
+// table miss. `snap` must outlive the returned pointer.
+const FlowSnapshotEntry* Classify(const FlowSnapshot& snap,
+                                  const net::Packet& p, PortId in_port) {
+  const net::Packet* pkts[] = {&p};
+  const FlowSnapshotEntry* out[] = {nullptr};
+  snap.lookup_batch(pkts, in_port, out);
+  return out[0];
+}
+
+PortId OutPort(const FlowSnapshotEntry& e, std::size_t i = 0) {
+  return std::get<ActionOutput>((*e.actions)[i]).port;
+}
 
 TEST(FlowMatch, WildcardsMatchEverything) {
   FlowMatch m;  // all wildcard
@@ -55,9 +69,10 @@ TEST(FlowTable, HighestPriorityWins) {
   high.actions = {ActionOutput{2}};
   t.add(low);
   t.add(high);
-  const FlowRule* r = t.lookup(MakePkt(1, 2), 0);
+  const auto snap = t.snapshot();
+  const FlowSnapshotEntry* r = Classify(*snap, MakePkt(1, 2), 0);
   ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->priority, 20);
+  EXPECT_EQ(OutPort(*r), 2u);  // the priority-20 rule
 }
 
 TEST(FlowTable, SpecificityBreaksPriorityTies) {
@@ -73,9 +88,10 @@ TEST(FlowTable, SpecificityBreaksPriorityTies) {
   specific.actions = {ActionOutput{2}};
   t.add(generic);
   t.add(specific);
-  const FlowRule* r = t.lookup(MakePkt(1, 2), 0);
+  const auto snap = t.snapshot();
+  const FlowSnapshotEntry* r = Classify(*snap, MakePkt(1, 2), 0);
   ASSERT_NE(r, nullptr);
-  EXPECT_EQ(std::get<ActionOutput>(r->actions[0]).port, 2u);
+  EXPECT_EQ(OutPort(*r), 2u);
 }
 
 TEST(FlowTable, AddReplacesSameMatchAndPriority) {
@@ -87,21 +103,10 @@ TEST(FlowTable, AddReplacesSameMatchAndPriority) {
   r.actions = {ActionOutput{9}};
   t.add(r);
   EXPECT_EQ(t.size(), 1u);
-  const FlowRule* hit = t.lookup(MakePkt(1, 2), 0);
-  EXPECT_EQ(std::get<ActionOutput>(hit->actions[0]).port, 9u);
-}
-
-TEST(FlowTable, LookupUpdatesCounters) {
-  FlowTable t;
-  FlowRule r;
-  r.match.dl_dst = A(2);
-  t.add(r);
-  t.lookup(MakePkt(1, 2), 0);
-  t.lookup(MakePkt(1, 2), 0);
-  auto stats = t.stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].packets, 2u);
-  EXPECT_GT(stats[0].bytes, 0u);
+  const auto snap = t.snapshot();
+  const FlowSnapshotEntry* hit = Classify(*snap, MakePkt(1, 2), 0);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(OutPort(*hit), 9u);
 }
 
 TEST(FlowTable, MissReturnsNull) {
@@ -109,7 +114,7 @@ TEST(FlowTable, MissReturnsNull) {
   FlowRule r;
   r.match.dl_dst = A(2);
   t.add(r);
-  EXPECT_EQ(t.lookup(MakePkt(1, 3), 0), nullptr);
+  EXPECT_EQ(Classify(*t.snapshot(), MakePkt(1, 3), 0), nullptr);
 }
 
 TEST(FlowTable, EraseByMatchAndCookie) {
@@ -154,43 +159,14 @@ TEST(FlowTable, ModifySwapsActions) {
   r.actions = {ActionOutput{1}};
   t.add(r);
   EXPECT_TRUE(t.modify(r.match, {ActionOutput{1}, ActionOutput{2}}));
-  const FlowRule* hit = t.lookup(MakePkt(1, 2), 0);
-  EXPECT_EQ(hit->actions.size(), 2u);
+  const auto snap = t.snapshot();
+  const FlowSnapshotEntry* hit = Classify(*snap, MakePkt(1, 2), 0);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->actions->size(), 2u);
+  EXPECT_EQ(OutPort(*hit, 1), 2u);
   FlowMatch other;
   other.dl_dst = A(9);
   EXPECT_FALSE(t.modify(other, {}));
-}
-
-TEST(FlowTable, IdleTimeoutEvicts) {
-  FlowTable t;
-  FlowRule r;
-  r.match.dl_dst = A(2);
-  r.idle_timeout_s = 1;
-  t.add(r);
-  FlowRule permanent;
-  permanent.match.dl_dst = A(3);
-  t.add(permanent);
-
-  int removed = 0;
-  // Not yet idle long enough.
-  EXPECT_EQ(t.sweep_idle(common::Now(), [&](const FlowRule&) { ++removed; }),
-            0u);
-  EXPECT_EQ(t.sweep_idle(common::Now() + std::chrono::seconds(2),
-                         [&](const FlowRule&) { ++removed; }),
-            1u);
-  EXPECT_EQ(removed, 1);
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(FlowTable, MatchRefreshesIdleTimer) {
-  FlowTable t;
-  FlowRule r;
-  r.match.dl_dst = A(2);
-  r.idle_timeout_s = 60;
-  t.add(r);
-  t.lookup(MakePkt(1, 2), 0);  // refreshes last_used
-  EXPECT_EQ(t.sweep_idle(common::Now() + std::chrono::seconds(30), nullptr),
-            0u);
 }
 
 TEST(FlowRule, StrRendersReadably) {

@@ -247,39 +247,6 @@ TEST_F(SwitchTest, RingOverflowCountsTxDrops) {
   small.stop();
 }
 
-TEST_F(SwitchTest, IdleTimeoutEmitsFlowRemoved) {
-  SoftSwitchConfig cfg;
-  cfg.host = 3;
-  cfg.idle_sweep_interval = std::chrono::milliseconds(20);
-  SoftSwitch sw(cfg);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::optional<openflow::FlowRemoved> removed;
-  sw.set_event_sink([&](HostId, SwitchEvent ev) {
-    if (auto* fr = std::get_if<openflow::FlowRemoved>(&ev)) {
-      std::lock_guard lk(mu);
-      removed = *fr;
-      cv.notify_all();
-    }
-  });
-  sw.start();
-
-  FlowRule r;
-  r.match.dl_dst = A(5);
-  r.idle_timeout_s = 1;
-  r.cookie = 99;
-  sw.handle_flow_mod({FlowModCommand::kAdd, r});
-  EXPECT_EQ(sw.flow_count(), 1u);
-
-  std::unique_lock lk(mu);
-  ASSERT_TRUE(cv.wait_for(lk, 3s, [&] { return removed.has_value(); }));
-  EXPECT_EQ(removed->reason, openflow::FlowRemoved::Reason::kIdleTimeout);
-  EXPECT_EQ(removed->rule.cookie, 99u);
-  EXPECT_EQ(sw.flow_count(), 0u);
-  sw.stop();
-}
-
 TEST_F(SwitchTest, SetDlDstRewriteIsCopyOnWrite) {
   auto src = sw_->attach_port();
   auto d1 = sw_->attach_port();

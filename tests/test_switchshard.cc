@@ -8,6 +8,7 @@
 #include <sys/resource.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 
 #include "net/tunnel.h"
@@ -176,6 +177,101 @@ TEST(SwitchShardTest, FlowModInvalidationReachesEveryShard) {
         << "shard " << s << " forwarded from a stale microflow entry";
   }
   sw.stop();
+}
+
+// ---- port attach under traffic ---------------------------------------------
+
+// A rule names port X before X exists, and traffic toward X streams in
+// through the tunnel port. X attaches from the PacketIn sink, which runs on
+// the forwarding shard after it adopted its view and before it polls its
+// tunnels, so the sink's sends land in the same loop iteration: the widest
+// window in which a shard could still see an X-less view. Every packet sent
+// after attach_port returns must reach X, and X must drop nothing.
+TEST(SwitchShardTest, JustAttachedPortGetsItsTraffic) {
+  constexpr int kRounds = 50;
+  constexpr int kBefore = 4;  // sent toward X before it exists
+  constexpr int kAfter = 8;   // sent after attach_port returns
+  constexpr HostId kPeer = 2;
+  const auto dst_of = [](int round) {
+    return static_cast<WorkerId>(100 + round);
+  };
+  const auto port_of = [](int round) {
+    return static_cast<PortId>(2000 + round);
+  };
+  const auto tunnel_pkt = [](WorkerId dst, std::uint8_t after) {
+    net::Packet p;
+    p.src = WorkerAddress{1, 1};
+    p.dst = WorkerAddress{1, dst};
+    p.payload = {after};
+    return p;
+  };
+  for (const std::size_t nshards : {std::size_t{1}, std::size_t{4}}) {
+    SoftSwitchConfig cfg;
+    cfg.host = 1;
+    cfg.shards = nshards;
+    SoftSwitch sw(cfg);
+    auto [near, far] = net::CreateTunnel();
+    sw.add_tunnel(kPeer, near);
+    // Polled by the shard that owns the tunnel's RX.
+    auto trigger = AttachOnShard(sw, SoftSwitch::ShardOfPeer(kPeer, nshards),
+                                 nshards, 1000);
+    sw.handle_flow_mod(
+        {FlowModCommand::kAdd,
+         PortRule(trigger->id(), 1, 1, {openflow::ActionOutputController{}})});
+
+    std::mutex mu;
+    int round = 0;                     // guarded by mu
+    std::shared_ptr<PortHandle> out;   // X of the round; guarded by mu
+    sw.set_event_sink([&](HostId, SwitchEvent ev) {
+      if (!std::holds_alternative<openflow::PacketIn>(ev)) return;
+      std::lock_guard lk(mu);
+      out = sw.attach_port(port_of(round));
+      for (int i = 0; i < kAfter; ++i) {
+        ASSERT_TRUE(far->send(tunnel_pkt(dst_of(round), 1)));
+      }
+    });
+    sw.start();
+
+    for (int r = 0; r < kRounds; ++r) {
+      {
+        std::lock_guard lk(mu);
+        round = r;
+        out = nullptr;
+      }
+      sw.handle_flow_mod(
+          {FlowModCommand::kAdd,
+           PortRule(SoftSwitch::kTunnelPort, 1, dst_of(r),
+                    {ActionOutput{port_of(r)}})});
+      for (int i = 0; i < kBefore; ++i) {
+        ASSERT_TRUE(far->send(tunnel_pkt(dst_of(r), 0)));
+      }
+      ASSERT_TRUE(trigger->send(Pkt(1, 1)));
+
+      std::shared_ptr<PortHandle> x;
+      const auto deadline = common::Now() + 2s;
+      while (x == nullptr && common::Now() < deadline) {
+        std::this_thread::sleep_for(100us);
+        std::lock_guard lk(mu);
+        x = out;
+      }
+      ASSERT_NE(x, nullptr) << "round " << r << ": no PacketIn";
+      int got_after = 0;
+      while (got_after < kAfter) {
+        auto p = RecvFor(*x, 2s);
+        if (!p) break;
+        got_after += (*p)->payload[0];
+      }
+      ASSERT_EQ(got_after, kAfter)
+          << nshards << " shards, round " << r
+          << ": traffic sent after the attach was lost";
+      for (const openflow::PortStats& st : sw.port_stats()) {
+        if (st.port == port_of(r)) {
+          EXPECT_EQ(st.tx_dropped, 0u);
+        }
+      }
+    }
+    sw.stop();
+  }
 }
 
 // ---- multi-shard churn (TSan coverage) --------------------------------------
