@@ -54,6 +54,16 @@ void BuildTopology(int dst_par, TopologySpec& spec, PhysicalTopology& phys) {
   }
 }
 
+// One host's rules as one bundle of `cmd` FlowMods: what the controller
+// sends that host's switch in one phase.
+openflow::Bundle AsBundle(const std::vector<openflow::FlowRule>& rules,
+                          openflow::FlowModCommand cmd) {
+  openflow::Bundle b;
+  b.flows.reserve(rules.size());
+  for (const openflow::FlowRule& r : rules) b.flows.push_back({cmd, r});
+  return b;
+}
+
 std::size_t CountRules(const RulesByHost& rules) {
   std::size_t n = 0;
   for (const auto& [h, rs] : rules) n += rs.size();
@@ -80,7 +90,11 @@ Row MeasurePoint(int workers, int iters) {
   PhysicalTopology phys_n1;
   BuildTopology(workers + 1, spec_n1, phys_n1);
 
+  constexpr auto kAdd = openflow::FlowModCommand::kAdd;
+  constexpr auto kDelete = openflow::FlowModCommand::kDelete;
+
   // ---- full path: recompile everything, reinstall every rule ----
+  // Each host's table takes one bundle per install, as a switch does.
   {
     RuleCompiler c;
     const RulesByHost deployed = c.compile(spec_n, phys_n);
@@ -89,13 +103,9 @@ Row MeasurePoint(int workers, int iters) {
     for (int i = 0; i < iters; ++i) {
       // Tables already hold the N-worker set (idempotent adds replace).
       std::map<HostId, openflow::FlowTable> tables;
-      for (const auto& [h, rs] : deployed) {
-        for (const auto& r : rs) tables[h].add(r);
-      }
+      for (const auto& [h, rs] : deployed) tables[h].apply(AsBundle(rs, kAdd));
       const RulesByHost fresh = c.compile(spec_n1, phys_n1);
-      for (const auto& [h, rs] : fresh) {
-        for (const auto& r : rs) tables[h].add(r);
-      }
+      for (const auto& [h, rs] : fresh) tables[h].apply(AsBundle(rs, kAdd));
     }
     row.full_us = common::SecondsSince(t0) * 1e6 / iters;
   }
@@ -106,21 +116,17 @@ Row MeasurePoint(int workers, int iters) {
     const RulesByHost deployed = c.compile_delta(spec_n, phys_n).adds;
     row.delta_rules = c.compile_delta(spec_n1, phys_n1).total();
     std::map<HostId, openflow::FlowTable> tables;
-    for (const auto& [h, rs] : deployed) {
-      for (const auto& r : rs) tables[h].add(r);
-    }
+    for (const auto& [h, rs] : deployed) tables[h].apply(AsBundle(rs, kAdd));
     const common::TimePoint t0 = common::Now();
     for (int i = 0; i < iters; ++i) {
       RuleCompiler fresh;
       fresh.compile_delta(spec_n, phys_n);
       const RuleDelta d = fresh.compile_delta(spec_n1, phys_n1);
-      for (const auto* part : {&d.adds, &d.mods}) {
-        for (const auto& [h, rs] : *part) {
-          for (const auto& r : rs) tables[h].add(r);
-        }
-      }
+      // One bundle per host per phase, phases in the controller's order.
+      for (const auto& [h, rs] : d.adds) tables[h].apply(AsBundle(rs, kAdd));
+      for (const auto& [h, rs] : d.mods) tables[h].apply(AsBundle(rs, kAdd));
       for (const auto& [h, rs] : d.dels) {
-        for (const auto& r : rs) tables[h].erase(r.match, r.cookie);
+        tables[h].apply(AsBundle(rs, kDelete));
       }
     }
     // Delta timing includes the cache seed (a first compile_delta) so the

@@ -107,15 +107,16 @@ common::Result<std::shared_ptr<DebugTap>> LiveDebugger::attach(
   auto tap = std::make_shared<DebugTap>(tap_port, keep_last);
   tap->start();
 
+  // A kAdd at the rule's own (match, priority) replaces it in place and
+  // keeps its counters.
   openflow::FlowRule mirrored = *existing;
   mirrored.actions.push_back(openflow::ActionOutput{tap_port->id()});
-  sw->handle_flow_mod({openflow::FlowModCommand::kModify, mirrored});
+  sw->handle_flow_mod({openflow::FlowModCommand::kAdd, mirrored});
 
   Session s;
   s.tap = tap;
   s.host = sw_worker->host;
-  s.match = match;
-  s.original_actions = existing->actions;
+  s.original = *existing;
   {
     std::lock_guard lk(mu_);
     sessions_[SessionKey{topology, src, dst}] = std::move(s);
@@ -137,10 +138,7 @@ common::Status LiveDebugger::detach(TopologyId topology, WorkerId src,
   }
   switchd::SwitchControl* sw = ctl_->switch_at(s.host);
   if (sw != nullptr) {
-    openflow::FlowRule restore;
-    restore.match = s.match;
-    restore.actions = s.original_actions;
-    sw->handle_flow_mod({openflow::FlowModCommand::kModify, restore});
+    sw->handle_flow_mod({openflow::FlowModCommand::kAdd, s.original});
     const PortId tap_port = s.tap->port();
     s.tap->stop();
     sw->detach_port(tap_port);

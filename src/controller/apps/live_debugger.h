@@ -85,8 +85,7 @@ class LiveDebugger final : public ControlPlaneApp {
   struct Session {
     std::shared_ptr<DebugTap> tap;
     HostId host = 0;
-    openflow::FlowMatch match;
-    std::vector<openflow::FlowAction> original_actions;
+    openflow::FlowRule original;  // restored as is on detach
   };
 
   mutable std::mutex mu_;

@@ -14,6 +14,18 @@ using openflow::FlowRule;
 using openflow::GroupBucket;
 using openflow::GroupMod;
 
+FlowRule LoadBalancer::Redirect(TopologyId topology, const SrcGroup& g,
+                               WorkerId dst) {
+  FlowRule r;
+  r.priority = kPrioLoadBalance;
+  r.cookie = topology;
+  r.match.in_port = g.src_port;
+  r.match.dl_src = g.src_addr;
+  r.match.dl_dst = WorkerAddress{topology, dst}.packed();
+  r.match.ether_type = net::kTyphoonEtherType;
+  return r;
+}
+
 std::vector<GroupBucket> LoadBalancer::make_buckets(
     TopologyId topology, HostId src_host,
     const std::vector<stream::PhysicalWorker>& dests,
@@ -53,36 +65,25 @@ common::Status LoadBalancer::enable(TopologyId topology,
 
   const std::map<WorkerId, std::uint32_t> equal;  // all weight 1
   for (const stream::PhysicalWorker& s : phys->workers_of(from->id)) {
-    switchd::SwitchControl* sw = ctl_->switch_at(s.host);
-    if (sw == nullptr) continue;
-
     SrcGroup g;
     g.host = s.host;
     g.group_id = ctl_->next_group_id();
     g.src_port = s.port;
     g.src_addr = WorkerAddress{topology, s.id}.packed();
 
-    GroupMod gm;
-    gm.command = GroupMod::Command::kAdd;
-    gm.group_id = g.group_id;
-    gm.type = openflow::GroupType::kSelect;
-    gm.buckets = make_buckets(topology, s.host, session.dests, equal);
-    sw->handle_group_mod(gm);
-
-    // Redirect rules: every (src, original-dst) pair is captured at a
-    // priority above the plain data rules and steered through the group.
+    // The group and its redirect rules go out as one bundle: every
+    // (src, original-dst) pair is captured at a priority above the plain
+    // data rules and steered through the group.
+    openflow::Bundle b;
+    b.groups.push_back({GroupMod::Command::kAdd, g.group_id,
+                        openflow::GroupType::kSelect,
+                        make_buckets(topology, s.host, session.dests, equal)});
     for (const stream::PhysicalWorker& d : session.dests) {
-      FlowRule r;
-      r.priority = kPrioLoadBalance;
-      r.cookie = topology;
-      r.match.in_port = s.port;
-      r.match.dl_src = g.src_addr;
-      r.match.dl_dst = WorkerAddress{topology, d.id}.packed();
-      r.match.ether_type = net::kTyphoonEtherType;
+      FlowRule r = Redirect(topology, g, d.id);
       r.actions = {ActionGroup{g.group_id}};
-      sw->handle_flow_mod({openflow::FlowModCommand::kAdd, r});
+      b.flows.push_back({openflow::FlowModCommand::kAdd, std::move(r)});
     }
-    session.groups.push_back(g);
+    if (ctl_->apply_app_bundle(s.host, b)) session.groups.push_back(g);
   }
 
   std::lock_guard lk(mu_);
@@ -108,21 +109,13 @@ common::Status LoadBalancer::disable(TopologyId topology,
     sessions_.erase(it);
   }
   for (const SrcGroup& g : session.groups) {
-    switchd::SwitchControl* sw = ctl_->switch_at(g.host);
-    if (sw == nullptr) continue;
+    openflow::Bundle b;
     for (const stream::PhysicalWorker& d : session.dests) {
-      openflow::FlowRule r;
-      r.priority = kPrioLoadBalance;
-      r.match.in_port = g.src_port;
-      r.match.dl_src = g.src_addr;
-      r.match.dl_dst = WorkerAddress{topology, d.id}.packed();
-      r.match.ether_type = net::kTyphoonEtherType;
-      sw->handle_flow_mod({openflow::FlowModCommand::kDelete, r});
+      b.flows.push_back(
+          {openflow::FlowModCommand::kDelete, Redirect(topology, g, d.id)});
     }
-    GroupMod gm;
-    gm.command = GroupMod::Command::kDelete;
-    gm.group_id = g.group_id;
-    sw->handle_group_mod(gm);
+    b.groups.push_back({GroupMod::Command::kDelete, g.group_id});
+    ctl_->apply_app_bundle(g.host, b);
   }
   return common::Status::Ok();
 }
@@ -131,14 +124,11 @@ common::Status LoadBalancer::apply_weights(
     const Session& s, TopologyId topology,
     const std::map<WorkerId, std::uint32_t>& weights) {
   for (const SrcGroup& g : s.groups) {
-    switchd::SwitchControl* sw = ctl_->switch_at(g.host);
-    if (sw == nullptr) continue;
-    GroupMod gm;
-    gm.command = GroupMod::Command::kModify;
-    gm.group_id = g.group_id;
-    gm.type = openflow::GroupType::kSelect;
-    gm.buckets = make_buckets(topology, g.host, s.dests, weights);
-    sw->handle_group_mod(gm);
+    openflow::Bundle b;
+    b.groups.push_back({GroupMod::Command::kModify, g.group_id,
+                        openflow::GroupType::kSelect,
+                        make_buckets(topology, g.host, s.dests, weights)});
+    ctl_->apply_app_bundle(g.host, b);
   }
   rebalances_.fetch_add(1);
   return common::Status::Ok();

@@ -61,6 +61,10 @@ class LoadBalancer final : public ControlPlaneApp {
   common::Status apply_weights(
       const Session& s, TopologyId topology,
       const std::map<WorkerId, std::uint32_t>& weights);
+  // The redirect rule's key (match, priority, cookie) for one destination;
+  // actions are the caller's.
+  static openflow::FlowRule Redirect(TopologyId topology, const SrcGroup& g,
+                                     WorkerId dst);
   static std::vector<openflow::GroupBucket> make_buckets(
       TopologyId topology, HostId src_host,
       const std::vector<stream::PhysicalWorker>& dests,

@@ -299,12 +299,4 @@ std::int64_t ControlPlane::flowmods_full() const {
   return n;
 }
 
-std::int64_t ControlPlane::rules_touched() const {
-  std::int64_t n = 0;
-  for (const auto& s : shards_) {
-    for (const Replica& r : s->replicas) n += r.ctl->rules_touched();
-  }
-  return n;
-}
-
 }  // namespace typhoon::controller

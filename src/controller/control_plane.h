@@ -102,7 +102,6 @@ class ControlPlane final : public stream::SdnHooks {
   // their counts, so totals are monotonic across failovers).
   [[nodiscard]] std::int64_t flowmods_delta() const;
   [[nodiscard]] std::int64_t flowmods_full() const;
-  [[nodiscard]] std::int64_t rules_touched() const;
 
  private:
   struct Replica {

@@ -102,31 +102,27 @@ void TyphoonController::stop() {
   for (auto& app : apps_) app->on_stop();
 }
 
-std::size_t TyphoonController::install(const RulesByHost& rules,
-                                       openflow::FlowModCommand cmd) {
+std::size_t TyphoonController::apply_delta(
+    const RuleDelta& delta, std::map<HostId, openflow::Bundle> app_dels) {
   std::size_t flowmods = 0;
-  std::size_t touched = 0;
-  for (const auto& [host, host_rules] : rules) {
-    switchd::SwitchControl* sw = switch_at(host);
-    if (sw == nullptr) continue;
-    for (const openflow::FlowRule& r : host_rules) {
-      touched += sw->handle_flow_mod({cmd, r}).total();
-      ++flowmods;
+  const auto phase = [&](const RulesByHost& rules,
+                         openflow::FlowModCommand cmd,
+                         std::map<HostId, openflow::Bundle> bundles) {
+    for (const auto& [host, host_rules] : rules) {
+      openflow::Bundle& b = bundles[host];
+      for (const openflow::FlowRule& r : host_rules) b.flows.push_back({cmd, r});
     }
-  }
-  rules_touched_.fetch_add(static_cast<std::int64_t>(touched),
-                           std::memory_order_relaxed);
-  return flowmods;
-}
-
-std::size_t TyphoonController::apply_delta(const RuleDelta& delta) {
-  std::size_t flowmods = 0;
-  flowmods += install(delta.adds, openflow::FlowModCommand::kAdd);
-  // Mods go out as kAdd too: same match+priority replaces in place keeping
-  // the rule's counters, whereas kModify would rewrite every rule sharing
-  // the match regardless of priority.
-  flowmods += install(delta.mods, openflow::FlowModCommand::kAdd);
-  flowmods += install(delta.dels, openflow::FlowModCommand::kDelete);
+    for (const auto& [host, b] : bundles) {
+      switchd::SwitchControl* sw = switch_at(host);
+      if (sw == nullptr || b.empty()) continue;
+      sw->apply(b);
+      auto it = rules.find(host);
+      if (it != rules.end()) flowmods += it->second.size();
+    }
+  };
+  phase(delta.adds, openflow::FlowModCommand::kAdd, {});
+  phase(delta.mods, openflow::FlowModCommand::kAdd, {});
+  phase(delta.dels, openflow::FlowModCommand::kDelete, std::move(app_dels));
   return flowmods;
 }
 
@@ -136,7 +132,9 @@ void TyphoonController::on_topology_updated(
   if (crashed()) return;
   bool first = false;
   RuleDelta delta;
-  std::vector<switchd::SwitchControl*> sws;
+  // The delta deletes every compiler-emitted rule of the removed workers;
+  // the app rules that name one go in the same delete bundles.
+  std::map<HostId, openflow::Bundle> app_dels;
   {
     std::lock_guard lk(mu_);
     topologies_[spec.id] = TopoState{spec, phys};
@@ -145,26 +143,48 @@ void TyphoonController::on_topology_updated(
     // cache from the checkpoints before it replays deferred hooks.
     first = compiler_.state(spec.id) == nullptr;
     delta = compiler_.compile_delta(spec, phys);
-    for (auto& [h, sw] : switches_) sws.push_back(sw);
-  }
-  const auto flowmods = static_cast<std::int64_t>(apply_delta(delta));
-  (first ? flowmods_full_ : flowmods_delta_)
-      .fetch_add(flowmods, std::memory_order_relaxed);
-  // The delta deletes every compiler-emitted rule of the removed workers.
-  // App-installed rules (load-balancer redirects at kPrioLoadBalance) are
-  // outside the compiler's state; sweep those by address. The sweep stays
-  // off compiler-owned priorities: a relocated worker keeps its address, so
-  // an unrestricted sweep would erase the new-host rules just installed.
-  for (const stream::PhysicalWorker& w : removed) {
-    const std::uint64_t addr = WorkerAddress{spec.id, w.id}.packed();
-    for (switchd::SwitchControl* sw : sws) {
-      sw->remove_rules_mentioning(addr, kPrioLoadBalance);
+    std::set<std::uint64_t> gone;
+    for (const stream::PhysicalWorker& w : removed) {
+      gone.insert(WorkerAddress{spec.id, w.id}.packed());
+    }
+    const auto names_gone = [&](const std::optional<std::uint64_t>& a) {
+      return a && gone.contains(*a);
+    };
+    for (auto& [host, table] : app_rules_) {
+      openflow::Bundle dels;
+      for (const openflow::FlowRule& r : table.rules()) {
+        if (names_gone(r.match.dl_src) || names_gone(r.match.dl_dst)) {
+          dels.flows.push_back({openflow::FlowModCommand::kDelete, r});
+        }
+      }
+      if (dels.empty()) continue;
+      table.apply(dels);
+      app_dels[host] = std::move(dels);
     }
   }
+  const auto flowmods =
+      static_cast<std::int64_t>(apply_delta(delta, std::move(app_dels)));
+  (first ? flowmods_full_ : flowmods_delta_)
+      .fetch_add(flowmods, std::memory_order_relaxed);
   checkpoint_topology(spec, phys);
   if (first) {
     LOG_INFO("controller") << "installed rules for topology " << spec.name;
   }
+}
+
+bool TyphoonController::apply_app_bundle(HostId host,
+                                         const openflow::Bundle& b) {
+  if (crashed()) return false;
+  switchd::SwitchControl* sw = nullptr;
+  {
+    std::lock_guard lk(mu_);
+    auto it = switches_.find(host);
+    if (it == switches_.end()) return false;
+    sw = it->second;
+    app_rules_[host].apply(b);
+  }
+  sw->apply(b);
+  return true;
 }
 
 void TyphoonController::send_control_tuple(
@@ -175,14 +195,16 @@ void TyphoonController::send_control_tuple(
 
 void TyphoonController::on_topology_killed(TopologyId id) {
   if (crashed()) return;
+  const openflow::Bundle kill{.delete_cookies = {id}};
   std::vector<switchd::SwitchControl*> sws;
   {
     std::lock_guard lk(mu_);
     topologies_.erase(id);
     compiler_.forget(id);
+    for (auto& [host, table] : app_rules_) table.apply(kill);
     for (auto& [h, sw] : switches_) sws.push_back(sw);
   }
-  for (switchd::SwitchControl* sw : sws) sw->remove_rules_by_cookie(id);
+  for (switchd::SwitchControl* sw : sws) sw->apply(kill);
   checkpoint_remove_topology(id);
 }
 

@@ -28,6 +28,7 @@
 #include "controller/rule_compiler.h"
 #include "coordinator/coordinator.h"
 #include "net/packet_pool.h"
+#include "openflow/flow_table.h"
 #include "stream/control_tuple.h"
 #include "stream/sdn_hooks.h"
 #include "switchd/soft_switch.h"
@@ -117,17 +118,14 @@ class TyphoonController final : public stream::SdnHooks {
   void restore_pending(std::uint64_t seq, TopologyId topology, WorkerId dst,
                        stream::ControlTuple ct);
 
-  // Rule-installation stats: FlowMods emitted by diffs against cached state
-  // (delta) and against an empty cache (full: deploys, takeover repair),
-  // and table entries the switches report actually touched.
+  // Rule-installation stats: FlowMods (one per rule) emitted by diffs
+  // against cached state (delta) and against an empty cache (full: deploys,
+  // takeover repair).
   [[nodiscard]] std::int64_t flowmods_delta() const {
     return flowmods_delta_.load();
   }
   [[nodiscard]] std::int64_t flowmods_full() const {
     return flowmods_full_.load();
-  }
-  [[nodiscard]] std::int64_t rules_touched() const {
-    return rules_touched_.load();
   }
 
   // Reliable control-channel counters (tests/benches).
@@ -193,6 +191,11 @@ class TyphoonController final : public stream::SdnHooks {
 
   // Allocate an OpenFlow group id (load balancer app).
   std::uint32_t next_group_id() { return next_group_.fetch_add(1); }
+  // Apply an app's bundle to a host switch and record its flow rules in
+  // that host's app overlay, so a later update deletes the ones naming a
+  // removed worker and a topology kill drops them with the rest. Returns
+  // false when the host is unknown or the controller is dead.
+  bool apply_app_bundle(HostId host, const openflow::Bundle& b);
 
   // Event counters (tests/benches).
   [[nodiscard]] std::int64_t events_seen() const { return events_.load(); }
@@ -200,12 +203,12 @@ class TyphoonController final : public stream::SdnHooks {
  private:
   void run();
   void handle_event(HostId host, switchd::SwitchEvent ev);
-  // Emit one FlowMod per rule; returns the number emitted and accumulates
-  // the switches' reported table deltas into rules_touched_.
-  std::size_t install(const RulesByHost& rules, openflow::FlowModCommand cmd);
-  // Install a compiled delta: adds and mods as kAdd (replace-in-place),
-  // dels as kDelete. Returns the number of FlowMods emitted.
-  std::size_t apply_delta(const RuleDelta& delta);
+  // Install a compiled delta as one bundle per switch per non-empty phase:
+  // every switch gets its adds, then every switch its mods (kAdd, which
+  // replaces in place), then every switch its dels (kDelete) with
+  // `app_dels` appended. Returns the number of compiled FlowMods sent.
+  std::size_t apply_delta(const RuleDelta& delta,
+                          std::map<HostId, openflow::Bundle> app_dels);
 
   // Checkpointing to the coordinator (DESIGN.md Sec 15 schema); all no-ops
   // when checkpoint_prefix is empty or the controller has crashed. Callers
@@ -239,6 +242,8 @@ class TyphoonController final : public stream::SdnHooks {
   };
   std::map<TopologyId, TopoState> topologies_;
   std::vector<std::unique_ptr<ControlPlaneApp>> apps_;
+  // Flow rules apps installed through apply_app_bundle, per host.
+  std::map<HostId, openflow::FlowTable> app_rules_;
 
   // METRIC_REQ correlation.
   struct PendingQuery {
@@ -268,7 +273,6 @@ class TyphoonController final : public stream::SdnHooks {
   std::atomic<std::int64_t> rate_updates_{0};
   std::atomic<std::int64_t> flowmods_delta_{0};
   std::atomic<std::int64_t> flowmods_full_{0};
-  std::atomic<std::int64_t> rules_touched_{0};
 
   // Partition state. Separate lock: the event sink runs on switch threads
   // and must not contend with mu_'s control-plane critical sections.

@@ -7,6 +7,7 @@
 // dl_dst rewrite (used inside group buckets).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -44,6 +45,8 @@ struct FlowMatch {
   [[nodiscard]] std::string str() const;
 
   friend bool operator==(const FlowMatch&, const FlowMatch&) = default;
+  // Total order over the fields; the flow table's rule key uses it.
+  friend auto operator<=>(const FlowMatch&, const FlowMatch&) = default;
 };
 
 struct ActionOutput {
@@ -124,8 +127,8 @@ class SharedActions {
   Ptr list_;
 };
 
-// A rule is permanent: it stays installed until a FlowMod or a sweep
-// (e.g. of a removed worker's address) deletes it.
+// A rule is permanent: it stays installed until a kDelete FlowMod or a
+// cookie delete removes it.
 struct FlowRule {
   FlowMatch match;
   SharedActions actions;
@@ -137,11 +140,14 @@ struct FlowRule {
 
 // ---- Controller -> switch messages ----
 
-enum class FlowModCommand { kAdd, kModify, kDelete };
+// kAdd installs the rule, or replaces the one with the same (match,
+// priority) key, keeping its counters. kDelete removes the rule with that
+// key, and only if its cookie equals rule.cookie when that is nonzero.
+enum class FlowModCommand { kAdd, kDelete };
 
 struct FlowMod {
   FlowModCommand command = FlowModCommand::kAdd;
-  FlowRule rule;  // for kDelete only rule.match (+cookie if nonzero) is used
+  FlowRule rule;  // kDelete reads only match, priority and cookie
 };
 
 struct GroupBucket {
@@ -156,7 +162,20 @@ struct GroupMod {
   Command command = Command::kAdd;
   std::uint32_t group_id = 0;
   GroupType type = GroupType::kSelect;
-  std::vector<GroupBucket> buckets;
+  std::vector<GroupBucket> buckets{};
+};
+
+// One atomic table change for one switch (an OpenFlow 1.4 bundle). The
+// switch applies the cookie deletes, then the group mods, then the flow mods
+// in order, and publishes the result at once: no packet sees part of it.
+struct Bundle {
+  std::vector<FlowMod> flows{};
+  std::vector<GroupMod> groups{};
+  std::vector<std::uint64_t> delete_cookies{};  // remove every rule with one
+
+  [[nodiscard]] bool empty() const {
+    return flows.empty() && groups.empty() && delete_cookies.empty();
+  }
 };
 
 // Inject a packet into the switch pipeline as if received on in_port

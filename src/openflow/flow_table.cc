@@ -20,76 +20,64 @@ void FlowSnapshot::lookup_batch(std::span<const net::Packet* const> pkts,
   }
 }
 
-void FlowTable::sort_entries() {
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const Entry& a, const Entry& b) {
-                     if (a.rule.priority != b.rule.priority)
-                       return a.rule.priority > b.rule.priority;
-                     if (a.rule.match.specificity() != b.rule.match.specificity())
-                       return a.rule.match.specificity() > b.rule.match.specificity();
-                     return a.seq < b.seq;
-                   });
-}
-
-bool FlowTable::add(FlowRule rule) {
-  for (Entry& e : entries_) {
-    if (e.rule.match == rule.match && e.rule.priority == rule.priority) {
-      e.rule = std::move(rule);
-      return true;
+std::size_t FlowTable::apply(const Bundle& b) {
+  std::size_t changed = 0;
+  bool reorder = false;
+  for (std::uint64_t cookie : b.delete_cookies) {
+    const std::size_t n = std::erase_if(
+        rules_, [&](const auto& kv) { return kv.second.rule.cookie == cookie; });
+    changed += n;
+    reorder |= n != 0;
+  }
+  for (const FlowMod& mod : b.flows) {
+    Key key{mod.rule.match, mod.rule.priority};
+    auto it = rules_.find(key);
+    if (mod.command == FlowModCommand::kDelete) {
+      if (it == rules_.end() ||
+          (mod.rule.cookie != 0 && it->second.rule.cookie != mod.rule.cookie)) {
+        continue;
+      }
+      rules_.erase(it);
+      ++changed;
+      reorder = true;
+    } else if (it == rules_.end()) {
+      rules_.emplace(std::move(key), Entry{mod.rule,
+                                           std::make_shared<RuleStats>(),
+                                           next_seq_++});
+      ++changed;
+      reorder = true;
+    } else if (!(it->second.rule.actions == mod.rule.actions) ||
+               it->second.rule.cookie != mod.rule.cookie) {
+      it->second.rule = mod.rule;  // same key: keeps counters and position
+      ++changed;
     }
   }
-  Entry e;
-  e.rule = std::move(rule);
-  e.stats = std::make_shared<RuleStats>();
-  e.seq = next_seq_++;
-  entries_.push_back(std::move(e));
-  sort_entries();
-  return false;
-}
-
-bool FlowTable::modify(const FlowMatch& match, SharedActions actions) {
-  bool any = false;
-  for (Entry& e : entries_) {
-    if (e.rule.match == match) {
-      e.rule.actions = actions;
-      any = true;
-    }
+  if (reorder) {
+    order_.clear();
+    order_.reserve(rules_.size());
+    for (const auto& [key, e] : rules_) order_.push_back(&e);
+    std::sort(order_.begin(), order_.end(), [](const Entry* a, const Entry* b) {
+      if (a->rule.priority != b->rule.priority) {
+        return a->rule.priority > b->rule.priority;
+      }
+      const int sa = a->rule.match.specificity();
+      const int sb = b->rule.match.specificity();
+      if (sa != sb) return sa > sb;
+      return a->seq < b->seq;
+    });
   }
-  return any;
+  return changed;
 }
 
-std::size_t FlowTable::erase(const FlowMatch& match, std::uint64_t cookie) {
-  const std::size_t before = entries_.size();
-  std::erase_if(entries_, [&](const Entry& e) {
-    if (e.rule.match != match) return false;
-    return cookie == 0 || e.rule.cookie == cookie;
-  });
-  return before - entries_.size();
-}
-
-std::size_t FlowTable::erase_by_cookie(std::uint64_t cookie) {
-  const std::size_t before = entries_.size();
-  std::erase_if(entries_,
-                [&](const Entry& e) { return e.rule.cookie == cookie; });
-  return before - entries_.size();
-}
-
-std::size_t FlowTable::erase_mentioning(std::uint64_t addr,
-                                        std::uint16_t priority) {
-  const std::size_t before = entries_.size();
-  std::erase_if(entries_, [&](const Entry& e) {
-    if (priority != 0 && e.rule.priority != priority) return false;
-    const FlowMatch& m = e.rule.match;
-    return (m.dl_src && *m.dl_src == addr) || (m.dl_dst && *m.dl_dst == addr);
-  });
-  return before - entries_.size();
+void FlowTable::add(FlowRule rule) {
+  apply({.flows = {{FlowModCommand::kAdd, std::move(rule)}}});
 }
 
 std::shared_ptr<const FlowSnapshot> FlowTable::snapshot() const {
   auto snap = std::make_shared<FlowSnapshot>();
-  snap->entries.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    snap->entries.push_back({e.rule.match, e.rule.actions.shared(), e.stats});
+  snap->entries.reserve(order_.size());
+  for (const Entry* e : order_) {
+    snap->entries.push_back({e->rule.match, e->rule.actions.shared(), e->stats});
   }
   return snap;
 }
@@ -97,18 +85,18 @@ std::shared_ptr<const FlowSnapshot> FlowTable::snapshot() const {
 std::vector<FlowStats> FlowTable::stats(
     std::optional<std::uint64_t> cookie) const {
   std::vector<FlowStats> out;
-  for (const Entry& e : entries_) {
-    if (cookie && e.rule.cookie != *cookie) continue;
-    out.push_back({e.rule, e.stats->packets.load(std::memory_order_relaxed),
-                   e.stats->bytes.load(std::memory_order_relaxed)});
+  for (const Entry* e : order_) {
+    if (cookie && e->rule.cookie != *cookie) continue;
+    out.push_back({e->rule, e->stats->packets.load(std::memory_order_relaxed),
+                   e->stats->bytes.load(std::memory_order_relaxed)});
   }
   return out;
 }
 
 std::vector<FlowRule> FlowTable::rules() const {
   std::vector<FlowRule> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.rule);
+  out.reserve(order_.size());
+  for (const Entry* e : order_) out.push_back(e->rule);
   return out;
 }
 

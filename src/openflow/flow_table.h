@@ -1,14 +1,15 @@
 // Priority-ordered flow table with wildcard matching and per-rule counters.
-// Rules are permanent until a FlowMod or sweep deletes them. Mutations are
-// serialized by the owning switch (under its control-state mutex); the
-// forwarding path never touches this class directly — it classifies
-// against the immutable FlowSnapshot published after every mutation
-// (FlowSnapshot::lookup_batch) and bumps the rule's shared atomic counters
-// on a hit.
+// Rules are permanent until a bundle deletes them. A bundle is the one way
+// to change the table; the owning switch serializes bundles under its
+// control-state mutex. The forwarding path never touches this class
+// directly — it classifies against the immutable FlowSnapshot published
+// after each bundle that changed something (FlowSnapshot::lookup_batch) and
+// bumps the rule's shared atomic counters on a hit.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -53,44 +54,44 @@ struct FlowSnapshot {
 
 class FlowTable {
  public:
-  // Install or replace (same match + priority) a rule. A replace keeps the
-  // existing counters but swaps the action list. Returns true when an
-  // existing rule was replaced, false for a fresh install — the switch uses
-  // this to report per-FlowMod added/modified deltas to the controller.
-  bool add(FlowRule rule);
+  // Move-only: order_ points into rules_'s nodes, which a move keeps.
+  FlowTable() = default;
+  FlowTable(FlowTable&&) = default;
+  FlowTable& operator=(FlowTable&&) = default;
 
-  // Modify actions of rules whose match equals `match`; true if any changed.
-  bool modify(const FlowMatch& match, SharedActions actions);
-
-  // Delete rules matching the given match exactly (and cookie, if nonzero).
-  // Returns the number of removed rules.
-  std::size_t erase(const FlowMatch& match, std::uint64_t cookie = 0);
-  std::size_t erase_by_cookie(std::uint64_t cookie);
-  // Delete every rule whose match names `addr` as dl_src or dl_dst — the
-  // sweep used when a worker leaves the cluster. A nonzero `priority`
-  // restricts the sweep to rules at exactly that priority (used to clear
-  // app-installed rules without touching compiler-owned ones).
-  std::size_t erase_mentioning(std::uint64_t addr, std::uint16_t priority = 0);
+  // Apply the flow part of a bundle: its cookie deletes, then its FlowMods
+  // in order (FlowModCommand says what each does). Each FlowMod finds its
+  // rule by (match, priority) in O(log n); the priority order is rebuilt
+  // once at the end, and only if rules came or went. Returns the number of
+  // rules added, changed or removed: 0 means the table is as it was.
+  std::size_t apply(const Bundle& b);
+  // A one-rule kAdd bundle.
+  void add(FlowRule rule);
 
   // Immutable ordered view sharing action lists and stat blocks with this
-  // table. O(n) to build; call once per mutation, not per packet.
+  // table. O(n) to build; call once per change, not per packet.
   [[nodiscard]] std::shared_ptr<const FlowSnapshot> snapshot() const;
 
   [[nodiscard]] std::vector<FlowStats> stats(
       std::optional<std::uint64_t> cookie = std::nullopt) const;
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return rules_.size(); }
   [[nodiscard]] std::vector<FlowRule> rules() const;
 
  private:
+  struct Key {
+    FlowMatch match;
+    std::uint16_t priority = 0;
+    auto operator<=>(const Key&) const = default;
+  };
   struct Entry {
     FlowRule rule;
     std::shared_ptr<RuleStats> stats;
     std::uint64_t seq = 0;  // insertion order for stable tie-breaking
   };
 
-  void sort_entries();
-
-  std::vector<Entry> entries_;  // kept sorted: priority desc, specificity desc
+  std::map<Key, Entry> rules_;
+  // rules_ by priority desc, specificity desc, seq asc: the lookup order.
+  std::vector<const Entry*> order_;
   std::uint64_t next_seq_ = 0;
 };
 

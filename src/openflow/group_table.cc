@@ -2,7 +2,7 @@
 
 namespace typhoon::openflow {
 
-void GroupTable::apply(const GroupMod& mod) {
+bool GroupTable::apply(const GroupMod& mod) {
   switch (mod.command) {
     case GroupMod::Command::kAdd:
     case GroupMod::Command::kModify: {
@@ -11,12 +11,12 @@ void GroupTable::apply(const GroupMod& mod) {
       g.buckets = mod.buckets;
       g.wrr_credit.assign(g.buckets.size(), 0);
       groups_[mod.group_id] = std::move(g);
-      break;
+      return true;
     }
     case GroupMod::Command::kDelete:
-      groups_.erase(mod.group_id);
-      break;
+      return groups_.erase(mod.group_id) != 0;
   }
+  return false;
 }
 
 const GroupBucket* GroupTable::select(std::uint32_t group_id) {

@@ -15,7 +15,8 @@ namespace typhoon::openflow {
 
 class GroupTable {
  public:
-  void apply(const GroupMod& mod);
+  // Returns false only for a kDelete of an absent group (nothing changed).
+  bool apply(const GroupMod& mod);
 
   struct Group {
     GroupType type = GroupType::kSelect;

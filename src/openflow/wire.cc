@@ -194,6 +194,38 @@ bool ReadGroupMod(common::BufReader& r, GroupMod& mod) {
   return true;
 }
 
+void WriteBundle(common::BufWriter& w, const Bundle& b) {
+  w.u32(static_cast<std::uint32_t>(b.flows.size()));
+  for (const FlowMod& mod : b.flows) WriteFlowMod(w, mod);
+  w.u32(static_cast<std::uint32_t>(b.groups.size()));
+  for (const GroupMod& mod : b.groups) WriteGroupMod(w, mod);
+  w.u32(static_cast<std::uint32_t>(b.delete_cookies.size()));
+  for (std::uint64_t cookie : b.delete_cookies) w.u64(cookie);
+}
+
+bool ReadBundle(common::BufReader& r, Bundle& b) {
+  b = {};
+  // Every FlowMod and GroupMod takes at least one byte, a cookie eight:
+  // reject counts the buffer cannot hold before reserving for them.
+  std::uint32_t n = 0;
+  if (!r.u32(n) || n > r.remaining()) return false;
+  b.flows.resize(n);
+  for (FlowMod& mod : b.flows) {
+    if (!ReadFlowMod(r, mod)) return false;
+  }
+  if (!r.u32(n) || n > r.remaining()) return false;
+  b.groups.resize(n);
+  for (GroupMod& mod : b.groups) {
+    if (!ReadGroupMod(r, mod)) return false;
+  }
+  if (!r.u32(n) || n > r.remaining() / 8) return false;
+  b.delete_cookies.resize(n);
+  for (std::uint64_t& cookie : b.delete_cookies) {
+    if (!r.u64(cookie)) return false;
+  }
+  return true;
+}
+
 void WritePacket(common::BufWriter& w, const net::PacketPtr& p) {
   if (!p) {
     w.u8(0);

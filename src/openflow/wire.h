@@ -28,6 +28,10 @@ bool ReadFlowMod(common::BufReader& r, FlowMod& mod);
 void WriteGroupMod(common::BufWriter& w, const GroupMod& mod);
 bool ReadGroupMod(common::BufReader& r, GroupMod& mod);
 
+// [u32 n][FlowMod...][u32 n][GroupMod...][u32 n][u64 cookie...]
+void WriteBundle(common::BufWriter& w, const Bundle& b);
+bool ReadBundle(common::BufReader& r, Bundle& b);
+
 // Null packets encode as an empty frame (presence byte 0).
 void WritePacket(common::BufWriter& w, const net::PacketPtr& p);
 bool ReadPacket(common::BufReader& r, net::PacketPtr& p);

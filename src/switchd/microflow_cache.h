@@ -5,10 +5,10 @@
 //
 // Correctness rides on the owning switch's table epoch: every entry is
 // stamped with the epoch of the table snapshot it was filled from, and a
-// lookup only hits when the stamp equals the current epoch. Any FlowMod /
-// GroupMod / rule removal publishes a new snapshot under a new epoch, so
-// every cached entry goes stale at once — stable-update semantics (Sec 4)
-// are preserved without explicit per-entry invalidation.
+// lookup only hits when the stamp equals the current epoch. A rule bundle
+// that changes a flow or group publishes a new snapshot under a new epoch,
+// so every cached entry goes stale at once — stable-update semantics
+// (Sec 4) are preserved without explicit per-entry invalidation.
 //
 // Single-consumer by design: only the switch's forwarding thread reads or
 // writes entries. Hit/miss counters are relaxed atomics so control threads

@@ -154,20 +154,12 @@ void SoftSwitch::publish_locked(View next) {
 }
 
 template <class T, class Edit>
-void SoftSwitch::publish_part(std::shared_ptr<const T> View::*part, Edit edit,
-                              bool table_change) {
+void SoftSwitch::publish_part(std::shared_ptr<const T> View::*part,
+                              Edit edit) {
   auto copy = std::make_shared<T>(*((*view_).*part));
   edit(*copy);
   View next = *view_;
   next.*part = std::move(copy);
-  if (table_change) ++next.table_epoch;
-  publish_locked(std::move(next));
-}
-
-void SoftSwitch::publish_flows_locked() {
-  View next = *view_;
-  next.flows = flow_table_.snapshot();
-  ++next.table_epoch;
   publish_locked(std::move(next));
 }
 
@@ -367,56 +359,29 @@ PortHandle::Port* SoftSwitch::find_out_port(const Shard& sh, PortId port) {
   return it == sh.ports->out_sparse.end() ? nullptr : it->second;
 }
 
-SoftSwitch::FlowModDelta SoftSwitch::handle_flow_mod(
-    const openflow::FlowMod& mod) {
-  FlowModDelta delta;
+void SoftSwitch::apply(const openflow::Bundle& b) {
   std::lock_guard lk(mu_);
-  switch (mod.command) {
-    case openflow::FlowModCommand::kAdd:
-      if (flow_table_.add(mod.rule)) {
-        delta.modified = 1;
-      } else {
-        delta.added = 1;
-      }
-      break;
-    case openflow::FlowModCommand::kModify:
-      if (flow_table_.modify(mod.rule.match, mod.rule.actions)) {
-        delta.modified = 1;
-      }
-      break;
-    case openflow::FlowModCommand::kDelete:
-      delta.removed = flow_table_.erase(mod.rule.match, mod.rule.cookie);
-      break;
+  View next = *view_;
+  bool changed = false;
+  if (!b.groups.empty()) {
+    auto groups = std::make_shared<openflow::GroupTable>(*view_->groups);
+    for (const openflow::GroupMod& mod : b.groups) changed |= groups->apply(mod);
+    // An unchanged table keeps its pointer: shards re-copy the groups (and
+    // lose their select-group WRR credit) only when the pointer moves.
+    if (changed) next.groups = std::move(groups);
   }
-  publish_flows_locked();
-  return delta;
-}
-
-void SoftSwitch::handle_group_mod(const openflow::GroupMod& mod) {
-  std::lock_guard lk(mu_);
-  publish_part(
-      &View::groups, [&](openflow::GroupTable& g) { g.apply(mod); },
-      /*table_change=*/true);
+  if (flow_table_.apply(b) != 0) {
+    next.flows = flow_table_.snapshot();
+    changed = true;
+  }
+  if (!changed) return;
+  ++next.table_epoch;
+  publish_locked(std::move(next));
 }
 
 void SoftSwitch::handle_packet_out(const openflow::PacketOut& po) {
   injected_.push({po.packet, po.in_port});
   shards_[0]->gate->notify();  // shard 0 owns the injected queue
-}
-
-std::size_t SoftSwitch::remove_rules_mentioning(std::uint64_t addr,
-                                                std::uint16_t priority) {
-  std::lock_guard lk(mu_);
-  const std::size_t n = flow_table_.erase_mentioning(addr, priority);
-  if (n != 0) publish_flows_locked();
-  return n;
-}
-
-std::size_t SoftSwitch::remove_rules_by_cookie(std::uint64_t cookie) {
-  std::lock_guard lk(mu_);
-  const std::size_t n = flow_table_.erase_by_cookie(cookie);
-  if (n != 0) publish_flows_locked();
-  return n;
 }
 
 std::vector<openflow::PortStats> SoftSwitch::port_stats() const {

@@ -57,7 +57,7 @@
 // controller PacketOut injection — so an idle N-shard switch burns ~zero
 // CPU instead of N spinning cores.
 //
-// Control-plane calls (FlowMod, GroupMod, PacketOut, stats) may come from
+// Control-plane calls (rule bundles, PacketOut, stats) may come from
 // any thread; they serialize on `mu_`, which a shard takes only to adopt a
 // newly published View.
 #pragma once
@@ -202,17 +202,11 @@ class SoftSwitch : public SwitchControl {
   [[nodiscard]] std::vector<PortShaperStats> shaper_stats() const;
 
   // ---- OpenFlow control interface (SwitchControl) ----
-  // FlowModDelta lives at namespace scope in switch_control.h; the nested
-  // alias keeps existing SoftSwitch::FlowModDelta spellings working.
-  using FlowModDelta = switchd::FlowModDelta;
-  FlowModDelta handle_flow_mod(const openflow::FlowMod& mod) override;
-  void handle_group_mod(const openflow::GroupMod& mod) override;
+  // One lock, one flow-table rebuild and one View publish per bundle; the
+  // table epoch (and so every shard's microflow cache) moves only when the
+  // bundle changed a rule or a group.
+  void apply(const openflow::Bundle& b) override;
   void handle_packet_out(const openflow::PacketOut& po) override;
-  // Remove every rule whose match names the worker address (departures).
-  // Nonzero `priority` restricts the sweep to that exact priority.
-  std::size_t remove_rules_mentioning(std::uint64_t addr,
-                                      std::uint16_t priority = 0) override;
-  std::size_t remove_rules_by_cookie(std::uint64_t cookie) override;
   [[nodiscard]] std::vector<openflow::PortStats> port_stats() const override;
   [[nodiscard]] std::vector<openflow::FlowStats> flow_stats(
       std::optional<std::uint64_t> cookie = std::nullopt) const override;
@@ -462,13 +456,9 @@ class SoftSwitch : public SwitchControl {
   // generation store is the release point shards synchronize on.
   void publish_locked(View next);
   // Publish a View whose `part` is a copy of the current one changed by
-  // `edit`; the other parts stay shared. A table change (groups) also
-  // advances the table epoch. Call with mu_ held.
+  // `edit`; the other parts stay shared. Call with mu_ held.
   template <class T, class Edit>
-  void publish_part(std::shared_ptr<const T> View::*part, Edit edit,
-                    bool table_change = false);
-  // Republish after a flow-table mutation (new snapshot, new table epoch).
-  void publish_flows_locked();
+  void publish_part(std::shared_ptr<const T> View::*part, Edit edit);
   // Publish `map` as the port set, with its output tables and poll lists.
   void publish_ports_locked(PortMap map);
   // Attach a new port under the free id `id` and publish it; unlocks `lk`

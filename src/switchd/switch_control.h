@@ -1,7 +1,8 @@
 // SwitchControl — the control-plane view of one host's datapath: exactly
-// the OpenFlow-ish surface the controller layer programs (flow/group mods,
-// packet-out, rule sweeps, stats reads, the event sink, and the QoS ingress
-// shaper), abstracted from where the datapath runs.
+// the OpenFlow-ish surface the controller layer programs (rule bundles,
+// packet-out, stats reads, the event sink, and the QoS ingress shaper),
+// abstracted from where the datapath runs. `apply` is the one call that
+// changes the flow and group tables.
 //
 // Two implementations:
 //   - switchd::SoftSwitch — the in-process datapath (single-process
@@ -30,16 +31,6 @@ class PortHandle;
 // Async events a datapath raises toward its controller.
 using SwitchEvent = std::variant<openflow::PacketIn, openflow::PortStatus>;
 
-// What one FlowMod actually changed in the table — kAdd reports added or
-// modified (replace-in-place), kModify/kDelete report the rule count
-// touched. The control plane sums these into its rules_touched stat.
-struct FlowModDelta {
-  std::size_t added = 0;
-  std::size_t modified = 0;
-  std::size_t removed = 0;
-  [[nodiscard]] std::size_t total() const { return added + modified + removed; }
-};
-
 class SwitchControl {
  public:
   virtual ~SwitchControl() = default;
@@ -47,14 +38,12 @@ class SwitchControl {
   [[nodiscard]] virtual HostId host() const = 0;
 
   // ---- OpenFlow control interface ----
-  virtual FlowModDelta handle_flow_mod(const openflow::FlowMod& mod) = 0;
-  virtual void handle_group_mod(const openflow::GroupMod& mod) = 0;
+  // Apply one bundle atomically: once this returns, every packet the switch
+  // classifies sees all of it, and none saw part of it.
+  virtual void apply(const openflow::Bundle& b) = 0;
+  // A one-FlowMod bundle.
+  void handle_flow_mod(const openflow::FlowMod& mod) { apply({.flows = {mod}}); }
   virtual void handle_packet_out(const openflow::PacketOut& po) = 0;
-  // Remove every rule whose match names the worker address (departures).
-  // Nonzero `priority` restricts the sweep to that exact priority.
-  virtual std::size_t remove_rules_mentioning(std::uint64_t addr,
-                                              std::uint16_t priority = 0) = 0;
-  virtual std::size_t remove_rules_by_cookie(std::uint64_t cookie) = 0;
   [[nodiscard]] virtual std::vector<openflow::PortStats> port_stats()
       const = 0;
   [[nodiscard]] virtual std::vector<openflow::FlowStats> flow_stats(

@@ -132,7 +132,7 @@ void HostProcess::handle_frame(std::uint8_t type, std::uint64_t rpc_id,
       return;
     }
     default:
-      if (type >= kSwFlowMod && type <= kSwGetIngressRate && rpc_id != 0) {
+      if (type >= kSwApply && type <= kSwGetIngressRate && rpc_id != 0) {
         dispatch_switch_rpc(type, rpc_id, payload);
       }
       return;
@@ -149,37 +149,14 @@ void HostProcess::dispatch_switch_rpc(std::uint8_t type, std::uint64_t rpc_id,
     return;
   }
   switch (type) {
-    case kSwFlowMod: {
-      openflow::FlowMod mod;
-      if (openflow::ReadFlowMod(r, mod)) {
-        const auto delta = sw_->handle_flow_mod(mod);
-        w.u64(delta.added);
-        w.u64(delta.modified);
-        w.u64(delta.removed);
-      }
-      break;
-    }
-    case kSwGroupMod: {
-      openflow::GroupMod mod;
-      if (openflow::ReadGroupMod(r, mod)) sw_->handle_group_mod(mod);
+    case kSwApply: {
+      openflow::Bundle b;
+      if (openflow::ReadBundle(r, b)) sw_->apply(b);
       break;
     }
     case kSwPacketOut: {
       openflow::PacketOut po;
       if (openflow::ReadPacketOut(r, po)) sw_->handle_packet_out(po);
-      break;
-    }
-    case kSwRemoveMentioning: {
-      std::uint64_t addr = 0;
-      std::uint16_t priority = 0;
-      if (r.u64(addr) && r.u16(priority)) {
-        w.u64(sw_->remove_rules_mentioning(addr, priority));
-      }
-      break;
-    }
-    case kSwRemoveByCookie: {
-      std::uint64_t cookie = 0;
-      if (r.u64(cookie)) w.u64(sw_->remove_rules_by_cookie(cookie));
       break;
     }
     case kSwPortStats: {

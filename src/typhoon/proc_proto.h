@@ -52,12 +52,11 @@ enum MsgType : std::uint8_t {
   kCoordEcho = 22,           // one-way: parent -> child
   kCoordSnapshot = 23,       // one-way: parent -> child
 
-  // switch control (parent -> child rpc, except kSwEvent)
-  kSwFlowMod = 32,           // reply = [u64 added][u64 modified][u64 removed]
-  kSwGroupMod = 33,          // reply = []
+  // switch control (parent -> child rpc, except kSwEvent). kSwApply
+  // carries one openflow::Bundle, the only table change; 33, 35 and 36
+  // are retired.
+  kSwApply = 32,             // reply = []
   kSwPacketOut = 34,         // reply = []
-  kSwRemoveMentioning = 35,  // reply = [u64 removed]
-  kSwRemoveByCookie = 36,    // reply = [u64 removed]
   kSwPortStats = 37,         // reply = [u32 n][PortStats...]
   kSwFlowStats = 38,         // reply = [u32 n][FlowStats...]
   kSwFlowRules = 39,         // reply = [u32 n][FlowRule...]

@@ -23,31 +23,11 @@ void RemoteSwitch::rebind(CtlChannel* channel) {
   channel_ = channel;
 }
 
-switchd::FlowModDelta RemoteSwitch::handle_flow_mod(
-    const openflow::FlowMod& mod) {
+void RemoteSwitch::apply(const openflow::Bundle& b) {
   common::Bytes payload;
   common::BufWriter w(payload);
-  openflow::WriteFlowMod(w, mod);
-  auto r = call(kSwFlowMod, payload);
-  switchd::FlowModDelta delta;
-  if (!r.ok()) return delta;
-  common::BufReader br(r.value());
-  std::uint64_t added = 0;
-  std::uint64_t modified = 0;
-  std::uint64_t removed = 0;
-  if (br.u64(added) && br.u64(modified) && br.u64(removed)) {
-    delta.added = added;
-    delta.modified = modified;
-    delta.removed = removed;
-  }
-  return delta;
-}
-
-void RemoteSwitch::handle_group_mod(const openflow::GroupMod& mod) {
-  common::Bytes payload;
-  common::BufWriter w(payload);
-  openflow::WriteGroupMod(w, mod);
-  (void)call(kSwGroupMod, payload);
+  openflow::WriteBundle(w, b);
+  (void)call(kSwApply, payload);
 }
 
 void RemoteSwitch::handle_packet_out(const openflow::PacketOut& po) {
@@ -55,30 +35,6 @@ void RemoteSwitch::handle_packet_out(const openflow::PacketOut& po) {
   common::BufWriter w(payload);
   openflow::WritePacketOut(w, po);
   (void)call(kSwPacketOut, payload);
-}
-
-std::size_t RemoteSwitch::remove_rules_mentioning(std::uint64_t addr,
-                                                  std::uint16_t priority) {
-  common::Bytes payload;
-  common::BufWriter w(payload);
-  w.u64(addr);
-  w.u16(priority);
-  auto r = call(kSwRemoveMentioning, payload);
-  if (!r.ok()) return 0;
-  common::BufReader br(r.value());
-  std::uint64_t n = 0;
-  return br.u64(n) ? static_cast<std::size_t>(n) : 0;
-}
-
-std::size_t RemoteSwitch::remove_rules_by_cookie(std::uint64_t cookie) {
-  common::Bytes payload;
-  common::BufWriter w(payload);
-  w.u64(cookie);
-  auto r = call(kSwRemoveByCookie, payload);
-  if (!r.ok()) return 0;
-  common::BufReader br(r.value());
-  std::uint64_t n = 0;
-  return br.u64(n) ? static_cast<std::size_t>(n) : 0;
 }
 
 std::vector<openflow::PortStats> RemoteSwitch::port_stats() const {

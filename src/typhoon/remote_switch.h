@@ -27,12 +27,9 @@ class RemoteSwitch final : public switchd::SwitchControl {
 
   [[nodiscard]] HostId host() const override { return host_; }
 
-  switchd::FlowModDelta handle_flow_mod(const openflow::FlowMod& mod) override;
-  void handle_group_mod(const openflow::GroupMod& mod) override;
+  // One kSwApply round trip per bundle.
+  void apply(const openflow::Bundle& b) override;
   void handle_packet_out(const openflow::PacketOut& po) override;
-  std::size_t remove_rules_mentioning(std::uint64_t addr,
-                                      std::uint16_t priority = 0) override;
-  std::size_t remove_rules_by_cookie(std::uint64_t cookie) override;
   [[nodiscard]] std::vector<openflow::PortStats> port_stats() const override;
   [[nodiscard]] std::vector<openflow::FlowStats> flow_stats(
       std::optional<std::uint64_t> cookie = std::nullopt) const override;

@@ -3,6 +3,7 @@
 // live-debugger mirroring, and worker metric queries via control tuples.
 #include <gtest/gtest.h>
 
+#include "controller/rule_compiler.h"
 #include "stream/topology.h"
 #include "typhoon/cluster.h"
 #include "util/components.h"
@@ -166,6 +167,113 @@ TEST(LoadBalancerApp, GroupRulesRedirectTraffic) {
 
   EXPECT_TRUE(lb->disable(tid.value(), "src", "sink").ok());
   cluster.stop();
+}
+
+// src -> mid (3) -> sink on two hosts, paced; the load balancer's tests
+// offload src -> mid.
+class LoadBalancerEdge : public ::testing::Test {
+ protected:
+  static constexpr const char* kTopo = "lbedge";
+
+  void SetUp() override {
+    cluster_.start();
+    TopologyBuilder b(kTopo);
+    const NodeId src = b.add_spout(
+        "src",
+        [] { return std::make_unique<SequenceSpout>(0, 8, 0, 2'000.0); }, 1);
+    const NodeId mid = b.add_bolt(
+        "mid", [] { return std::make_unique<testutil::ForwardBolt>(); }, 3);
+    const NodeId sink = b.add_bolt(
+        "sink",
+        [state = state_] { return std::make_unique<CollectingSink>(state); },
+        1);
+    b.shuffle(src, mid);
+    b.shuffle(mid, sink);
+    auto tid = cluster_.submit(b.build().value());
+    ASSERT_TRUE(tid.ok());
+    tid_ = tid.value();
+    ASSERT_TRUE(WaitFor([&] { return state_->received.load() > 100; }, 10s));
+  }
+  void TearDown() override { cluster_.stop(); }
+
+  // Installed rules at `priority` whose match names `addr`, on all hosts.
+  int RulesNaming(std::uint64_t addr, std::uint16_t priority) {
+    int n = 0;
+    for (HostId h : cluster_.hosts()) {
+      for (const openflow::FlowRule& r : cluster_.switch_at(h)->flow_rules()) {
+        if (r.priority == priority &&
+            (r.match.dl_src == addr || r.match.dl_dst == addr)) {
+          ++n;
+        }
+      }
+    }
+    return n;
+  }
+
+  static ClusterConfig Config() {
+    ClusterConfig cfg;
+    cfg.num_hosts = 2;
+    return cfg;
+  }
+
+  Cluster cluster_{Config()};
+  std::shared_ptr<SinkState> state_ = std::make_shared<SinkState>();
+  TopologyId tid_ = 0;
+};
+
+// Scaling the balanced node down deletes the redirects that name the
+// retired worker, on every host.
+TEST_F(LoadBalancerEdge, ScaleDownDropsRedirectsOfRemovedWorker) {
+  ASSERT_TRUE(cluster_.load_balancer()->enable(tid_, "src", "mid").ok());
+  const stream::TopologySpec spec = cluster_.manager().spec(kTopo).value();
+  const std::vector<stream::PhysicalWorker> mids =
+      cluster_.manager().physical(kTopo).value().workers_of(
+          spec.node_by_name("mid")->id);
+  ASSERT_EQ(mids.size(), 3u);
+  // Scale-down retires the highest task index.
+  const std::uint64_t victim =
+      WorkerAddress{tid_, mids.back().id}.packed();
+  ASSERT_GT(RulesNaming(victim, controller::kPrioLoadBalance), 0);
+
+  stream::ReconfigRequest req;
+  req.topology = kTopo;
+  req.kind = stream::ReconfigRequest::Kind::kScaleDown;
+  req.node = "mid";
+  req.count = 1;
+  const common::Status st = cluster_.reconfigure(req);
+  ASSERT_TRUE(st.ok()) << st.str();
+  EXPECT_EQ(RulesNaming(victim, controller::kPrioLoadBalance), 0);
+}
+
+// Disabling the balancer deletes its redirects and nothing else: the
+// compiled data rule with the same match as each redirect stays, so the
+// edge keeps carrying traffic.
+TEST_F(LoadBalancerEdge, DisableKeepsCompiledDataRules) {
+  auto* lb = cluster_.load_balancer();
+  ASSERT_TRUE(lb->enable(tid_, "src", "mid").ok());
+  ASSERT_TRUE(lb->disable(tid_, "src", "mid").ok());
+
+  const controller::RulesByHost compiled = controller::RuleCompiler().compile(
+      cluster_.manager().spec(kTopo).value(),
+      cluster_.manager().physical(kTopo).value());
+  for (HostId h : cluster_.hosts()) {
+    controller::RulesByHost installed;
+    for (const openflow::FlowRule& r : cluster_.switch_at(h)->flow_rules()) {
+      if (r.cookie == tid_) installed[h].push_back(r);
+    }
+    controller::RulesByHost wanted;
+    if (auto it = compiled.find(h); it != compiled.end()) {
+      wanted[h] = it->second;
+    }
+    EXPECT_TRUE(controller::RuleCompiler::Diff(
+                    controller::RuleCompiler::Keyed(std::move(installed)),
+                    controller::RuleCompiler::Keyed(std::move(wanted)))
+                    .empty())
+        << "host " << h << " rules differ from the compiled set";
+  }
+  const std::int64_t before = state_->received.load();
+  EXPECT_TRUE(
+      WaitFor([&] { return state_->received.load() > before + 200; }, 10s));
 }
 
 TEST(LiveDebuggerApp, MirrorsSelectedPathWithoutDisruption) {

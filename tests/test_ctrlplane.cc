@@ -256,13 +256,36 @@ class RuleTablesExact : public ::testing::TestWithParam<Update> {
            cluster_.control_plane()->flowmods_full();
   }
 
+  std::map<HostId, std::uint64_t> Epochs() {
+    std::map<HostId, std::uint64_t> out;
+    for (HostId h : cluster_.hosts()) {
+      out[h] = cluster_.switch_at(h)->table_epoch();
+    }
+    return out;
+  }
+
   // Compare every switch's compiler-owned rules of the topology with
   // `expected`, and the FlowMods emitted since `flowmods_before` with the
-  // diff from `before` to `expected`.
+  // diff from `before` to `expected`. Each switch takes the update as one
+  // bundle per phase it has rules in (adds, mods, dels), so its table epoch
+  // moves at most that many times since `epochs_before`.
   void ExpectExact(const controller::CompiledRuleState& before,
-                   std::int64_t flowmods_before, const std::string& step) {
+                   std::int64_t flowmods_before,
+                   const std::map<HostId, std::uint64_t>& epochs_before,
+                   const std::string& step) {
     SCOPED_TRACE(step);
     const controller::CompiledRuleState expected = Expected();
+    const controller::RuleDelta diff = RuleCompiler::Diff(before, expected);
+    for (HostId h : cluster_.hosts()) {
+      std::uint64_t phases = 0;
+      for (const RulesByHost* part : {&diff.adds, &diff.mods, &diff.dels}) {
+        auto it = part->find(h);
+        if (it != part->end() && !it->second.empty()) ++phases;
+      }
+      EXPECT_LE(cluster_.switch_at(h)->table_epoch() - epochs_before.at(h),
+                phases)
+          << "host " << h << " table epoch";
+    }
     for (HostId h : cluster_.hosts()) {
       RulesByHost installed;
       for (const openflow::FlowRule& r : cluster_.switch_at(h)->flow_rules()) {
@@ -291,9 +314,10 @@ class RuleTablesExact : public ::testing::TestWithParam<Update> {
     req.topology = kTopo;
     const controller::CompiledRuleState before = Expected();
     const std::int64_t flowmods = FlowMods();
+    const std::map<HostId, std::uint64_t> epochs = Epochs();
     const common::Status st = cluster_.reconfigure(req);
     ASSERT_TRUE(st.ok()) << step << ": " << st.str();
-    ExpectExact(before, flowmods, step);
+    ExpectExact(before, flowmods, epochs, step);
   }
 
   void Attach() {
@@ -339,10 +363,11 @@ TEST_P(RuleTablesExact, AfterEveryStableUpdate) {
   b.shuffle(src, mid);
   b.shuffle(mid, sink);
   const std::int64_t deploy_flowmods = FlowMods();
+  const std::map<HostId, std::uint64_t> deploy_epochs = Epochs();
   auto tid = cluster_.submit(b.build().value());
   ASSERT_TRUE(tid.ok());
   tid_ = tid.value();
-  ExpectExact({}, deploy_flowmods, "deploy");
+  ExpectExact({}, deploy_flowmods, deploy_epochs, "deploy");
   ASSERT_TRUE(WaitFor([&] { return sink_->received.load() > 500; }, 10s));
 
   ReconfigRequest req;
@@ -404,6 +429,7 @@ TEST_P(RuleTablesExact, AfterEveryStableUpdate) {
       ASSERT_NE(victim, 0u) << "no host runs exactly one worker";
       const controller::CompiledRuleState before = Expected();
       const std::int64_t flowmods = FlowMods();
+      const std::map<HostId, std::uint64_t> epochs = Epochs();
       cluster_.fail_host(victim);
       ASSERT_TRUE(
           WaitFor([&] { return cluster_.manager().reschedules() >= 1; }, 10s));
@@ -413,7 +439,7 @@ TEST_P(RuleTablesExact, AfterEveryStableUpdate) {
       for (const stream::PhysicalWorker& w : after.workers) {
         EXPECT_NE(w.host, victim);
       }
-      ExpectExact(before, flowmods, "reschedule");
+      ExpectExact(before, flowmods, epochs, "reschedule");
       break;
     }
   }

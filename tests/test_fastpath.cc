@@ -1,8 +1,9 @@
-// Microflow-cache correctness under churn: every control-plane mutation
-// (FlowMod add/modify/delete, GroupMod, remove_rules_mentioning) must
-// invalidate warm cache entries — a stale entry may cost a
-// re-scan but must never forward a packet with the old actions. Plus a
-// multithreaded churn stress that is expected to stay clean under TSan.
+// Microflow-cache correctness under churn: every bundle that changes a
+// table (flow add/replace/delete, group mod, cookie delete) must invalidate
+// warm cache entries — a stale entry may cost a re-scan but must never
+// forward a packet with the old actions — and a bundle that changes
+// nothing must leave them warm. Plus a multithreaded churn stress that is
+// expected to stay clean under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -104,14 +105,15 @@ TEST_F(FastPathTest, FlowModDeleteInvalidatesWarmEntry) {
   EXPECT_FALSE(RecvFor(*out_, 100ms).has_value());
 }
 
-TEST_F(FastPathTest, FlowModModifyRedirectsWarmFlow) {
+TEST_F(FastPathTest, FlowReplaceRedirectsWarmFlow) {
   auto other = sw_->attach_port();
   sw_->handle_flow_mod(
       {FlowModCommand::kAdd, ExactRule(1, 2, {ActionOutput{out_->id()}})});
   Warm(*out_);
 
-  sw_->handle_flow_mod(
-      {FlowModCommand::kModify, ExactRule(1, 2, {ActionOutput{other->id()}})});
+  // Same (match, priority): the bundle's kAdd replaces the rule in place.
+  sw_->apply({.flows = {{FlowModCommand::kAdd,
+                         ExactRule(1, 2, {ActionOutput{other->id()}})}}});
   ASSERT_TRUE(src_->send(Pkt(1, 2)));
   EXPECT_TRUE(RecvFor(*other, 1s).has_value());
   Drain(*out_);
@@ -129,14 +131,14 @@ TEST_F(FastPathTest, GroupModRewriteChangesWarmPath) {
   g.group_id = 9;
   g.type = openflow::GroupType::kAll;
   g.buckets = {{1, {ActionOutput{out_->id()}}}};
-  sw_->handle_group_mod(g);
-  sw_->handle_flow_mod(
-      {FlowModCommand::kAdd, ExactRule(1, 2, {ActionGroup{9}})});
+  sw_->apply({.flows = {{FlowModCommand::kAdd,
+                         ExactRule(1, 2, {ActionGroup{9}})}},
+              .groups = {g}});
   Warm(*out_);
 
   g.command = GroupMod::Command::kModify;
   g.buckets = {{1, {ActionOutput{other->id()}}}};
-  sw_->handle_group_mod(g);
+  sw_->apply({.groups = {g}});
 
   ASSERT_TRUE(src_->send(Pkt(1, 2)));
   EXPECT_TRUE(RecvFor(*other, 1s).has_value());
@@ -148,14 +150,34 @@ TEST_F(FastPathTest, GroupModRewriteChangesWarmPath) {
   EXPECT_FALSE(out_->recv().has_value());
 }
 
-TEST_F(FastPathTest, RemoveRulesMentioningInvalidatesWarmEntry) {
-  sw_->handle_flow_mod(
-      {FlowModCommand::kAdd, ExactRule(1, 2, {ActionOutput{out_->id()}})});
+TEST_F(FastPathTest, CookieDeleteBundleInvalidatesWarmEntry) {
+  FlowRule r = ExactRule(1, 2, {ActionOutput{out_->id()}});
+  r.cookie = 5;
+  sw_->handle_flow_mod({FlowModCommand::kAdd, r});
   Warm(*out_);
 
-  EXPECT_EQ(sw_->remove_rules_mentioning(A(2)), 1u);
+  sw_->apply({.delete_cookies = {5}});
+  EXPECT_EQ(sw_->flow_count(), 0u);
   ASSERT_TRUE(src_->send(Pkt(1, 2)));
   EXPECT_FALSE(RecvFor(*out_, 100ms).has_value());
+}
+
+// A table change that changes nothing — deleting an absent rule, adding a
+// rule exactly as installed — publishes nothing: the epoch stays and warm
+// entries keep hitting.
+TEST_F(FastPathTest, NoOpBundleKeepsWarmEntries) {
+  const FlowRule r = ExactRule(1, 2, {ActionOutput{out_->id()}});
+  sw_->handle_flow_mod({FlowModCommand::kAdd, r});
+  Warm(*out_);
+  const std::uint64_t misses = sw_->cache_misses();
+  const std::uint64_t epoch = sw_->table_epoch();
+
+  sw_->handle_flow_mod({FlowModCommand::kDelete, ExactRule(3, 4, {})});
+  sw_->handle_flow_mod({FlowModCommand::kAdd, r});
+  EXPECT_EQ(sw_->table_epoch(), epoch);
+
+  Warm(*out_, 16);
+  EXPECT_EQ(sw_->cache_misses(), misses);
 }
 
 // Only flow and group changes advance the table epoch: attaching a port,
@@ -231,9 +253,9 @@ TEST_F(FastPathTest, ConcurrentChurnLosesNothingOnStableFlow) {
     g.buckets = {{1, {ActionOutput{churn_out->id()}}}};
     while (!stop.load()) {
       g.command = GroupMod::Command::kAdd;
-      sw_->handle_group_mod(g);
+      sw_->apply({.groups = {g}});
       g.command = GroupMod::Command::kDelete;
-      sw_->handle_group_mod(g);
+      sw_->apply({.groups = {g}});
       std::this_thread::sleep_for(100us);
     }
   });

@@ -1,6 +1,7 @@
 // Flow table semantics: wildcard matching, priority and specificity
 // ordering (as the switch's classifier, FlowSnapshot::lookup_batch, sees
-// them), cookie sweeps, and group-table weighted round-robin.
+// them), bundle deletes by key and by cookie, group-table weighted
+// round-robin, and the bundle's wire codec.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -9,6 +10,7 @@
 #include "openflow/flow.h"
 #include "openflow/flow_table.h"
 #include "openflow/group_table.h"
+#include "openflow/wire.h"
 
 namespace typhoon::openflow {
 namespace {
@@ -131,42 +133,66 @@ TEST(FlowTable, EraseByMatchAndCookie) {
   t.add(a);
   t.add(b);
   t.add(c);
-  EXPECT_EQ(t.erase(a.match), 1u);
-  EXPECT_EQ(t.erase_by_cookie(7), 1u);
+  EXPECT_EQ(t.apply({.flows = {{FlowModCommand::kDelete, a}}}), 1u);
+  EXPECT_EQ(t.apply({.delete_cookies = {7}}), 1u);
   EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.erase_by_cookie(8), 1u);
+  EXPECT_EQ(t.apply({.delete_cookies = {8}}), 1u);
 }
 
-TEST(FlowTable, EraseMentioningSweepsSrcAndDst) {
+// A kDelete names one rule: its (match, priority) key, and its cookie when
+// nonzero. A rule with the same match at another priority stays.
+TEST(FlowTable, DeleteNamesOneKey) {
   FlowTable t;
-  FlowRule as_src;
-  as_src.match.dl_src = A(5);
-  FlowRule as_dst;
-  as_dst.match.dl_dst = A(5);
-  FlowRule other;
-  other.match.dl_dst = A(6);
-  t.add(as_src);
-  t.add(as_dst);
-  t.add(other);
-  EXPECT_EQ(t.erase_mentioning(A(5)), 2u);
-  EXPECT_EQ(t.size(), 1u);
-}
+  FlowRule low;
+  low.match.dl_dst = A(2);
+  low.priority = 100;
+  low.cookie = 7;
+  low.actions = {ActionOutput{1}};
+  FlowRule high = low;
+  high.priority = 300;
+  high.actions = {ActionOutput{9}};
+  t.add(low);
+  t.add(high);
 
-TEST(FlowTable, ModifySwapsActions) {
-  FlowTable t;
-  FlowRule r;
-  r.match.dl_dst = A(2);
-  r.actions = {ActionOutput{1}};
-  t.add(r);
-  EXPECT_TRUE(t.modify(r.match, {ActionOutput{1}, ActionOutput{2}}));
+  FlowRule other_cookie = high;
+  other_cookie.cookie = 8;
+  EXPECT_EQ(t.apply({.flows = {{FlowModCommand::kDelete, other_cookie}}}),
+            0u);
+  EXPECT_EQ(t.apply({.flows = {{FlowModCommand::kDelete, high}}}), 1u);
+  ASSERT_EQ(t.size(), 1u);
   const auto snap = t.snapshot();
   const FlowSnapshotEntry* hit = Classify(*snap, MakePkt(1, 2), 0);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->actions->size(), 2u);
-  EXPECT_EQ(OutPort(*hit, 1), 2u);
-  FlowMatch other;
-  other.dl_dst = A(9);
-  EXPECT_FALSE(t.modify(other, {}));
+  EXPECT_EQ(OutPort(*hit), 1u);
+}
+
+// One bundle: the cookie deletes run first, then the FlowMods in order;
+// the return counts rules added, changed or removed, not FlowMods.
+TEST(FlowTable, BundleAppliesInOrderAndCountsChanges) {
+  FlowTable t;
+  FlowRule a;
+  a.match.dl_dst = A(2);
+  a.cookie = 7;
+  a.actions = {ActionOutput{1}};
+  t.add(a);
+  FlowRule b = a;
+  b.match.dl_dst = A(3);
+
+  // Re-adds a after its cookie went; b is added, then replaced, then kept.
+  FlowRule b2 = b;
+  b2.actions = {ActionOutput{2}};
+  EXPECT_EQ(t.apply({.flows = {{FlowModCommand::kAdd, a},
+                               {FlowModCommand::kAdd, b},
+                               {FlowModCommand::kAdd, b2},
+                               {FlowModCommand::kAdd, b2}},
+                     .delete_cookies = {7}}),
+            4u);
+  EXPECT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.apply({.flows = {{FlowModCommand::kAdd, a}}}), 0u);
+  const auto snap = t.snapshot();
+  const FlowSnapshotEntry* hit = Classify(*snap, MakePkt(1, 3), 0);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(OutPort(*hit), 2u);
 }
 
 TEST(FlowRule, StrRendersReadably) {
@@ -245,6 +271,76 @@ TEST(GroupTable, AllTypeExposesEveryBucket) {
   EXPECT_EQ(g.type(2), GroupType::kAll);
   ASSERT_NE(g.buckets(2), nullptr);
   EXPECT_EQ(g.buckets(2)->size(), 2u);
+}
+
+// hostd parses a bundle from the control channel: every field survives the
+// round trip, and no truncation of a valid encoding parses.
+TEST(OpenflowWire, BundleRoundTripsAndRejectsTruncation) {
+  Bundle b;
+  FlowRule add;
+  add.match.in_port = 3;
+  add.match.dl_src = A(1);
+  add.match.dl_dst = A(2);
+  add.match.ether_type = net::kTyphoonEtherType;
+  add.priority = 300;
+  add.cookie = 9;
+  add.actions = {ActionGroup{4}, ActionSetDlDst{A(5)}, ActionSetTunDst{2},
+                 ActionOutput{0xfffe}, ActionOutputController{}};
+  FlowRule del;
+  del.match.dl_dst = A(6);
+  b.flows = {{FlowModCommand::kAdd, add}, {FlowModCommand::kDelete, del}};
+  b.groups = {{GroupMod::Command::kAdd, 4, GroupType::kSelect,
+               {{3, {ActionSetDlDst{A(5)}, ActionOutput{7}}},
+                {1, {ActionOutput{8}}}}},
+              {GroupMod::Command::kDelete, 5}};
+  b.delete_cookies = {11, 12};
+
+  common::Bytes bytes;
+  common::BufWriter w(bytes);
+  WriteBundle(w, b);
+
+  Bundle got;
+  common::BufReader r(bytes);
+  ASSERT_TRUE(ReadBundle(r, got));
+  EXPECT_EQ(r.remaining(), 0u);
+  ASSERT_EQ(got.flows.size(), 2u);
+  EXPECT_EQ(got.flows[0].command, FlowModCommand::kAdd);
+  EXPECT_EQ(got.flows[0].rule.match, add.match);
+  EXPECT_EQ(got.flows[0].rule.actions, add.actions);
+  EXPECT_EQ(got.flows[0].rule.priority, 300u);
+  EXPECT_EQ(got.flows[0].rule.cookie, 9u);
+  EXPECT_EQ(got.flows[1].command, FlowModCommand::kDelete);
+  EXPECT_EQ(got.flows[1].rule.match, del.match);
+  ASSERT_EQ(got.groups.size(), 2u);
+  EXPECT_EQ(got.groups[0].group_id, 4u);
+  ASSERT_EQ(got.groups[0].buckets.size(), 2u);
+  EXPECT_EQ(got.groups[0].buckets[0].weight, 3u);
+  EXPECT_EQ(got.groups[0].buckets[0].actions, b.groups[0].buckets[0].actions);
+  EXPECT_EQ(got.groups[1].command, GroupMod::Command::kDelete);
+  EXPECT_EQ(got.delete_cookies, b.delete_cookies);
+  // Encoding the decoded bundle gives the same bytes.
+  common::Bytes again;
+  common::BufWriter w2(again);
+  WriteBundle(w2, got);
+  EXPECT_EQ(again, bytes);
+
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const common::Bytes cut(bytes.begin(), bytes.begin() + len);
+    common::BufReader rc(cut);
+    Bundle partial;
+    EXPECT_FALSE(ReadBundle(rc, partial)) << "prefix of " << len << " bytes";
+  }
+}
+
+// Command values past kDelete do not parse.
+TEST(OpenflowWire, FlowModRejectsUnknownCommand) {
+  common::Bytes bytes;
+  common::BufWriter w(bytes);
+  WriteFlowMod(w, {FlowModCommand::kDelete, FlowRule{}});
+  bytes[0] = 2;
+  common::BufReader r(bytes);
+  FlowMod mod;
+  EXPECT_FALSE(ReadFlowMod(r, mod));
 }
 
 }  // namespace

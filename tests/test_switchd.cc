@@ -181,7 +181,7 @@ TEST_F(SwitchTest, GroupRewritesDestination) {
       {1, {ActionSetDlDst{A(21)}, ActionOutput{d1->id()}}},
       {1, {ActionSetDlDst{A(22)}, ActionOutput{d2->id()}}},
   };
-  sw_->handle_group_mod(gm);
+  sw_->apply({.groups = {gm}});
 
   FlowRule r;
   r.match.in_port = src->id();
@@ -308,7 +308,7 @@ TEST_F(SwitchTest, ConcurrentFlowModsDuringTrafficAreSafe) {
   stop.store(true);
   churner.join();
   EXPECT_EQ(delivered, 2000);
-  sw_->remove_rules_by_cookie(777);
+  sw_->apply({.delete_cookies = {777}});
   EXPECT_EQ(sw_->flow_count(), 1u);
 }
 
