@@ -5,7 +5,7 @@
 // SocketTunnel and once over a shared-memory ring. Unlike fig_proc (which
 // measures a whole streaming topology end to end), this isolates the
 // transport itself: frames/s through one tunnel, syscalls per frame, and
-// bytes copied per frame on each side of the vectored hot path.
+// RX bytes copied per frame (no TX path copies a frame).
 //
 // Writes BENCH_procpath.json. CI guards `pps` (loosely — wall clock on
 // shared runners) and `syscalls_per_frame` (tightly: the batched path must
@@ -164,14 +164,13 @@ void PumpFrames(net::TunnelEndpoint& ep) {
   s.src = Addr(1);
   s.dst = Addr(2);
   s.payload = {kSentinelByte};
-  (void)ep.send(s);
+  (void)ep.send(net::MakePacket(std::move(s)));
 }
 
 struct PathRun {
   bool ok = false;
   double pps = 0.0;
   double syscalls_per_frame = 0.0;
-  double tx_copied_per_frame = 0.0;
   double rx_copied_per_frame = 0.0;
   double sendmsg_per_frame = 0.0;
   double reads_per_frame = 0.0;
@@ -257,7 +256,6 @@ PathRun RunSocket() {
       frames;
   out.sendmsg_per_frame = static_cast<double>(st.sendmsg_calls) / frames;
   out.reads_per_frame = static_cast<double>(rep.read_calls) / frames;
-  out.tx_copied_per_frame = static_cast<double>(st.tx_bytes_copied) / frames;
   out.rx_copied_per_frame = static_cast<double>(rep.rx_bytes_copied) / frames;
   return out;
 }
@@ -334,9 +332,9 @@ int main() {
 
   std::printf(
       "  socket %10.0f pps  %.4f syscalls/frame (%.4f sendmsg, %.4f read)  "
-      "copied tx %.1f B/frame rx %.1f B/frame  %s\n",
+      "copied rx %.1f B/frame  %s\n",
       sock.pps, sock.syscalls_per_frame, sock.sendmsg_per_frame,
-      sock.reads_per_frame, sock.tx_copied_per_frame, sock.rx_copied_per_frame,
+      sock.reads_per_frame, sock.rx_copied_per_frame,
       sock.ok ? "ok" : "FAILED");
   std::printf("  shm    %10.0f pps  copied rx %.1f B/frame (wrap)  %s\n",
               shm.pps, shm.rx_copied_per_frame, shm.ok ? "ok" : "FAILED");
@@ -355,7 +353,6 @@ int main() {
                "  \"syscalls_per_frame\": %.5f,\n"
                "  \"sendmsg_per_frame\": %.5f,\n"
                "  \"reads_per_frame\": %.5f,\n"
-               "  \"bytes_copied_tx_per_frame\": %.2f,\n"
                "  \"bytes_copied_rx_per_frame\": %.2f,\n"
                "  \"shm_pps\": %.0f,\n"
                "  \"shm_rx_wrap_bytes_per_frame\": %.2f\n"
@@ -363,8 +360,8 @@ int main() {
                static_cast<unsigned long long>(typhoon::bench::kFrames),
                typhoon::bench::kPayloadBytes, typhoon::bench::kBurst, sock.pps,
                sock.syscalls_per_frame, sock.sendmsg_per_frame,
-               sock.reads_per_frame, sock.tx_copied_per_frame,
-               sock.rx_copied_per_frame, shm.pps, shm.rx_copied_per_frame);
+               sock.reads_per_frame, sock.rx_copied_per_frame, shm.pps,
+               shm.rx_copied_per_frame);
   std::fclose(f);
   std::printf("  wrote BENCH_procpath.json\n");
   return (sock.ok && shm.ok) ? 0 : 1;

@@ -622,7 +622,7 @@ void SoftSwitch::flush_tunnel_bin(Shard& sh, TunnelBin& bin) {
     // its head — the TCP back-pressure semantics — then resumes bursting.
     // As on the burst path, only frames the tunnel actually accepted get a
     // span; a closed tunnel's rejections are dropped without one.
-    if (bin.ep->send(*pkts[i])) span_out(pkts[i]);
+    if (bin.ep->send(pkts[i])) span_out(pkts[i]);
     ++i;
   }
   bin.pkts.clear();

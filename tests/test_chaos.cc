@@ -150,7 +150,7 @@ TEST(Chaos, ReplayIdenticalPlansFireIdentically) {
     p.src = WorkerAddress{1, 1};
     p.dst = WorkerAddress{2, 2};
     p.payload = {42};
-    for (int i = 0; i < 500; ++i) a->send(p);
+    for (int i = 0; i < 500; ++i) a->send(net::MakePacket(p));
     ASSERT_EQ(faults.impairments().size(), 2u);
     *fingerprint = faults.impairments()[0]->fingerprint();
     faults.stop();

@@ -243,7 +243,7 @@ std::vector<int> RunImpairedTransfer(std::uint64_t seed, int frames,
   cfg.reorder = 0.1;
   cfg.seed = seed;
   Impairment* imp = a->set_impairment(cfg);
-  for (int i = 0; i < frames; ++i) a->send(SeqPacket(i));
+  for (int i = 0; i < frames; ++i) a->send(net::MakePacket(SeqPacket(i)));
   // Fingerprint is read before clear_impairment(): the Impairment lives
   // inside the shaper, which clear destroys. Flushing the holdback makes
   // no further decisions, so the fingerprint is already final here.
@@ -280,7 +280,7 @@ TEST(TunnelImpairment, CorruptionIsDetectedByChecksum) {
   Impairment* imp = a->set_impairment(cfg);
 
   constexpr int kFrames = 200;
-  for (int i = 0; i < kFrames; ++i) a->send(SeqPacket(i));
+  for (int i = 0; i < kFrames; ++i) a->send(net::MakePacket(SeqPacket(i)));
   int delivered = 0;
   while (TryRecv(*b)) ++delivered;
 
@@ -291,7 +291,7 @@ TEST(TunnelImpairment, CorruptionIsDetectedByChecksum) {
   EXPECT_EQ(imp->corruptions(), static_cast<std::uint64_t>(kFrames));
 
   a->clear_impairment();
-  a->send(SeqPacket(0));
+  a->send(net::MakePacket(SeqPacket(0)));
   EXPECT_TRUE(TryRecv(*b).has_value());  // clean link works again
 }
 
@@ -305,7 +305,9 @@ TEST(TunnelImpairment, ClearImpairmentOnFullRingLosesNothingSilently) {
   a->set_impairment(cfg);
   // Each send releases the frame sent four before it: frames 0-3 fill the
   // ring, frames 4-7 stay held.
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(a->send(SeqPacket(i)));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(a->send(net::MakePacket(SeqPacket(i))));
+  }
   ASSERT_EQ(a->frames_sent(), 8u);
   ASSERT_EQ(b->rx_queue_depth(), 4u);
 
@@ -336,7 +338,9 @@ TEST(TunnelImpairment, CloseCountsHeldFramesAsDropped) {
   ImpairmentConfig cfg;
   cfg.delay_frames = 4;
   a->set_impairment(cfg);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(a->send(SeqPacket(i)));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(a->send(net::MakePacket(SeqPacket(i))));
+  }
   a->close();
   EXPECT_EQ(a->peer_drops(), 4u);
   int delivered = 0;
@@ -363,7 +367,7 @@ std::vector<int> RunImpairedSocketTransfer(std::uint64_t seed, int frames,
   cfg.reorder = 0.1;
   cfg.seed = seed;
   Impairment* imp = active->set_impairment(cfg);
-  for (int i = 0; i < frames; ++i) active->send(SeqPacket(i));
+  for (int i = 0; i < frames; ++i) active->send(net::MakePacket(SeqPacket(i)));
   if (fingerprint_out != nullptr) *fingerprint_out = imp->fingerprint();
   active->clear_impairment();  // flush holdback
 

@@ -416,7 +416,7 @@ WireRunResult RunImpairedWire(std::uint64_t seed) {
     p.payload = {static_cast<std::uint8_t>(i)};
     sender->record({p.trace_id, trace::Stage::kEmit, 0, 1,
                     static_cast<std::int64_t>(i), 0});
-    tx->send(p);
+    tx->send(net::MakePacket(p));
   }
   while (auto p = TryRecv(*rx)) {
     EXPECT_EQ(p->trace_id & 1, 1u);  // trace context survived the wire

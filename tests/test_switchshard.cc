@@ -203,7 +203,7 @@ TEST(SwitchShardTest, JustAttachedPortGetsItsTraffic) {
     p.src = WorkerAddress{1, 1};
     p.dst = WorkerAddress{1, dst};
     p.payload = {after};
-    return p;
+    return net::MakePacket(std::move(p));
   };
   for (const std::size_t nshards : {std::size_t{1}, std::size_t{4}}) {
     SoftSwitchConfig cfg;
