@@ -25,7 +25,10 @@ and ProcessClusterConfig) is credited only to those of them that the
 setter's file names, and to just one of them when the file declares the
 receiver with that struct's type (`ManagerOptions mopts;` ...
 `mopts.enable_failure_detector = cfg_.enable_failure_detector`), so one
-struct's setters cannot hide another's never-set twin.
+struct's setters cannot hide another's never-set twin. A setter whose
+receiver the file declares only with types the audit does not cover
+(`Shard& s;` ... `s->root = v`) is credited to no struct: it writes a
+same-named member of some other type.
 
 Usage: python3 scripts/knob_audit.py [--root DIR] [--verbose]
 """
@@ -46,6 +49,12 @@ SET_TAIL = (r"(?:\s*[-+*/|&]?=(?!=)\s*([^,;}\n]*)|\s*\{"
 CAST_RE = re.compile(r"^\w+(?:<[^>]*>)?\(")
 NOT_FIELD = ("static ", "using ", "friend ", "enum ", "struct ", "class ",
              "typedef ", "template")
+# A type (`Shard`, `const Foo&`, `std::unique_ptr<Bar>`) ending right
+# before a declared name, and words that can precede a name without
+# declaring its type.
+TYPE_BEFORE_RE = re.compile(r"(\w[\w:]*(?:<[\w:<>, *&]*>)?)\s*[&*]*\s*$")
+NOT_TYPE = {"auto", "return", "case", "else", "delete", "new", "throw",
+            "sizeof", "typename", "goto", "co_return", "co_yield"}
 
 
 def strip_comments(text):
@@ -117,13 +126,32 @@ def setters(root, structs):
             text = strip_comments(path.read_text(errors="replace"))
             named = {s for s in structs if re.search(r"\b" + s + r"\b", text)}
 
+            decls = {}
+
+            def declared(recv):
+                """The types this file declares `recv` with, and the
+                audited structs among them."""
+                if recv not in decls:
+                    types = []
+                    for m in re.finditer(r"\b" + recv + r"\s*[;={(,):\[]",
+                                         text):
+                        t = TYPE_BEFORE_RE.search(
+                            text[max(0, m.start() - 200):m.start()])
+                        if t and t.group(1) not in NOT_TYPE:
+                            types.append(t.group(1))
+                    decls[recv] = (types, {s for s in named for t in types
+                                           if re.search(r"\b" + s + r"\b", t)})
+                return decls[recv]
+
             def credited(field, recv=None):
                 ss = owners[field]
+                types, covered = declared(recv) if recv else ([], set())
+                if types and not covered:
+                    return []
                 if len(ss) == 1:
                     return ss
-                declared = [s for s in ss if recv and re.search(
-                    r"\b" + s + r"\s*[&*]?\s*\b" + recv + r"\b", text)]
-                return declared or [s for s in ss if s in named]
+                return ([s for s in ss if s in covered] or
+                        [s for s in ss if s in named])
 
             for name in owners:
                 for m in re.finditer(r"(?:(\w+)\s*)?(?:\.|->)\s*" + name +

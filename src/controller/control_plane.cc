@@ -1,5 +1,6 @@
 #include "controller/control_plane.h"
 
+#include <string>
 #include <utility>
 
 #include "common/log.h"
@@ -7,6 +8,10 @@
 namespace typhoon::controller {
 
 namespace {
+
+// Coordinator subtree for election + checkpoints.
+constexpr char kLeaderZnode[] = "/ctrlplane/leader";
+constexpr char kStatePrefix[] = "/ctrlplane/state";
 
 common::Bytes ToBytes(const std::string& s) {
   return common::Bytes(s.begin(), s.end());
@@ -16,32 +21,21 @@ common::Bytes ToBytes(const std::string& s) {
 
 ControlPlane::ControlPlane(coordinator::Coordinator* coord,
                            ControlPlaneOptions opts)
-    : coord_(coord), opts_(std::move(opts)) {
-  if (opts_.shards == 0) opts_.shards = 1;
-  shards_.reserve(opts_.shards);
-  for (std::size_t i = 0; i < opts_.shards; ++i) {
-    auto s = std::make_unique<Shard>();
-    s->index = i;
-    s->root = opts_.root + "/shard-" + std::to_string(i);
-    ControllerOptions copts = opts_.controller;
-    copts.checkpoint_prefix = s->root + "/state";
-    for (std::size_t r = 0; r < opts_.standbys + 1; ++r) {
-      Replica rep;
-      rep.ctl = std::make_unique<TyphoonController>(coord_, copts);
-      rep.session = coord_->create_session();
-      s->replicas.push_back(std::move(rep));
-    }
-    shards_.push_back(std::move(s));
+    : coord_(coord) {
+  ControllerOptions copts = opts.controller;
+  copts.checkpoint_prefix = kStatePrefix;
+  for (std::size_t r = 0; r < opts.standbys + 1; ++r) {
+    Replica rep;
+    rep.ctl = std::make_unique<TyphoonController>(coord_, copts);
+    rep.session = coord_->create_session();
+    replicas_.push_back(std::move(rep));
   }
 }
 
 ControlPlane::~ControlPlane() { stop(); }
 
 void ControlPlane::add_switch(HostId host, switchd::SwitchControl* sw) {
-  switches_[host] = sw;
-  for (auto& s : shards_) {
-    for (Replica& r : s->replicas) r.ctl->attach_switch(host, sw);
-  }
+  for (Replica& r : replicas_) r.ctl->attach_switch(host, sw);
   sw->set_event_sink([this](HostId h, switchd::SwitchEvent ev) {
     route_event(h, std::move(ev));
   });
@@ -55,109 +49,73 @@ void ControlPlane::set_app_factory(
 void ControlPlane::start() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true)) return;
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    // Initial claim: replica 0 becomes leader of its shard.
-    (void)coord_->create(s.root + "/leader", ToBytes("0"),
-                         /*ephemeral=*/true, s.replicas[0].session);
-    make_leader(s, 0);
-    // Election watch: when the leader's ephemeral node dies with its
-    // session, the first live standby claims the shard.
-    Shard* shard_ptr = &s;
-    s.watch = coord_->watch(
-        s.root + "/leader",
-        [this, shard_ptr](const std::string&, coordinator::WatchEvent ev,
-                          const common::Bytes&) {
-          if (ev == coordinator::WatchEvent::kDeleted &&
-              running_.load(std::memory_order_acquire)) {
-            elect(*shard_ptr);
-          }
-        });
-  }
+  // Initial claim: replica 0 becomes leader.
+  (void)coord_->create(kLeaderZnode, ToBytes("0"), /*ephemeral=*/true,
+                       replicas_[0].session);
+  make_leader(0);
+  // Election watch: when the leader's ephemeral node dies with its
+  // session, the first live standby claims it.
+  watch_ = coord_->watch(
+      kLeaderZnode, [this](const std::string&, coordinator::WatchEvent ev,
+                           const common::Bytes&) {
+        if (ev == coordinator::WatchEvent::kDeleted &&
+            running_.load(std::memory_order_acquire)) {
+          elect();
+        }
+      });
 }
 
 void ControlPlane::stop() {
   if (!running_.exchange(false)) return;
-  for (auto& s : shards_) {
-    if (s->watch != 0) {
-      coord_->unwatch(s->watch);
-      s->watch = 0;
-    }
+  if (watch_ != 0) {
+    coord_->unwatch(watch_);
+    watch_ = 0;
   }
-  for (auto& s : shards_) {
-    for (Replica& r : s->replicas) {
-      r.ctl->stop();
-      coord_->close_session(r.session);
-    }
+  for (Replica& r : replicas_) {
+    r.ctl->stop();
+    coord_->close_session(r.session);
   }
 }
 
-void ControlPlane::route(TopologyId id,
-                         std::function<void(TyphoonController&)> hook) {
-  Shard& s = shard_of(id);
-  std::lock_guard lk(s.mu);
-  if (s.leader == nullptr) {
+template <typename Hook>
+void ControlPlane::route(Hook&& hook) {
+  std::lock_guard lk(mu_);
+  if (leader_ == nullptr) {
     // Leaderless mid-failover: buffer; the incoming leader replays these in
     // order (under this same mutex) before publishing itself.
-    s.deferred.push_back(std::move(hook));
+    deferred_.emplace_back(std::forward<Hook>(hook));
     return;
   }
-  hook(*s.leader);
+  hook(*leader_);
 }
 
 void ControlPlane::route_event(HostId host, switchd::SwitchEvent ev) {
-  // Route a PacketIn by its frame's source topology. PortStatus concerns
-  // the host rather than any topology, so every shard leader gets a copy
-  // (each resolves it against only its own partition's workers).
-  const auto* pin = std::get_if<openflow::PacketIn>(&ev);
-  if (pin == nullptr) {
-    for (auto& s : shards_) {
-      std::lock_guard lk(s->mu);
-      if (s->leader != nullptr) {
-        s->leader->ingest_event(host, ev);
-      } else {
-        switchd::SwitchEvent copy = ev;
-        s->deferred.push_back(
-            [host, e = std::move(copy)](TyphoonController& ctl) {
-              ctl.ingest_event(host, e);
-            });
-      }
-    }
-    return;
-  }
-  Shard& s = shard_of(pin->packet->src.topology);
-  std::lock_guard lk(s.mu);
-  if (s.leader != nullptr) {
-    s.leader->ingest_event(host, std::move(ev));
-  } else {
-    s.deferred.push_back([host, e = std::move(ev)](TyphoonController& ctl) {
-      ctl.ingest_event(host, e);
-    });
-  }
+  route([host, e = std::move(ev)](TyphoonController& ctl) mutable {
+    ctl.ingest_event(host, std::move(e));
+  });
 }
 
-void ControlPlane::elect(Shard& s) {
-  for (std::size_t idx = 0; idx < s.replicas.size(); ++idx) {
-    Replica& r = s.replicas[idx];
+void ControlPlane::elect() {
+  for (std::size_t idx = 0; idx < replicas_.size(); ++idx) {
+    Replica& r = replicas_[idx];
     if (r.ctl->crashed()) continue;
     common::Status st =
-        coord_->create(s.root + "/leader", ToBytes(std::to_string(idx)),
+        coord_->create(kLeaderZnode, ToBytes(std::to_string(idx)),
                        /*ephemeral=*/true, r.session);
     if (st.code() == common::ErrorCode::kAlreadyExists) {
       return;  // another thread's election won the claim race
     }
     if (st.ok()) {
-      takeover(s, idx);
+      takeover(idx);
       return;
     }
   }
-  LOG_WARN("ctrlplane") << "shard " << s.index
-                        << " has no live replica; staying leaderless";
+  LOG_WARN("ctrlplane") << "no live controller replica; staying leaderless";
 }
 
-void ControlPlane::takeover(Shard& s, std::size_t replica_idx) {
-  TyphoonController* ctl = s.replicas[replica_idx].ctl.get();
-  const std::string prefix = s.root + "/state";
+void ControlPlane::takeover(std::size_t replica_idx) {
+  TyphoonController* ctl = replicas_[replica_idx].ctl.get();
+  const std::string prefix = kStatePrefix;
 
   // 1. Sequence counter first — nothing may allocate a seq below what the
   //    dead leader could have transmitted.
@@ -205,39 +163,36 @@ void ControlPlane::takeover(Shard& s, std::size_t replica_idx) {
     ctl->restore_pending(std::stoull(name), topo, dst, std::move(ct));
   }
 
-  make_leader(s, replica_idx);
+  make_leader(replica_idx);
   failovers_.fetch_add(1, std::memory_order_relaxed);
-  LOG_INFO("ctrlplane") << "shard " << s.index << " failed over to replica "
-                        << replica_idx;
+  LOG_INFO("ctrlplane") << "failed over to replica " << replica_idx;
 }
 
-void ControlPlane::make_leader(Shard& s, std::size_t replica_idx) {
-  TyphoonController* ctl = s.replicas[replica_idx].ctl.get();
+void ControlPlane::make_leader(std::size_t replica_idx) {
+  TyphoonController* ctl = replicas_[replica_idx].ctl.get();
   if (app_factory_) app_factory_(*ctl);
   ctl->start();
-  // Replay-then-publish under the shard mutex: hooks arriving concurrently
-  // block until the leader is visible, so none can slip between the replay
-  // and the publish.
-  std::lock_guard lk(s.mu);
-  for (auto& hook : s.deferred) hook(*ctl);
-  s.deferred.clear();
-  s.leader = ctl;
-  s.leader_idx = static_cast<int>(replica_idx);
+  // Replay-then-publish under the mutex: hooks arriving concurrently block
+  // until the leader is visible, so none can slip between the replay and
+  // the publish.
+  std::lock_guard lk(mu_);
+  for (auto& hook : deferred_) hook(*ctl);
+  deferred_.clear();
+  leader_ = ctl;
+  leader_idx_ = static_cast<int>(replica_idx);
 }
 
-bool ControlPlane::crash_shard_leader(std::size_t shard) {
-  if (shard >= shards_.size()) return false;
-  Shard& s = *shards_[shard];
+bool ControlPlane::crash_leader() {
   TyphoonController* ctl = nullptr;
   coordinator::Coordinator::SessionId session = 0;
   {
-    std::lock_guard lk(s.mu);
-    if (s.leader_idx < 0) return false;
-    Replica& r = s.replicas[static_cast<std::size_t>(s.leader_idx)];
+    std::lock_guard lk(mu_);
+    if (leader_idx_ < 0) return false;
+    Replica& r = replicas_[static_cast<std::size_t>(leader_idx_)];
     ctl = r.ctl.get();
     session = r.session;
-    s.leader = nullptr;
-    s.leader_idx = -1;
+    leader_ = nullptr;
+    leader_idx_ = -1;
   }
   // Dead first (hooks now defer / no-op), then the session: the ephemeral
   // leader znode vanishes and the election watch runs the standby takeover
@@ -248,25 +203,18 @@ bool ControlPlane::crash_shard_leader(std::size_t shard) {
 }
 
 void ControlPlane::set_partitioned(HostId host, bool partitioned) {
-  for (auto& s : shards_) {
-    for (Replica& r : s->replicas) r.ctl->set_partitioned(host, partitioned);
-  }
+  for (Replica& r : replicas_) r.ctl->set_partitioned(host, partitioned);
 }
 
-TyphoonController* ControlPlane::shard_leader(std::size_t shard) const {
-  if (shard >= shards_.size()) return nullptr;
-  std::lock_guard lk(shards_[shard]->mu);
-  return shards_[shard]->leader;
-}
-
-TyphoonController* ControlPlane::leader_of(TopologyId id) const {
-  return shard_leader(ShardOfTopology(id, shards_.size()));
+TyphoonController* ControlPlane::leader() const {
+  std::lock_guard lk(mu_);
+  return leader_;
 }
 
 void ControlPlane::on_topology_updated(
     const stream::TopologySpec& spec, const stream::PhysicalTopology& phys,
     const std::vector<stream::PhysicalWorker>& removed) {
-  route(spec.id, [spec, phys, removed](TyphoonController& ctl) {
+  route([spec, phys, removed](TyphoonController& ctl) {
     ctl.on_topology_updated(spec, phys, removed);
   });
 }
@@ -274,28 +222,24 @@ void ControlPlane::on_topology_updated(
 void ControlPlane::send_control_tuple(const stream::PhysicalTopology& phys,
                                       WorkerId target,
                                       const stream::ControlTuple& ct) {
-  route(phys.id, [phys, target, ct](TyphoonController& ctl) {
+  route([phys, target, ct](TyphoonController& ctl) {
     ctl.send_control_tuple(phys, target, ct);
   });
 }
 
 void ControlPlane::on_topology_killed(TopologyId id) {
-  route(id, [id](TyphoonController& ctl) { ctl.on_topology_killed(id); });
+  route([id](TyphoonController& ctl) { ctl.on_topology_killed(id); });
 }
 
 std::int64_t ControlPlane::flowmods_delta() const {
   std::int64_t n = 0;
-  for (const auto& s : shards_) {
-    for (const Replica& r : s->replicas) n += r.ctl->flowmods_delta();
-  }
+  for (const Replica& r : replicas_) n += r.ctl->flowmods_delta();
   return n;
 }
 
 std::int64_t ControlPlane::flowmods_full() const {
   std::int64_t n = 0;
-  for (const auto& s : shards_) {
-    for (const Replica& r : s->replicas) n += r.ctl->flowmods_full();
-  }
+  for (const Replica& r : replicas_) n += r.ctl->flowmods_full();
   return n;
 }
 

@@ -60,7 +60,6 @@ void TyphoonController::attach_switch(HostId host, switchd::SwitchControl* sw) {
 }
 
 void TyphoonController::ingest_event(HostId host, switchd::SwitchEvent ev) {
-  events_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard lk(part_mu_);
     if (partitioned_.contains(host)) {
@@ -334,11 +333,6 @@ void TyphoonController::set_partitioned(HostId host, bool partitioned) {
 bool TyphoonController::is_partitioned(HostId host) const {
   std::lock_guard lk(part_mu_);
   return partitioned_.contains(host);
-}
-
-std::int64_t TyphoonController::deferred_events() const {
-  std::lock_guard lk(part_mu_);
-  return static_cast<std::int64_t>(deferred_.size());
 }
 
 std::size_t TyphoonController::control_in_flight() const {

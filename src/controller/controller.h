@@ -37,7 +37,7 @@ namespace typhoon::controller {
 
 struct ControllerOptions {
   std::chrono::milliseconds tick_interval{50};
-  // Coordinator znode prefix this controller checkpoints its shard state
+  // Coordinator znode prefix this controller checkpoints its state
   // under (topologies, in-flight reliable control tuples, next control
   // seq) so a standby can take over after a crash. Empty = off.
   std::string checkpoint_prefix;
@@ -59,8 +59,8 @@ class TyphoonController final : public stream::SdnHooks {
   // Wire up a host switch (registers this controller as its event sink).
   void add_switch(HostId host, switchd::SwitchControl* sw);
   // Register a switch without claiming its event sink. The ControlPlane
-  // façade owns each switch's single sink and routes events to the owning
-  // shard's leader via ingest_event; standby replicas are attached this way
+  // façade owns each switch's single sink and routes events to the
+  // leader via ingest_event; standby replicas are attached this way
   // so they hold the switch map before takeover.
   void attach_switch(HostId host, switchd::SwitchControl* sw);
   // Deliver one switch event to this controller (partition-aware: events
@@ -97,7 +97,6 @@ class TyphoonController final : public stream::SdnHooks {
   // retrying); healing flushes the buffered events in arrival order.
   void set_partitioned(HostId host, bool partitioned);
   [[nodiscard]] bool is_partitioned(HostId host) const;
-  [[nodiscard]] std::int64_t deferred_events() const;
 
   // ---- failover support (driven by controller::ControlPlane) ----
   // Simulate a hard crash: stop the loop; every subsequent hook, send and
@@ -158,7 +157,7 @@ class TyphoonController final : public stream::SdnHooks {
     return rate_updates_.load();
   }
 
-  // App-state checkpointing under this controller's shard checkpoint
+  // App-state checkpointing under this controller's checkpoint
   // prefix (`<prefix>/app/<key>`): lets a control-plane app persist its
   // own state (e.g. the QoS allocation) so the failover winner's re-created
   // app restores it. No-op/empty when checkpointing is off or the
@@ -196,9 +195,6 @@ class TyphoonController final : public stream::SdnHooks {
   // removed worker and a topology kill drops them with the rest. Returns
   // false when the host is unknown or the controller is dead.
   bool apply_app_bundle(HostId host, const openflow::Bundle& b);
-
-  // Event counters (tests/benches).
-  [[nodiscard]] std::int64_t events_seen() const { return events_.load(); }
 
  private:
   void run();
@@ -283,7 +279,6 @@ class TyphoonController final : public stream::SdnHooks {
 
   common::MpmcQueue<std::pair<HostId, switchd::SwitchEvent>> events_q_;
   std::atomic<bool> running_{false};
-  std::atomic<std::int64_t> events_{0};
   std::thread thread_;
 };
 

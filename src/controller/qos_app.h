@@ -20,16 +20,12 @@
 //      previous epoch are reprogrammed.
 //
 // Failover: the app checkpoints {epoch, per-topology allocation, programmed
-// port rates} as a blob znode under the shard's checkpoint prefix after
+// port rates} as a blob znode under the controller's checkpoint prefix after
 // every epoch that changed anything. The failover winner's re-created app
 // restores it in on_start, so the standby neither reprograms unchanged
 // ports nor loses the epoch counter — and under saturation the allocation
 // is a pure function of capacity/weights/priorities, so the restored
 // leader reconverges to bit-identical rates (alloc_fingerprint).
-//
-// Shard-local epochs: each ControlPlane shard leader runs its own QosApp
-// over its own topology partition (the controller's mirrored state is
-// already shard-local), dividing the policy's capacity within the shard.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +55,7 @@ struct QosClass {
 };
 
 struct QosPolicy {
-  // Fabric capacity (bytes/s) this shard's allocator divides. 0 disables
+  // Fabric capacity (bytes/s) the allocator divides. 0 disables
   // the app (sense-only).
   double capacity_bps = 0.0;
   // Control epoch; ticks between epochs are no-ops.

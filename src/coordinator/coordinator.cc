@@ -162,7 +162,7 @@ common::Status Coordinator::put(const std::string& path, common::Bytes data) {
   }
   // Single atomic create-or-set. Must not delegate to create()/set() while
   // holding mu_: they dispatch watch callbacks, and a callback that touches
-  // another subsystem's lock (e.g. a control-plane shard) would order
+  // another subsystem's lock (e.g. the control plane's) would order
   // mu_ -> other, while that subsystem's own coordinator calls order
   // other -> mu_ — a lock-order inversion. Watchers fire after mu_ drops,
   // like every other mutator here.

@@ -133,11 +133,6 @@ bool ApplyKey(std::string_view key, std::string_view value, FaultEvent& ev) {
     return ParseI64(value, ev.repeat_ms) && ev.repeat_ms >= 0;
   }
   if (key == "slow_us") return ParseI64(value, ev.slow_us) && ev.slow_us >= 0;
-  if (key == "shard") {
-    if (!ParseI64(value, i) || i < 0) return false;
-    ev.shard = static_cast<int>(i);
-    return true;
-  }
   (void)f;
   return false;
 }
@@ -173,7 +168,7 @@ common::Status ValidateEvent(const FaultEvent& ev, std::size_t line_no) {
       }
       break;
     case FaultKind::kCrashController:
-      break;  // shard= defaults to 0 (the single-shard case)
+      break;
   }
   return common::Status::Ok();
 }

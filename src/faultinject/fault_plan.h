@@ -38,7 +38,7 @@ enum class FaultKind : std::uint8_t {
   kPartitionController,  // host= [duration_ms= for auto-heal]
   kHealController,       // host=
   kFailHost,             // host=
-  kCrashController,      // [shard=] kill the shard's leader controller
+  kCrashController,      // kill the leader controller
 };
 
 [[nodiscard]] const char* FaultKindName(FaultKind k);
@@ -69,7 +69,6 @@ struct FaultEvent {
   // the worker again after every restart, Sec 6.2). 0 = one-shot.
   std::int64_t repeat_ms = 0;
   std::int64_t slow_us = 0;  // kSlowWorker: per-tuple stall
-  int shard = 0;             // kCrashController: target control-plane shard
 };
 
 struct FaultPlan {

@@ -53,7 +53,6 @@ void Packetizer::emit(const WorkerAddress& dst, DstBuffer& buf) {
   buf.trace_id = 0;
   buf.trace_hop = 0;
   buf.idle_flushes = 0;
-  ++packets_;
   sink_(PacketPtr::adopt(p));
 }
 

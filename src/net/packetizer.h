@@ -88,8 +88,6 @@ class Packetizer {
     return batch_tuples_.load(std::memory_order_relaxed);
   }
 
-  // Number of packets emitted since construction.
-  [[nodiscard]] std::uint64_t packets_emitted() const { return packets_; }
   // Live per-destination buffers (dead ones are evicted on flush).
   [[nodiscard]] std::size_t buffer_count() const { return buffers_.size(); }
   [[nodiscard]] std::uint64_t buffers_evicted() const {
@@ -130,7 +128,6 @@ class Packetizer {
   std::shared_ptr<PacketPool> pool_;
   std::unordered_map<WorkerAddress, DstBuffer> buffers_;
   std::uint32_t next_seq_ = 1;
-  std::uint64_t packets_ = 0;
   std::uint64_t buffers_evicted_ = 0;
 };
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstring>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 namespace typhoon::net {
@@ -140,15 +138,6 @@ bool TunnelEndpoint::send(PacketPtr p) {
   const TxFrameInfo info{static_cast<std::uint32_t>(p->wire_size()),
                          FrameChecksum(*p)};
 
-  // Capacity cap: wait for token credit before the frame reaches the wire
-  // (blocking-send = TCP back-pressure, so saturation stalls the sender).
-  // The wait always terminates — a positive rate keeps refilling, and a
-  // concurrently closed wire just rejects the push afterward.
-  while (tx_limited_.load(std::memory_order_acquire) &&
-         !tx_bucket_.try_spend(static_cast<double>(info.body_len))) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-
   bool ok = true;
   bool handled = false;
   if (impaired_.load(std::memory_order_acquire)) {
@@ -189,28 +178,15 @@ std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
     return n;
   }
   // Precompute framing metadata into per-thread scratch (several shards may
-  // burst into one endpoint at once); on a capped link admit frames against
-  // the bucket one by one, stopping at the first the bucket cannot cover.
+  // burst into one endpoint at once).
   thread_local std::vector<TxFrameInfo> info;
   info.clear();
-  const bool capped = tx_limited_.load(std::memory_order_acquire);
   for (const PacketPtr& p : pkts) {
-    const std::size_t body = p->wire_size();
-    if (capped && !tx_bucket_.try_spend(static_cast<double>(body))) break;
-    info.push_back(TxFrameInfo{static_cast<std::uint32_t>(body),
+    info.push_back(TxFrameInfo{static_cast<std::uint32_t>(p->wire_size()),
                                FrameChecksum(*p)});
   }
   const std::size_t pushed =
-      wire_try_push_pkts(pkts.first(info.size()),
-                         std::span<const TxFrameInfo>(info));
-  if (capped) {
-    // Refund credit for frames the full ring rejected — they were charged
-    // on admission but never reached the wire (the caller will re-pay when
-    // it retries them).
-    for (std::size_t i = pushed; i < info.size(); ++i) {
-      tx_bucket_.spend(-static_cast<double>(info[i].body_len));
-    }
-  }
+      wire_try_push_pkts(pkts, std::span<const TxFrameInfo>(info));
   std::size_t body_bytes_total = 0;
   for (std::size_t i = 0; i < pushed; ++i) body_bytes_total += info[i].body_len;
   bytes_.fetch_add(body_bytes_total, std::memory_order_relaxed);
@@ -241,13 +217,6 @@ std::size_t TunnelEndpoint::try_recv_burst(std::span<Packet*> out) {
   wire_release_views();
   return n;
 }
-
-void TunnelEndpoint::set_tx_rate(double bytes_per_sec) {
-  tx_bucket_.set_rate(bytes_per_sec);
-  tx_limited_.store(bytes_per_sec > 0.0, std::memory_order_release);
-}
-
-double TunnelEndpoint::tx_rate() const { return tx_bucket_.rate(); }
 
 faultinject::Impairment* TunnelEndpoint::set_impairment(
     const faultinject::ImpairmentConfig& cfg) {

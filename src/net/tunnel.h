@@ -16,11 +16,11 @@
 // consumer — the one shard that owns this tunnel's RX polling.
 //
 // TunnelEndpoint is a transport-agnostic base: checksums, the impairment
-// shaper, the tx rate cap, and all counters live here, above four data
-// primitives (`wire_*`): a non-blocking burst push and a blocking push of
-// one packet, both taking refcounted packets with their precomputed
-// framing metadata (TxFrameInfo), and a borrowed-view burst pop with its
-// release. No TX path materializes a frame: each transport writes
+// shaper and all counters live here, above four data primitives
+// (`wire_*`): a non-blocking burst push and a blocking push of one packet,
+// both taking refcounted packets with their precomputed framing metadata
+// (TxFrameInfo), and a borrowed-view burst pop with its release.
+// No TX path materializes a frame: each transport writes
 // [header][payload][checksum] straight from the packet with one framing
 // routine. Transports:
 //   - RingTunnel (net/ring_tunnel.h): two SPSC byte rings with two
@@ -44,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/token_bucket.h"
 #include "faultinject/impairment.h"
 #include "net/packet.h"
 
@@ -156,16 +155,6 @@ class TunnelEndpoint {
   void clear_impairment();
   [[nodiscard]] faultinject::Impairment* impairment();
 
-  // Cap this endpoint's transmit byte rate (a genuinely bandwidth-bounded
-  // link — the congestion substrate for the QoS experiments). The blocking
-  // send() waits for token credit (TCP back-pressure semantics, so a switch
-  // shard flushing into a saturated link stalls and the pressure propagates
-  // upstream); try_send_burst stops at the first frame the bucket cannot
-  // yet cover, leaving the tail with the caller. 0 clears the cap.
-  // Thread-safe; the uncapped path pays one relaxed load.
-  void set_tx_rate(double bytes_per_sec);
-  [[nodiscard]] double tx_rate() const;
-
  protected:
   TunnelEndpoint() = default;
 
@@ -253,11 +242,6 @@ class TunnelEndpoint {
   std::mutex impair_mu_;
   std::unique_ptr<faultinject::Shaper<TxFrame>> shaper_;
   std::atomic<bool> impaired_{false};
-
-  // TX capacity cap (bytes/s); the bucket has internal locking and the
-  // flag gates the uncapped fast path.
-  common::TokenBucket tx_bucket_{0.0, common::kByteBurstFloor};
-  std::atomic<bool> tx_limited_{false};
 };
 
 // Create a bidirectional in-process tunnel (a heap-backed RingTunnel pair)

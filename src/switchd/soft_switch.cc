@@ -440,18 +440,6 @@ std::uint64_t SoftSwitch::cache_misses() const {
   return n;
 }
 
-std::uint64_t SoftSwitch::rx_pool_hits() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->rx_pool->hits();
-  return n;
-}
-
-std::uint64_t SoftSwitch::rx_pool_misses() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->rx_pool->misses();
-  return n;
-}
-
 void SoftSwitch::set_event_sink(
     std::function<void(HostId, SwitchEvent)> sink) {
   std::lock_guard lk(sink_mu_);

@@ -156,11 +156,6 @@ class SoftSwitch : public SwitchControl {
   std::shared_ptr<PortHandle> attach_port(PortId requested) override;
   void detach_port(PortId port) override;
 
-  // Simulate an abrupt worker death: the port disappears without a clean
-  // detach handshake, producing the PortStatus(kDelete) event the fault
-  // detector relies on.
-  void kill_port(PortId port) { detach_port(port); }
-
   // Register the tunnel endpoint that reaches `peer`. All tunnels share the
   // single logical tunnel port (Table 3's "tunneling port"); RX polling for
   // the endpoint lands on the shard owning `peer`'s hash.
@@ -239,9 +234,6 @@ class SoftSwitch : public SwitchControl {
   // Microflow-cache accounting across shards (hits include cached drops).
   [[nodiscard]] std::uint64_t cache_hits() const;
   [[nodiscard]] std::uint64_t cache_misses() const;
-  // Tunnel-RX frame-pool accounting across shards (hits = recycled reuse).
-  [[nodiscard]] std::uint64_t rx_pool_hits() const;
-  [[nodiscard]] std::uint64_t rx_pool_misses() const;
   // Table epoch of the published View: the stamp of warm microflow
   // entries, advanced only by flow and group changes.
   [[nodiscard]] std::uint64_t table_epoch() const {

@@ -23,13 +23,6 @@ double TimeSeries::rate_per_sec() const {
          static_cast<double>(dt);
 }
 
-double TimeSeries::window_mean() const {
-  if (window_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const Sample& s : window_) sum += s.value;
-  return sum / static_cast<double>(window_.size());
-}
-
 void TimeSeries::reset() {
   window_.clear();
   last_ = 0.0;

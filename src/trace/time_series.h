@@ -43,9 +43,6 @@ class TimeSeries {
   // of a monotonic counter. 0 until two in-order samples exist.
   [[nodiscard]] double rate_per_sec() const;
 
-  // Mean of the retained window (gauges).
-  [[nodiscard]] double window_mean() const;
-
   void reset();
 
  private:

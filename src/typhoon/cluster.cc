@@ -33,7 +33,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
       }
     }
     controller::ControlPlaneOptions cpopts;
-    cpopts.shards = cfg_.controller_shards;
     cpopts.standbys = cfg_.controller_standbys;
     cpopts.controller.tick_interval = cfg_.controller_tick;
     control_plane_ =
@@ -80,10 +79,10 @@ void Cluster::start() {
   if (control_plane_) {
     if (cfg_.default_apps || qos_enabled_) {
       // App factory rather than direct add_app: every replica that becomes
-      // leader — the initial leaders now and any failover winner later —
+      // leader — the initial leader now and any failover winner later —
       // gets its own fresh set of control-plane apps. The QoS app rides the
       // same factory so a takeover winner re-creates it and restores its
-      // checkpointed allocation from the shard's blob znode.
+      // checkpointed allocation from the control plane's blob znode.
       control_plane_->set_app_factory(
           [this](controller::TyphoonController& c) {
             if (cfg_.default_apps) {
@@ -253,8 +252,8 @@ void Cluster::set_controller_partition(HostId host, bool partitioned) {
   if (control_plane_) control_plane_->set_partitioned(host, partitioned);
 }
 
-bool Cluster::crash_controller_shard(std::size_t shard) {
-  return control_plane_ && control_plane_->crash_shard_leader(shard);
+bool Cluster::crash_controller() {
+  return control_plane_ && control_plane_->crash_leader();
 }
 
 void Cluster::sample_observability() {
@@ -306,18 +305,16 @@ void Cluster::enable_qos(controller::QosPolicy policy) {
   qos_policy_ = std::move(policy);
   qos_enabled_ = true;
   // Surface the app's epoch/allocation state in the observability export.
-  // Shard 0's leader is the canonical reporter (single-shard deployments
-  // have exactly one); the provider re-resolves per dump so failover
-  // winners take over reporting automatically.
+  // The provider re-resolves the leader per dump so failover winners take
+  // over reporting automatically.
   obs_.set_qos_provider([this]() -> std::string {
-    controller::QosApp* app = qos_app(0);
+    controller::QosApp* app = qos_app();
     return app == nullptr ? std::string{} : app->dump_json_fragment();
   });
 }
 
-controller::QosApp* Cluster::qos_app(std::size_t shard) {
-  if (!control_plane_) return nullptr;
-  controller::TyphoonController* ctl = control_plane_->shard_leader(shard);
+controller::QosApp* Cluster::qos_app() {
+  controller::TyphoonController* ctl = controller();
   if (ctl == nullptr) return nullptr;
   return dynamic_cast<controller::QosApp*>(ctl->app("qos"));
 }

@@ -60,11 +60,9 @@ struct ClusterConfig {
 
   std::chrono::milliseconds controller_tick{50};
 
-  // Control-plane sharding + failover (DESIGN.md Sec 15). One shard and no
-  // standbys is the classic single-controller deployment; more shards hash-
-  // partition topologies across leader controllers, and standbys per shard
-  // enable coordinator-elected failover.
-  std::size_t controller_shards = 1;
+  // Control-plane failover (DESIGN.md Sec 15). No standbys is the classic
+  // single-controller deployment; standbys enable coordinator-elected
+  // failover.
   std::size_t controller_standbys = 0;
 
   // Deploy the stock control-plane apps (fault detector, live debugger,
@@ -88,14 +86,13 @@ class Cluster {
   [[nodiscard]] coordinator::Coordinator& coord() { return coord_; }
   [[nodiscard]] stream::AppRegistry& registry() { return registry_; }
   [[nodiscard]] stream::StreamingManager& manager() { return *manager_; }
-  // The shard-0 leader controller — the single controller in the default
-  // one-shard config. Null in Storm mode or while shard 0 is mid-failover;
-  // re-resolve after controller faults (the old leader dies with its
-  // shard). Null before start().
+  // The leader controller. Null in Storm mode, before start() or while the
+  // control plane is mid-failover; re-resolve after controller faults (the
+  // old leader dies with the crash).
   [[nodiscard]] controller::TyphoonController* controller() {
-    return control_plane_ ? control_plane_->shard_leader(0) : nullptr;
+    return control_plane_ ? control_plane_->leader() : nullptr;
   }
-  // The sharded control-plane façade itself. Null in Storm mode.
+  // The failover control-plane façade itself. Null in Storm mode.
   [[nodiscard]] controller::ControlPlane* control_plane() {
     return control_plane_.get();
   }
@@ -150,32 +147,31 @@ class Cluster {
   // mode; no-op otherwise).
   void set_controller_partition(HostId host, bool partitioned);
 
-  // Fault injection: kill the leader controller of a control-plane shard.
-  // With standbys configured the coordinator election promotes one
-  // synchronously (rules repaired, in-flight control tuples requeued)
-  // before this returns. False without a live leader or in Storm mode.
-  bool crash_controller_shard(std::size_t shard);
+  // Fault injection: kill the leader controller. With standbys configured
+  // the coordinator election promotes one synchronously (rules repaired,
+  // in-flight control tuples requeued) before this returns. False without a
+  // live leader or in Storm mode.
+  bool crash_controller();
 
   // Stock control-plane apps (Typhoon mode; nullptr otherwise).
   [[nodiscard]] controller::FaultDetector* fault_detector();
   [[nodiscard]] controller::LiveDebugger* live_debugger();
   [[nodiscard]] controller::LoadBalancer* load_balancer();
   // Deploy an auto-scaler app wired to this cluster's reconfigure service.
-  // Attaches to the current shard-0 leader; unlike the default apps it is
-  // not re-created by the failover app factory.
+  // Attaches to the current leader; unlike the default apps it is not
+  // re-created by the failover app factory.
   controller::AutoScaler* add_auto_scaler(
       controller::AutoScalerPolicy policy);
 
-  // Deploy the QoS bandwidth-allocation app (DESIGN.md Sec 16) on every
-  // shard leader via the failover app factory, so takeover winners re-create
-  // it and restore its checkpointed allocation. Call before start(). When
+  // Deploy the QoS bandwidth-allocation app (DESIGN.md Sec 16) on the
+  // leader via the failover app factory, so takeover winners re-create it
+  // and restore its checkpointed allocation. Call before start(). When
   // the policy has no latency probe, it is wired to this cluster's
   // observability "end_to_end" stage p99. No-op in Storm mode.
   void enable_qos(controller::QosPolicy policy);
-  // The shard leader's QoS app (shard 0 by default); nullptr until
-  // enabled/started, in Storm mode, or mid-failover — re-resolve after
-  // controller faults.
-  [[nodiscard]] controller::QosApp* qos_app(std::size_t shard = 0);
+  // The leader's QoS app; nullptr until enabled/started, in Storm mode, or
+  // mid-failover — re-resolve after controller faults.
+  [[nodiscard]] controller::QosApp* qos_app();
 
   // ---- observability (DESIGN.md Sec 11) ----
   // The cluster-wide trace domain + collector + metrics time-series.

@@ -185,8 +185,7 @@ void FaultPlanRunner::apply(const Armed& armed, std::int64_t elapsed_ms,
       cluster_->fail_host(ev.host_a);
       break;
     case fi::FaultKind::kCrashController:
-      applied = cluster_->crash_controller_shard(
-          static_cast<std::size_t>(ev.shard));
+      applied = cluster_->crash_controller();
       break;
   }
 

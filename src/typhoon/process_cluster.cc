@@ -518,7 +518,7 @@ common::Status ProcessCluster::start() {
   }
 
   // Control plane over remote switch proxies.
-  // One controller shard on the default 50 ms tick, running the stock
+  // One controller on the default 50 ms tick, running the stock
   // apps; the manager runs its failure detector (the option defaults).
   control_plane_ = std::make_unique<controller::ControlPlane>(
       &coord_, controller::ControlPlaneOptions{});

@@ -157,7 +157,7 @@ class ProcessCluster {
   std::vector<std::unique_ptr<CtlChannel>> dead_channels_;
 
   // Switch events are dispatched off the channel reader threads: the
-  // controller may be mid-tick holding its shard lock while awaiting an RPC
+  // controller may be mid-tick holding its lock while awaiting an RPC
   // reply on the same channel, so delivering events inline would deadlock.
   std::mutex ev_mu_;
   std::condition_variable ev_cv_;

@@ -193,7 +193,7 @@ stream::BoltFactory MakeFilterFactory(std::set<std::string> allowed_events) {
 }
 
 stream::LogicalTopology BuildPipeline(const PipelineConfig& cfg) {
-  stream::TopologyBuilder b(cfg.name);
+  stream::TopologyBuilder b(kPipelineName);
   kafkalite::Broker* broker = cfg.broker;
   redislite::Store* store = cfg.store;
   const NodeId kafka = b.add_spout(

@@ -31,11 +31,12 @@ void PopulateCampaigns(redislite::Store* store, int num_ads,
 
 // The broker topic the pipeline's kafka spout consumes.
 inline constexpr char kEventTopic[] = "ad-events";
+// The pipeline's topology name.
+inline constexpr char kPipelineName[] = "yahoo";
 
 struct PipelineConfig {
   kafkalite::Broker* broker = nullptr;
   redislite::Store* store = nullptr;
-  std::string name = "yahoo";
   // Event types the filter admits (the Fig 14 swap changes this set).
   std::set<std::string> allowed_events = {"view"};
 };

@@ -166,7 +166,7 @@ TEST(Chaos, ReplayIdenticalPlansFireIdentically) {
 }
 
 TEST(Chaos, QosAllocationSurvivesControllerCrashMidCongestion) {
-  // The QoS-owning shard leader dies at the worst moment — mid-congestion,
+  // The QoS-owning leader dies at the worst moment — mid-congestion,
   // shapers engaged. The standby's restored app must (a) re-assert the
   // checkpointed rates, (b) reconverge to a bit-identical allocation
   // (fingerprint equality), and (c) emit ZERO delta updates doing so: the
@@ -223,9 +223,8 @@ TEST(Chaos, QosAllocationSurvivesControllerCrashMidCongestion) {
       },
       20s));
 
-  // Kill the shard-0 leader through the scripted fault plan.
-  auto plan =
-      faultinject::FaultPlan::Parse("at_ms=5 fault=controller_crash shard=0\n");
+  // Kill the leader through the scripted fault plan.
+  auto plan = faultinject::FaultPlan::Parse("at_ms=5 fault=controller_crash\n");
   ASSERT_TRUE(plan.ok()) << plan.status().str();
   FaultPlanRunner faults(&cluster, std::move(plan.value()));
   faults.start();

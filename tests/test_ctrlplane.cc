@@ -1,9 +1,8 @@
-// Sharded, failover-capable control plane (DESIGN.md Sec 15): incremental
-// (delta) rule compilation bounded by worker degree rather than topology
-// size, orphan-free removal of permanent rules, hash
-// partitioning of topologies across shard leaders, and leader-crash
-// failover (FaultPlan `controller_crash`) that loses no sequenced control
-// tuples mid-run.
+// Failover-capable control plane (DESIGN.md Sec 15): incremental (delta)
+// rule compilation bounded by worker degree rather than topology size,
+// orphan-free removal of permanent rules, one leader owning every topology,
+// and leader-crash failover (FaultPlan `controller_crash`) that loses no
+// sequenced control tuples mid-run.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -454,22 +453,18 @@ INSTANTIATE_TEST_SUITE_P(
                       Update::kReschedule),
     UpdateName);
 
-// Multi-shard partitioning: topologies hash to fixed shards, hooks and
-// switch events reach only the owning shard's leader, and data still flows
-// end to end on every topology.
-TEST(CtrlPlane, TwoShardsPartitionTopologiesAndBothCarryTraffic) {
+// One leader owns every topology: hooks from three topologies all reach
+// the same controller, and data still flows end to end on every topology.
+TEST(CtrlPlane, OneLeaderOwnsEveryTopologyAndAllCarryTraffic) {
   ClusterConfig cfg;
   cfg.num_hosts = 2;
-  cfg.controller_shards = 2;
   Cluster cluster(cfg);
   cluster.start();
 
   ControlPlane* cp = cluster.control_plane();
   ASSERT_NE(cp, nullptr);
-  ASSERT_EQ(cp->shards(), 2u);
-  ASSERT_NE(cp->shard_leader(0), nullptr);
-  ASSERT_NE(cp->shard_leader(1), nullptr);
-  EXPECT_NE(cp->shard_leader(0), cp->shard_leader(1));
+  controller::TyphoonController* leader = cp->leader();
+  ASSERT_NE(leader, nullptr);
 
   std::vector<std::shared_ptr<SinkState>> states;
   std::vector<TopologyId> tids;
@@ -489,20 +484,11 @@ TEST(CtrlPlane, TwoShardsPartitionTopologiesAndBothCarryTraffic) {
     tids.push_back(tid.value());
   }
 
-  std::set<std::size_t> shards_used;
+  const auto owned = leader->topology_ids();
+  EXPECT_EQ(owned.size(), tids.size());
   for (TopologyId tid : tids) {
-    const std::size_t shard = ControlPlane::ShardOfTopology(tid, 2);
-    shards_used.insert(shard);
-    controller::TyphoonController* owner = cp->leader_of(tid);
-    ASSERT_EQ(owner, cp->shard_leader(shard));
-    // Only the owning shard mirrors the topology's state.
-    const auto owned = owner->topology_ids();
     EXPECT_NE(std::find(owned.begin(), owned.end(), tid), owned.end());
-    const auto other = cp->shard_leader(1 - shard)->topology_ids();
-    EXPECT_EQ(std::find(other.begin(), other.end(), tid), other.end());
   }
-  // With 3 sequential ids the splitmix64 partition uses both shards.
-  EXPECT_EQ(shards_used.size(), 2u);
 
   for (std::size_t i = 0; i < states.size(); ++i) {
     EXPECT_TRUE(WaitFor([&] { return states[i]->received.load() > 1000; },
@@ -524,7 +510,7 @@ std::map<std::string, std::int64_t> ExpectedCounts(std::int64_t limit) {
   return expected;
 }
 
-// Failover chaos (tentpole acceptance): the shard-0 leader is killed by a
+// Failover chaos (tentpole acceptance): the leader is killed by a
 // scripted `controller_crash` fault while a reliable word count is running
 // and a scale-up rebalance is issued around the crash window. The standby
 // takes over from the coordinator checkpoint; every word occurrence is
@@ -566,7 +552,7 @@ TEST(CtrlPlane, LeaderCrashMidRunFailsOverWithExactCounts) {
   ASSERT_TRUE(cluster.submit(b.build().value(), sopts).ok());
 
   auto plan = faultinject::FaultPlan::Parse(
-      "at_tuples=700 fault=controller_crash shard=0\n");
+      "at_tuples=700 fault=controller_crash\n");
   ASSERT_TRUE(plan.ok()) << plan.status().str();
   FaultPlanRunner faults(&cluster, std::move(plan.value()));
   faults.set_tuple_probe([progress] { return progress->load(); });
@@ -613,19 +599,19 @@ TEST(CtrlPlane, LeaderCrashMidRunFailsOverWithExactCounts) {
   cluster.stop();
 }
 
-// Crashing the only replica of a shard (no standby) is still a clean,
-// reported state: the shard goes leaderless, the facade says so, and a
-// second crash call reports false.
-TEST(CtrlPlane, CrashWithoutStandbyLeavesShardLeaderless) {
+// Crashing the only replica (no standby) is still a clean, reported state:
+// the control plane goes leaderless, the facade says so, and a second crash
+// call reports false.
+TEST(CtrlPlane, CrashWithoutStandbyLeavesControllerLeaderless) {
   ClusterConfig cfg;
   cfg.num_hosts = 1;
   Cluster cluster(cfg);
   cluster.start();
   ASSERT_NE(cluster.controller(), nullptr);
-  EXPECT_TRUE(cluster.crash_controller_shard(0));
+  EXPECT_TRUE(cluster.crash_controller());
   EXPECT_EQ(cluster.controller(), nullptr);
   EXPECT_EQ(cluster.control_plane()->failovers(), 0);
-  EXPECT_FALSE(cluster.crash_controller_shard(0));
+  EXPECT_FALSE(cluster.crash_controller());
   cluster.stop();
 }
 

@@ -209,6 +209,7 @@ TEST(FaultPlanParse, RejectsMalformedInput) {
   // a chaos test.
   EXPECT_FALSE(FaultPlan::Parse("at_ms=1 fault=crash worker=a/b/0 bogus=1")
                    .ok());
+  EXPECT_FALSE(FaultPlan::Parse("at_ms=1 fault=controller_crash shard=0").ok());
   // Missing trigger.
   EXPECT_FALSE(FaultPlan::Parse("fault=crash worker=a/b/0").ok());
   // Missing target.
