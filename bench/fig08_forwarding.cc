@@ -104,9 +104,7 @@ struct Config {
   bool reliable;
 };
 
-// Switch datapath knobs for the --smoke / --shard-sweep modes, set from the
-// --shards / --burst CLI flags.
-std::size_t g_shards = 1;
+// Switch poll burst for the --smoke mode, set from the --burst CLI flag.
 std::size_t g_burst = 64;
 
 double RunOnce(const Config& c) {
@@ -237,7 +235,6 @@ int RunSmoke() {
   // end covers the whole run.
   switchd::SoftSwitchConfig cfg;
   cfg.host = 1;
-  cfg.shards = g_shards;
   cfg.poll_burst = g_burst;
   switchd::SoftSwitch sw(cfg);
   sw.start();
@@ -319,149 +316,6 @@ int RunSmoke() {
                speedup);
   std::fclose(f);
   std::printf("  wrote BENCH_fastpath.json\n");
-  return 0;
-}
-
-// ---- shard scaling sweep (--shard-sweep) ----------------------------------
-
-// Like DrivePps but with one producer thread per source port — the
-// multi-source workload whose ingress actually lands on distinct shards.
-double DriveMultiPps(
-    const std::vector<std::shared_ptr<switchd::PortHandle>>& srcs,
-    const std::vector<net::PacketPtr>& protos,
-    const std::vector<std::shared_ptr<switchd::PortHandle>>& sinks,
-    double secs) {
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> received{0};
-  std::thread drainer([&] {
-    std::vector<net::PacketPtr> burst;
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::size_t n = 0;
-      for (const auto& s : sinks) {
-        burst.clear();
-        n += s->recv_bulk(burst, 256);
-      }
-      received.fetch_add(n, std::memory_order_relaxed);
-      if (n == 0) std::this_thread::yield();
-    }
-  });
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline =
-      t0 + std::chrono::microseconds(static_cast<std::int64_t>(secs * 1e6));
-  std::vector<std::thread> producers;
-  producers.reserve(srcs.size());
-  for (std::size_t s = 0; s < srcs.size(); ++s) {
-    producers.emplace_back([&, s] {
-      const auto& src = srcs[s];
-      const auto& proto = protos[s];
-      while (std::chrono::steady_clock::now() < deadline) {
-        for (int i = 0; i < 64; ++i) {
-          if (!src->send(proto)) {
-            std::this_thread::yield();
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  stop.store(true);
-  drainer.join();
-  return static_cast<double>(received.load()) / elapsed;
-}
-
-// Lowest free port id >= `from` that the switch would place on `shard` of
-// `nshards` (the static hash partition is public exactly for this).
-PortId PortOnShard(std::size_t shard, std::size_t nshards, PortId from) {
-  PortId id = from;
-  while (switchd::SoftSwitch::ShardOfPort(id, nshards) != shard) ++id;
-  return id;
-}
-
-int RunShardSweep() {
-  constexpr std::size_t kSources = 4;
-  const std::size_t shard_counts[] = {1, 2, 4};
-  double single[3] = {0, 0, 0};
-  double multi[3] = {0, 0, 0};
-
-  for (std::size_t i = 0; i < 3; ++i) {
-    const std::size_t nshards = shard_counts[i];
-    switchd::SoftSwitchConfig cfg;
-    cfg.host = 1;
-    cfg.shards = nshards;
-    cfg.poll_burst = g_burst;
-    switchd::SoftSwitch sw(cfg);
-    sw.start();
-
-    // Workload A: one flow from one port — all ingress on one shard, the
-    // no-parallelism-available floor (checks sharding overhead).
-    auto src = sw.attach_port();
-    auto d0 = sw.attach_port();
-    const WorkerAddress producer{1, 1};
-    sw.handle_flow_mod({openflow::FlowModCommand::kAdd,
-                        ExactRule(src->id(), producer, WorkerAddress{1, 100},
-                                  {openflow::ActionOutput{d0->id()}})});
-    single[i] = DrivePps(
-        src, {d0}, {MakeProto(producer, WorkerAddress{1, 100})}, 0.5);
-
-    // Workload B: kSources producers on ports pinned round-robin across
-    // the shards, each with its own flow and sink — the traffic pattern
-    // sharding is for.
-    std::vector<std::shared_ptr<switchd::PortHandle>> srcs, sinks;
-    std::vector<net::PacketPtr> protos;
-    PortId next_id = 1000;
-    for (std::size_t s = 0; s < kSources; ++s) {
-      const PortId id = PortOnShard(s % nshards, nshards, next_id);
-      next_id = id + 1;
-      auto sp = sw.attach_port(id);
-      auto dp = sw.attach_port();
-      const WorkerAddress from{1, static_cast<std::uint16_t>(10 + s)};
-      const WorkerAddress to{1, static_cast<std::uint16_t>(200 + s)};
-      sw.handle_flow_mod({openflow::FlowModCommand::kAdd,
-                          ExactRule(id, from, to,
-                                    {openflow::ActionOutput{dp->id()}})});
-      protos.push_back(MakeProto(from, to));
-      srcs.push_back(std::move(sp));
-      sinks.push_back(std::move(dp));
-    }
-    multi[i] = DriveMultiPps(srcs, protos, sinks, 0.5);
-    sw.stop();
-  }
-
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("\nSwitch shard scaling sweep (%u hardware threads)\n", cores);
-  std::printf("  %-8s %16s %16s\n", "shards", "single-flow pps",
-              "multi-src pps");
-  for (std::size_t i = 0; i < 3; ++i) {
-    std::printf("  %-8zu %16.0f %16.0f\n", shard_counts[i], single[i],
-                multi[i]);
-  }
-  const double scale41 = multi[0] == 0 ? 0.0 : multi[2] / multi[0];
-  std::printf("  multi-src 4-shard / 1-shard: %.2fx\n", scale41);
-
-  std::FILE* f = std::fopen("BENCH_switchshard.json", "w");
-  if (f == nullptr) {
-    std::perror("BENCH_switchshard.json");
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"poll_burst\": %zu,\n"
-               "  \"shards\": [1, 2, 4],\n"
-               "  \"single_flow_pps\": [%.0f, %.0f, %.0f],\n"
-               "  \"multi_source_pps\": [%.0f, %.0f, %.0f],\n"
-               "  \"multi_source_scaling_4v1\": %.2f\n"
-               "}\n",
-               cores, g_burst, single[0], single[1], single[2], multi[0],
-               multi[1], multi[2], scale41);
-  std::fclose(f);
-  std::printf("  wrote BENCH_switchshard.json\n");
   return 0;
 }
 
@@ -682,12 +536,9 @@ int RunHotpath() {
 
 int main(int argc, char** argv) {
   using namespace typhoon::bench;
-  // Datapath knobs shared by --smoke and --shard-sweep.
+  // Datapath knob for --smoke.
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      g_shards = static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
-      if (g_shards == 0) g_shards = 1;
-    } else if (std::strcmp(argv[i], "--burst") == 0) {
+    if (std::strcmp(argv[i], "--burst") == 0) {
       g_burst = static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
       if (g_burst == 0) g_burst = 64;
     }
@@ -696,11 +547,6 @@ int main(int argc, char** argv) {
     PrintBanner("Soft-switch fast-path smoke benchmark",
                 "microflow cache + lock-free table snapshots");
     return RunSmoke();
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--shard-sweep") == 0) {
-    PrintBanner("Switch shard scaling sweep",
-                "per-core shards + stage-batched classification");
-    return RunShardSweep();
   }
   if (argc > 1 && std::strcmp(argv[1], "--hotpath") == 0) {
     PrintBanner("Zero-copy hot-path benchmark",

@@ -46,6 +46,9 @@ STRUCT_RE = re.compile(r"\bstruct\s+(\w+(?:Config|Options|Policy))\s*\{")
 SET_TAIL = (r"(?:\s*[-+*/|&]?=(?!=)\s*([^,;}\n]*)|\s*\{"
             r"|(?:\.\w+|\[[^\]]*\])+\s*[-+*/|&]?=(?!=)"
             r"|\.(?:push_back|emplace_back|emplace|try_emplace|insert)\()")
+# A member access `.name` / `->name`: where a setter of `name` may sit.
+ACCESS_RE = re.compile(r"(?:\.|->)\s*(\w+)")
+WORD_RE = re.compile(r"\w+")
 CAST_RE = re.compile(r"^\w+(?:<[^>]*>)?\(")
 NOT_FIELD = ("static ", "using ", "friend ", "enum ", "struct ", "class ",
              "typedef ", "template")
@@ -119,12 +122,16 @@ def setters(root, structs):
         for f in fields:
             owners.setdefault(f, []).append(sname)
     out = {(s, f): [0, []] for f, ss in owners.items() for s in ss}
+    # A setter of any audited field: receiver (1), field (2), value (3).
+    setter_re = re.compile(r"(?:(\w+)\s*)?(?:\.|->)\s*(" +
+                           "|".join(sorted(owners, key=len, reverse=True)) +
+                           ")" + SET_TAIL)
     for d in SCAN_DIRS:
         for path in sorted((root / d).rglob("*")):
             if path.suffix not in SUFFIXES:
                 continue
             text = strip_comments(path.read_text(errors="replace"))
-            named = {s for s in structs if re.search(r"\b" + s + r"\b", text)}
+            named = structs.keys() & set(WORD_RE.findall(text))
 
             decls = {}
 
@@ -153,18 +160,34 @@ def setters(root, structs):
                 return ([s for s in ss if s in covered] or
                         [s for s in ss if s in named])
 
-            for name in owners:
-                for m in re.finditer(r"(?:(\w+)\s*)?(?:\.|->)\s*" + name +
-                                     SET_TAIL, text):
-                    rhs = CAST_RE.sub("", (m.group(2) or "").strip()).rstrip(")")
-                    src = re.fullmatch(r"\w+(?:(?:\.|->)\w+)*(?:\.|->)(\w+)",
-                                       rhs)
-                    for target in credited(name, m.group(1)):
-                        if src and src.group(1) in owners:
-                            out[(target, name)][1] += [
-                                (s, src.group(1)) for s in owners[src.group(1)]]
-                        else:
-                            out[(target, name)][0] += 1
+            # One pass over the member accesses. A setter starts at the
+            # receiver word before its `.`/`->`, and a field's setters do
+            # not overlap: one whose value swallows a later access of the
+            # same field (`x.f = y.f = v`) hides it.
+            end = {}
+            for a in ACCESS_RE.finditer(text):
+                name = a.group(1)
+                if name not in owners or a.start() < end.get(name, 0):
+                    continue
+                lo, i = end.get(name, 0), a.start()
+                while i > lo and text[i - 1].isspace():
+                    i -= 1
+                k = i
+                while k > lo and (text[k - 1].isalnum() or text[k - 1] == "_"):
+                    k -= 1
+                m = setter_re.match(text, k if k < i else a.start())
+                if not m:
+                    continue
+                end[name] = m.end()
+                rhs = CAST_RE.sub("", (m.group(3) or "").strip()).rstrip(")")
+                src = re.fullmatch(r"\w+(?:(?:\.|->)\w+)*(?:\.|->)(\w+)",
+                                   rhs)
+                for target in credited(name, m.group(1)):
+                    if src and src.group(1) in owners:
+                        out[(target, name)][1] += [
+                            (s, src.group(1)) for s in owners[src.group(1)]]
+                    else:
+                        out[(target, name)][0] += 1
     return out
 
 

@@ -9,10 +9,9 @@
 // The typed Shaper<T> wrapper applies decisions to a concrete frame type
 // and owns the reorder holdback queue. Decision counters are atomics so
 // harness threads can read them while the owning data-path thread shapes
-// traffic; the shaping calls themselves are not thread-safe — an
-// attachment point either has one owner thread (tunnel TX, switch ingress)
-// or must serialize admit()/flush() externally (switch egress shapers,
-// which any forwarding shard may drive — see SoftSwitch::GuardedShaper).
+// traffic; the shaping calls themselves are not thread-safe — each
+// attachment point has one owner thread (tunnel TX, the switch's
+// forwarding thread for port ingress).
 #pragma once
 
 #include <atomic>

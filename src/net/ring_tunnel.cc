@@ -322,7 +322,7 @@ bool RingTunnel::wire_push(TxFrame f) {
     }
     // Full ring. A shm consumer may be a wedged or dead process: brief
     // back-pressure, then a counted drop, because blocking forever would
-    // wedge the sending switch shard with it. A heap ring's consumer lives
+    // wedge the sending switch with it. A heap ring's consumer lives
     // in this process, so the push waits for it like a blocking queue.
     if (seg_->map != nullptr && std::chrono::steady_clock::now() >= deadline) {
       count_peer_drops(1);

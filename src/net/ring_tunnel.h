@@ -29,7 +29,7 @@
 //
 // Concurrency: exactly one producer and one consumer per ring (the byte
 // cursors are the SPSC handshake); within a process, local mutexes
-// serialize the multi-shard senders and harness pollers, preserving
+// serialize concurrent senders and harness pollers, preserving
 // TunnelEndpoint's concurrency contract.
 #pragma once
 

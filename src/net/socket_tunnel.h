@@ -1,8 +1,8 @@
 // SocketTunnel — the TunnelEndpoint transport for multi-process deployments:
 // a real TCP connection between two host processes (DESIGN.md Sec 17).
 //
-// The endpoint keeps the TunnelEndpoint burst contract (the sharded
-// SoftSwitch hot path is unchanged): send/try_send_burst stage
+// The endpoint keeps the TunnelEndpoint burst contract (the SoftSwitch
+// hot path is unchanged): send/try_send_burst stage
 // records into a bounded TX ring and try_recv_burst drains a bounded RX
 // ring. One IO thread per endpoint owns the socket and moves records
 // between the rings and the wire as length-prefixed records

@@ -177,8 +177,8 @@ std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
     }
     return n;
   }
-  // Precompute framing metadata into per-thread scratch (several shards may
-  // burst into one endpoint at once).
+  // Precompute framing metadata into per-thread scratch (several threads
+  // may burst into one endpoint at once).
   thread_local std::vector<TxFrameInfo> info;
   info.clear();
   for (const PacketPtr& p : pkts) {

@@ -11,9 +11,9 @@
 // word-at-a-time fold, see FrameChecksum); a frame that fails verification
 // on receive is dropped and counted (`rx_corrupt_drops`) instead of
 // surfacing garbage — the wire can be corrupted by an attached
-// fault-injection Impairment. Send may be called from several switch shards
+// fault-injection Impairment. Send may be called from several threads
 // concurrently (frame counters are atomics); burst receive is single-
-// consumer — the one shard that owns this tunnel's RX polling.
+// consumer — the switch's forwarding thread.
 //
 // TunnelEndpoint is a transport-agnostic base: checksums, the impairment
 // shaper and all counters live here, above four data primitives

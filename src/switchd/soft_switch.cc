@@ -10,16 +10,17 @@ namespace typhoon::switchd {
 
 namespace {
 
-// Packets a shard will hold for full egress rings before dropping.
+// Packets the switch will hold for full egress rings before dropping.
 constexpr std::size_t kEgressPendingCap = 4096;
-// How long a shard holds packets for a full egress ring (pausing its
+// How long the switch holds packets for a full egress ring (pausing its
 // ingress so the pressure reaches senders) before falling back to the
 // at-most-once drop. Keeps a wedged receiver from stalling the host.
 constexpr std::chrono::milliseconds kEgressHold{5};
 
-// Spin iterations before a shard starts sleeping, and the sleep ramp cap.
+// Spin iterations before the forwarding thread starts sleeping.
 constexpr std::uint32_t kSpinStreak = 16;
-// Idle streak after which a shard parks on its gate instead of sleeping.
+// Idle streak after which the forwarding thread parks on its gate instead
+// of sleeping.
 constexpr std::uint32_t kParkStreak = 64;
 // Park timeout: a correctness backstop for the (theoretically possible but
 // rare) lost wake-up between the producer's waiter check and the consumer's
@@ -29,30 +30,17 @@ constexpr std::chrono::milliseconds kParkTimeout{10};
 }  // namespace
 
 struct PortHandle::Port {
-  explicit Port(std::size_t cap) : to_switch(cap), from_switch(cap) {}
+  Port(std::size_t cap, std::shared_ptr<common::WakeupGate> gate)
+      : to_switch(cap), from_switch(cap), wake(std::move(gate)) {}
 
   common::SpscRing<net::PacketPtr> to_switch;    // worker -> switch
   common::SpscRing<net::PacketPtr> from_switch;  // switch -> worker
   std::atomic<bool> open{true};
 
-  // Gate of the shard that polls this port; notified on empty->non-empty
-  // ring transitions so a parked shard wakes without the sender paying a
-  // fence per packet on a busy ring.
-  std::shared_ptr<common::WakeupGate> wake;
-
-  // TX-side spinlock taken by shards delivering into from_switch. The ring
-  // is SPSC, and with shards > 1 any shard may output here; the lock is
-  // held once per egress *bin* (a burst's worth), not per packet. Unused
-  // (never contended, never taken) in the single-shard configuration.
-  std::atomic<bool> tx_busy{false};
-
-  void lock_tx() {
-    while (tx_busy.exchange(true, std::memory_order_acquire)) {
-      while (tx_busy.load(std::memory_order_relaxed)) {
-      }
-    }
-  }
-  void unlock_tx() { tx_busy.store(false, std::memory_order_release); }
+  // The switch's gate; notified on empty->non-empty ring transitions so a
+  // parked forwarding thread wakes without the sender paying a fence per
+  // packet on a busy ring.
+  const std::shared_ptr<common::WakeupGate> wake;
 
   // Stats from the switch's perspective.
   std::atomic<std::uint64_t> rx_packets{0};
@@ -65,16 +53,16 @@ struct PortHandle::Port {
 bool PortHandle::send(net::PacketPtr p) {
   if (!port_->open.load(std::memory_order_relaxed)) return false;
   if (!port_->to_switch.try_push(std::move(p))) return false;
-  // Notify only when this push may have made an empty ring non-empty (a
-  // shard never parks while its rings hold work). The occupancy is read
-  // *after* the push — size() re-reads the consumer index — so a shard
+  // Notify only when this push may have made an empty ring non-empty (the
+  // switch never parks while its rings hold work). The occupancy is read
+  // *after* the push — size() re-reads the consumer index — so a switch
   // that drains the ring concurrently and goes to park is always seen:
   // either its pops leave our packet as the sole entry (size == 1, or 0 if
   // it already took it) and we notify, or older entries remain (size > 1)
   // and its park recheck finds them. A stale pre-push emptiness sample
   // would leave a TOCTOU window here; the fresh read costs one shared-line
   // load, far cheaper than the gate fence it elides on a busy ring.
-  if (port_->wake != nullptr && port_->to_switch.size() <= 1) {
+  if (port_->to_switch.size() <= 1) {
     port_->wake->notify();
   }
   return true;
@@ -98,26 +86,18 @@ std::size_t PortHandle::rx_queue_depth() const {
 }
 
 SoftSwitch::SoftSwitch(SoftSwitchConfig cfg) : cfg_(cfg), injected_(4096) {
-  cfg_.shards = std::max<std::size_t>(1, cfg_.shards);
   cfg_.poll_burst = std::clamp<std::size_t>(cfg_.poll_burst, 1, 4096);
-  multi_shard_ = cfg_.shards > 1;
-  shards_.reserve(cfg_.shards);
-  for (std::size_t i = 0; i < cfg_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i));
-  }
-  auto tunnels = std::make_shared<TunnelView>();
-  tunnels->rx.resize(cfg_.shards);
   View first;
   first.table_epoch = 1;  // microflow slots stamped 0 are empty
   first.flows = flow_table_.snapshot();
   first.groups = std::make_shared<const openflow::GroupTable>();
-  first.tunnels = std::move(tunnels);
-  first.impair = std::make_shared<const ImpairView>();
+  first.tunnels = std::make_shared<const TunnelList>();
+  first.impair = std::make_shared<const ImpairMap>();
   first.rates = std::make_shared<const RateMap>();
   std::lock_guard lk(mu_);
   view_ = std::make_shared<const View>(std::move(first));
-  publish_ports_locked({});  // shards always find a (possibly empty) View
-  for (auto& sh : shards_) sh->view = view_;
+  publish_ports_locked({});  // the thread always finds a (possibly empty) View
+  dp_.view = view_;
 }
 
 SoftSwitch::~SoftSwitch() { stop(); }
@@ -125,19 +105,14 @@ SoftSwitch::~SoftSwitch() { stop(); }
 void SoftSwitch::start() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true)) return;
-  for (auto& sh : shards_) {
-    Shard* s = sh.get();
-    s->thread = std::thread([this, s] { run_shard(*s); });
-  }
+  thread_ = std::thread([this] { run(); });
 }
 
 void SoftSwitch::stop() {
   if (!running_.exchange(false)) return;
   injected_.close();
-  for (auto& sh : shards_) sh->gate->notify();
-  for (auto& sh : shards_) {
-    if (sh->thread.joinable()) sh->thread.join();
-  }
+  gate_->notify();
+  if (thread_.joinable()) thread_.join();
 }
 
 std::shared_ptr<const SoftSwitch::View> SoftSwitch::current() const {
@@ -148,7 +123,7 @@ std::shared_ptr<const SoftSwitch::View> SoftSwitch::current() const {
 void SoftSwitch::publish_locked(View next) {
   next.generation = view_->generation + 1;
   view_ = std::make_shared<const View>(std::move(next));
-  // Release point: a shard that observes the new generation also observes
+  // Release point: a thread that observes the new generation also observes
   // the View published above (it re-reads view_ under mu_).
   gen_.store(view_->generation, std::memory_order_release);
 }
@@ -165,9 +140,8 @@ void SoftSwitch::publish_part(std::shared_ptr<const T> View::*part,
 
 void SoftSwitch::publish_ports_locked(PortMap map) {
   auto ports = std::make_shared<PortView>();
-  ports->poll.resize(shards_.size());
   for (const auto& [id, port] : map) {
-    ports->poll[ShardOfPort(id, shards_.size())].emplace_back(id, port);
+    ports->poll.emplace_back(id, port);
     if (id < kDensePortLimit) {
       if (ports->out_dense.size() <= id) ports->out_dense.resize(id + 1);
       ports->out_dense[id] = port.get();
@@ -181,22 +155,21 @@ void SoftSwitch::publish_ports_locked(PortMap map) {
   publish_locked(std::move(next));
 }
 
-void SoftSwitch::adopt(Shard& sh) {
-  if (gen_.load(std::memory_order_acquire) == sh.generation) return;
+void SoftSwitch::adopt() {
+  if (gen_.load(std::memory_order_acquire) == dp_.generation) return;
   std::shared_ptr<const View> next = current();
-  // Re-copy the groups only when they changed: the copy holds this shard's
+  // Re-copy the groups only when they changed: the copy holds the
   // select-group WRR credit, and the published table is never advanced, so
   // a copy can never leak credit back.
-  if (next->groups != sh.view->groups) sh.groups = *next->groups;
-  sh.view = std::move(next);
-  const View& v = *sh.view;
-  sh.generation = v.generation;
-  sh.table_epoch = v.table_epoch;
-  sh.ports = v.ports.get();
-  sh.tunnels = &v.tunnels->all;
-  sh.ingress_impair = v.impair->ingress.empty() ? nullptr : &v.impair->ingress;
-  sh.egress_impair = v.impair->egress.empty() ? nullptr : &v.impair->egress;
-  sh.rates = v.rates->empty() ? nullptr : v.rates.get();
+  if (next->groups != dp_.view->groups) dp_.groups = *next->groups;
+  dp_.view = std::move(next);
+  const View& v = *dp_.view;
+  dp_.generation = v.generation;
+  dp_.table_epoch = v.table_epoch;
+  dp_.ports = v.ports.get();
+  dp_.tunnels = v.tunnels.get();
+  dp_.impair = v.impair->empty() ? nullptr : v.impair.get();
+  dp_.rates = v.rates->empty() ? nullptr : v.rates.get();
 }
 
 std::shared_ptr<PortHandle> SoftSwitch::attach_port() {
@@ -219,8 +192,7 @@ std::shared_ptr<PortHandle> SoftSwitch::attach_port(PortId requested) {
 
 std::shared_ptr<PortHandle> SoftSwitch::attach_locked(
     PortId id, std::unique_lock<std::mutex>& lk) {
-  auto port = std::make_shared<PortHandle::Port>(cfg_.ring_capacity);
-  port->wake = shards_[ShardOfPort(id, shards_.size())]->gate;
+  auto port = std::make_shared<PortHandle::Port>(cfg_.ring_capacity, gate_);
   PortMap map = view_->ports->map;
   map.emplace(id, port);
   publish_ports_locked(std::move(map));
@@ -246,16 +218,13 @@ void SoftSwitch::detach_port(PortId port) {
 
 void SoftSwitch::add_tunnel(HostId peer,
                             std::shared_ptr<net::TunnelEndpoint> ep) {
-  // Wake the RX-owning shard when the peer enqueues frames. The gate is
+  // Wake the forwarding thread when the peer enqueues frames. The gate is
   // captured by shared_ptr so a tunnel outliving the switch fires into an
   // inert gate instead of freed memory.
-  const std::size_t owner = ShardOfPeer(peer, shards_.size());
-  auto gate = shards_[owner]->gate;
-  ep->set_rx_notify([gate] { gate->notify(); });
+  ep->set_rx_notify([gate = gate_] { gate->notify(); });
   std::lock_guard lk(mu_);
-  publish_part(&View::tunnels, [&](TunnelView& t) {
-    t.all.push_back({peer, ep});
-    t.rx[owner].push_back({peer, std::move(ep)});
+  publish_part(&View::tunnels, [&](TunnelList& t) {
+    t.push_back({peer, std::move(ep)});
   });
 }
 
@@ -282,30 +251,17 @@ void CorruptPacket(net::PacketPtr& p, std::uint32_t offset,
 
 faultinject::Impairment* SoftSwitch::set_port_ingress_impairment(
     PortId port, const faultinject::ImpairmentConfig& cfg) {
-  auto shaper = std::make_shared<GuardedShaper>(cfg);
-  faultinject::Impairment* probe = &shaper->shaper.impairment();
+  auto shaper = std::make_shared<PacketShaper>(cfg);
+  faultinject::Impairment* probe = &shaper->impairment();
   std::lock_guard lk(mu_);
   publish_part(&View::impair,
-               [&](ImpairView& v) { v.ingress[port] = std::move(shaper); });
-  return probe;
-}
-
-faultinject::Impairment* SoftSwitch::set_port_egress_impairment(
-    PortId port, const faultinject::ImpairmentConfig& cfg) {
-  auto shaper = std::make_shared<GuardedShaper>(cfg);
-  faultinject::Impairment* probe = &shaper->shaper.impairment();
-  std::lock_guard lk(mu_);
-  publish_part(&View::impair,
-               [&](ImpairView& v) { v.egress[port] = std::move(shaper); });
+               [&](ImpairMap& m) { m[port] = std::move(shaper); });
   return probe;
 }
 
 void SoftSwitch::clear_port_impairments(PortId port) {
   std::lock_guard lk(mu_);
-  publish_part(&View::impair, [&](ImpairView& v) {
-    v.ingress.erase(port);
-    v.egress.erase(port);
-  });
+  publish_part(&View::impair, [&](ImpairMap& m) { m.erase(port); });
 }
 
 void SoftSwitch::set_port_ingress_rate(PortId port, double bytes_per_sec) {
@@ -315,7 +271,8 @@ void SoftSwitch::set_port_ingress_rate(PortId port, double bytes_per_sec) {
     if (it != view_->rates->end() && bytes_per_sec > 0.0) {
       // Live rate change: re-seed the existing bucket in place (tokens
       // scale proportionally, so a cut binds within one refill interval).
-      // Shards already hold this shaper — nothing to republish.
+      // The forwarding thread already holds this shaper — nothing to
+      // republish.
       it->second->bucket.set_rate(bytes_per_sec);
       return;
     }
@@ -328,9 +285,9 @@ void SoftSwitch::set_port_ingress_rate(PortId port, double bytes_per_sec) {
       }
     });
   }
-  // Shapers added/removed: wake every shard so parked ones re-evaluate
-  // their poll predicate against the new map.
-  for (const auto& sh : shards_) sh->gate->notify();
+  // Shapers added/removed: wake the forwarding thread so, if parked, it
+  // re-evaluates its poll predicate against the new map.
+  gate_->notify();
 }
 
 double SoftSwitch::port_ingress_rate(PortId port) const {
@@ -353,10 +310,10 @@ std::vector<SoftSwitch::PortShaperStats> SoftSwitch::shaper_stats() const {
   return out;
 }
 
-PortHandle::Port* SoftSwitch::find_out_port(const Shard& sh, PortId port) {
-  if (port < sh.ports->out_dense.size()) return sh.ports->out_dense[port];
-  auto it = sh.ports->out_sparse.find(port);
-  return it == sh.ports->out_sparse.end() ? nullptr : it->second;
+PortHandle::Port* SoftSwitch::find_out_port(PortId port) const {
+  if (port < dp_.ports->out_dense.size()) return dp_.ports->out_dense[port];
+  auto it = dp_.ports->out_sparse.find(port);
+  return it == dp_.ports->out_sparse.end() ? nullptr : it->second;
 }
 
 void SoftSwitch::apply(const openflow::Bundle& b) {
@@ -366,8 +323,9 @@ void SoftSwitch::apply(const openflow::Bundle& b) {
   if (!b.groups.empty()) {
     auto groups = std::make_shared<openflow::GroupTable>(*view_->groups);
     for (const openflow::GroupMod& mod : b.groups) changed |= groups->apply(mod);
-    // An unchanged table keeps its pointer: shards re-copy the groups (and
-    // lose their select-group WRR credit) only when the pointer moves.
+    // An unchanged table keeps its pointer: the forwarding thread re-copies
+    // the groups (and loses its select-group WRR credit) only when the
+    // pointer moves.
     if (changed) next.groups = std::move(groups);
   }
   if (flow_table_.apply(b) != 0) {
@@ -381,7 +339,7 @@ void SoftSwitch::apply(const openflow::Bundle& b) {
 
 void SoftSwitch::handle_packet_out(const openflow::PacketOut& po) {
   injected_.push({po.packet, po.in_port});
-  shards_[0]->gate->notify();  // shard 0 owns the injected queue
+  gate_->notify();
 }
 
 std::vector<openflow::PortStats> SoftSwitch::port_stats() const {
@@ -420,26 +378,6 @@ std::size_t SoftSwitch::flow_count() const {
   return flow_table_.size();
 }
 
-std::uint64_t SoftSwitch::packets_forwarded() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) {
-    n += sh->forwarded.load(std::memory_order_relaxed);
-  }
-  return n;
-}
-
-std::uint64_t SoftSwitch::cache_hits() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->mcache.hits();
-  return n;
-}
-
-std::uint64_t SoftSwitch::cache_misses() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->mcache.misses();
-  return n;
-}
-
 void SoftSwitch::set_event_sink(
     std::function<void(HostId, SwitchEvent)> sink) {
   std::lock_guard lk(sink_mu_);
@@ -463,36 +401,9 @@ void SoftSwitch::record_span(std::uint64_t trace_id, std::uint8_t hop,
 
 // ---- egress coalescing ----
 
-void SoftSwitch::bin_output(Shard& sh, net::PacketPtr p, PortId port,
-                            std::size_t wire) {
-  if (sh.egress_impair != nullptr) {
-    auto it = sh.egress_impair->find(port);
-    if (it != sh.egress_impair->end()) {
-      sh.egress_scratch.clear();
-      {
-        // The egress shaper is shared across shards (any shard may output
-        // to this port) and Shaper::admit is single-threaded by contract,
-        // so shaping serializes on the shaper's guard. Released frames go
-        // to this shard's private scratch/bins.
-        std::lock_guard lk(it->second->mu);
-        it->second->shaper.admit(std::move(p), sh.egress_scratch,
-                                 CorruptPacket);
-      }
-      // Released frames may be older (delayed) ones: size each.
-      for (net::PacketPtr& q : sh.egress_scratch) {
-        const std::size_t q_wire = q->wire_size();
-        bin_to_port(sh, std::move(q), port, q_wire);
-      }
-      sh.egress_scratch.clear();
-      return;
-    }
-  }
-  bin_to_port(sh, std::move(p), port, wire);
-}
-
-void SoftSwitch::bin_to_port(Shard& sh, net::PacketPtr p, PortId port,
+void SoftSwitch::bin_to_port(net::PacketPtr p, PortId port,
                              std::size_t wire) {
-  EgressBins& bins = sh.bins;
+  EgressBins& bins = dp_.bins;
   // Bursts hit few distinct destinations; a linear scan over the active
   // bins beats a map at this scale (the OVS output-batching shape).
   PortBin* b = nullptr;
@@ -506,7 +417,7 @@ void SoftSwitch::bin_to_port(Shard& sh, net::PacketPtr p, PortId port,
     if (bins.n_ports == bins.ports.size()) bins.ports.emplace_back();
     b = &bins.ports[bins.n_ports++];
     b->id = port;
-    b->port = find_out_port(sh, port);
+    b->port = find_out_port(port);
     b->pkts.clear();
     b->bytes = 0;
   }
@@ -514,9 +425,8 @@ void SoftSwitch::bin_to_port(Shard& sh, net::PacketPtr p, PortId port,
   b->bytes += wire;
 }
 
-void SoftSwitch::bin_to_tunnel(Shard& sh, net::PacketPtr p,
-                               net::TunnelEndpoint* ep) {
-  EgressBins& bins = sh.bins;
+void SoftSwitch::bin_to_tunnel(net::PacketPtr p, net::TunnelEndpoint* ep) {
+  EgressBins& bins = dp_.bins;
   for (std::size_t i = 0; i < bins.n_tunnels; ++i) {
     if (bins.tunnels[i].ep == ep) {
       bins.tunnels[i].pkts.push_back(std::move(p));
@@ -530,16 +440,42 @@ void SoftSwitch::bin_to_tunnel(Shard& sh, net::PacketPtr p,
   b.pkts.push_back(std::move(p));
 }
 
-void SoftSwitch::append_backlog(Shard& sh, net::PacketPtr p, PortId port) {
-  if (sh.egress_pending.size() >= kEgressPendingCap) {
-    PortHandle::Port* t = find_out_port(sh, port);
+void SoftSwitch::append_backlog(net::PacketPtr p, PortId port) {
+  if (dp_.egress_pending.size() >= kEgressPendingCap) {
+    PortHandle::Port* t = find_out_port(port);
     if (t != nullptr) t->tx_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  sh.egress_pending.emplace_back(std::move(p), port);
+  dp_.egress_pending.emplace_back(std::move(p), port);
 }
 
-void SoftSwitch::flush_port_bin(Shard& sh, PortBin& bin) {
+std::size_t SoftSwitch::deliver(PortHandle::Port& port,
+                                std::span<net::PacketPtr> pkts,
+                                std::uint64_t bytes) {
+  // A delivered packet is not read again here unless traced: the caller's
+  // byte count stands for it.
+  const bool tracing = cfg_.trace_recorder != nullptr;
+  std::size_t i = 0;
+  for (; i < pkts.size(); ++i) {
+    std::uint64_t tid = 0;
+    std::uint8_t thop = 0;
+    if (tracing) {
+      tid = pkts[i]->trace_id;
+      thop = pkts[i]->trace_hop;
+    }
+    // A rejected push leaves the packet intact.
+    if (!port.from_switch.try_push(std::move(pkts[i]))) break;
+    if (tid != 0) record_span(tid, thop, trace::Stage::kSwitchOut);
+  }
+  if (i != 0) {
+    for (std::size_t k = i; k < pkts.size(); ++k) bytes -= pkts[k]->wire_size();
+    port.tx_packets.fetch_add(i, std::memory_order_relaxed);
+    port.tx_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  return i;
+}
+
+void SoftSwitch::flush_port_bin(PortBin& bin) {
   PortHandle::Port* target = bin.port;
   if (target == nullptr || !target->open.load(std::memory_order_relaxed)) {
     bin.pkts.clear();  // port vanished; silently dropped
@@ -548,53 +484,24 @@ void SoftSwitch::flush_port_bin(Shard& sh, PortBin& bin) {
   // A non-empty backlog means some ring is full: enqueue behind it so this
   // destination's delivery order is preserved and the run loop keeps
   // ingress paused until the pressure clears.
-  if (!sh.egress_pending.empty()) {
-    for (net::PacketPtr& p : bin.pkts) {
-      append_backlog(sh, std::move(p), bin.id);
-    }
-    bin.pkts.clear();
-    return;
-  }
-  // The bin's byte count was summed as packets were binned, so a delivered
-  // packet is not read again here (unless traced).
-  const bool tracing = sh.index == 0 && cfg_.trace_recorder != nullptr;
   std::size_t i = 0;
-  if (multi_shard_) target->lock_tx();
+  if (dp_.egress_pending.empty()) {
+    i = deliver(*target, bin.pkts, bin.bytes);
+    // Ring full mid-bin: hold the tail and start the back-pressure clock.
+    if (i < bin.pkts.size()) dp_.egress_block_since = common::Now();
+  }
   for (; i < bin.pkts.size(); ++i) {
-    std::uint64_t tid = 0;
-    std::uint8_t thop = 0;
-    if (tracing) {
-      tid = bin.pkts[i]->trace_id;
-      thop = bin.pkts[i]->trace_hop;
-    }
-    if (!target->from_switch.try_push(std::move(bin.pkts[i]))) break;
-    if (tid != 0) record_span(tid, thop, trace::Stage::kSwitchOut);
-  }
-  if (multi_shard_) target->unlock_tx();
-  const std::size_t pushed = i;
-  std::uint64_t bytes = bin.bytes;
-  if (i < bin.pkts.size()) {
-    // Ring full mid-bin: hold the tail (the rejected push left the packet
-    // intact) and start the back-pressure clock.
-    sh.egress_block_since = common::Now();
-    for (; i < bin.pkts.size(); ++i) {
-      bytes -= bin.pkts[i]->wire_size();
-      append_backlog(sh, std::move(bin.pkts[i]), bin.id);
-    }
-  }
-  if (pushed != 0) {
-    target->tx_packets.fetch_add(pushed, std::memory_order_relaxed);
-    target->tx_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    append_backlog(std::move(bin.pkts[i]), bin.id);
   }
   bin.pkts.clear();
 }
 
-void SoftSwitch::flush_tunnel_bin(Shard& sh, TunnelBin& bin) {
+void SoftSwitch::flush_tunnel_bin(TunnelBin& bin) {
   // Hand the refcounted bin straight to the tunnel: the transport frames
   // each packet from its header and payload (the socket on its IO thread,
   // from iovecs), so a cross-host burst stays a burst, uncopied, end to end.
   const std::span<const net::PacketPtr> pkts(bin.pkts.data(), bin.pkts.size());
-  const bool tracing = sh.index == 0 && cfg_.trace_recorder != nullptr;
+  const bool tracing = cfg_.trace_recorder != nullptr;
   const auto span_out = [&](const net::PacketPtr& p) {
     if (tracing && p->trace_id != 0) {
       record_span(p->trace_id, p->trace_hop, trace::Stage::kSwitchOut);
@@ -616,71 +523,46 @@ void SoftSwitch::flush_tunnel_bin(Shard& sh, TunnelBin& bin) {
   bin.pkts.clear();
 }
 
-void SoftSwitch::flush_bins(Shard& sh) {
-  for (std::size_t i = 0; i < sh.bins.n_ports; ++i) {
-    flush_port_bin(sh, sh.bins.ports[i]);
+void SoftSwitch::flush_bins() {
+  for (std::size_t i = 0; i < dp_.bins.n_ports; ++i) {
+    flush_port_bin(dp_.bins.ports[i]);
   }
-  sh.bins.n_ports = 0;
-  for (std::size_t i = 0; i < sh.bins.n_tunnels; ++i) {
-    flush_tunnel_bin(sh, sh.bins.tunnels[i]);
+  dp_.bins.n_ports = 0;
+  for (std::size_t i = 0; i < dp_.bins.n_tunnels; ++i) {
+    flush_tunnel_bin(dp_.bins.tunnels[i]);
   }
-  sh.bins.n_tunnels = 0;
+  dp_.bins.n_tunnels = 0;
 }
 
-std::size_t SoftSwitch::drain_egress_backlog(Shard& sh) {
+std::size_t SoftSwitch::drain_egress_backlog() {
   std::size_t resolved = 0;
-  while (!sh.egress_pending.empty()) {
-    auto& [pkt, port] = sh.egress_pending.front();
-    PortHandle::Port* target = find_out_port(sh, port);
+  while (!dp_.egress_pending.empty()) {
+    auto& [pkt, port] = dp_.egress_pending.front();
+    PortHandle::Port* target = find_out_port(port);
     if (target == nullptr || !target->open.load(std::memory_order_relaxed)) {
-      sh.egress_pending.pop_front();  // port vanished with its packets
+      dp_.egress_pending.pop_front();  // port vanished with its packets
       ++resolved;
       continue;
     }
-    const std::size_t wire = pkt->wire_size();
-    const std::uint64_t tid = pkt->trace_id;
-    const std::uint8_t thop = pkt->trace_hop;
-    bool ok;
-    if (multi_shard_) target->lock_tx();
-    ok = target->from_switch.try_push(std::move(pkt));
-    if (multi_shard_) target->unlock_tx();
-    if (ok) {
-      target->tx_packets.fetch_add(1, std::memory_order_relaxed);
-      target->tx_bytes.fetch_add(wire, std::memory_order_relaxed);
-      if (tid != 0 && sh.index == 0 && cfg_.trace_recorder != nullptr) {
-        record_span(tid, thop, trace::Stage::kSwitchOut);
-      }
-      sh.egress_pending.pop_front();
-      sh.egress_block_since = common::Now();
+    if (deliver(*target, std::span(&pkt, 1), pkt->wire_size()) == 1) {
+      dp_.egress_pending.pop_front();
+      dp_.egress_block_since = common::Now();
       ++resolved;
       continue;
     }
-    if (common::Now() - sh.egress_block_since >= kEgressHold) {
+    if (common::Now() - dp_.egress_block_since >= kEgressHold) {
       // The receiver is wedged (paused or dead consumer): revert to the
       // at-most-once drop for the whole backlog so one port cannot stall
-      // the shard's forwarding indefinitely.
-      for (auto& [hp, hport] : sh.egress_pending) {
-        PortHandle::Port* t = find_out_port(sh, hport);
+      // the switch's forwarding indefinitely.
+      for (auto& [hp, hport] : dp_.egress_pending) {
+        PortHandle::Port* t = find_out_port(hport);
         if (t == nullptr) continue;
-        const std::size_t hw = hp->wire_size();
-        const std::uint64_t htid = hp->trace_id;
-        const std::uint8_t hthop = hp->trace_hop;
-        bool hok;
-        if (multi_shard_) t->lock_tx();
-        hok = t->from_switch.try_push(std::move(hp));
-        if (multi_shard_) t->unlock_tx();
-        if (hok) {
-          t->tx_packets.fetch_add(1, std::memory_order_relaxed);
-          t->tx_bytes.fetch_add(hw, std::memory_order_relaxed);
-          if (htid != 0 && sh.index == 0 && cfg_.trace_recorder != nullptr) {
-            record_span(htid, hthop, trace::Stage::kSwitchOut);
-          }
-        } else {
+        if (deliver(*t, std::span(&hp, 1), hp->wire_size()) == 0) {
           t->tx_dropped.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      resolved += sh.egress_pending.size();
-      sh.egress_pending.clear();
+      resolved += dp_.egress_pending.size();
+      dp_.egress_pending.clear();
     }
     break;
   }
@@ -690,7 +572,7 @@ std::size_t SoftSwitch::drain_egress_backlog(Shard& sh) {
 // ---- classification + action stages ----
 
 void SoftSwitch::apply_actions(
-    Shard& sh, const net::PacketPtr& p, PortId in_port, std::size_t wire,
+    const net::PacketPtr& p, PortId in_port, std::size_t wire,
     const std::vector<openflow::FlowAction>& actions) {
   net::PacketPtr current = p;
   HostId pending_tun_dst = 0;
@@ -700,15 +582,15 @@ void SoftSwitch::apply_actions(
     if (const auto* out = std::get_if<openflow::ActionOutput>(&a)) {
       if (out->port == kTunnelPort) {
         net::TunnelEndpoint* ep = nullptr;
-        for (const TunnelRef& t : *sh.tunnels) {
+        for (const TunnelRef& t : *dp_.tunnels) {
           if (!has_tun_dst || t.peer == pending_tun_dst) {
             ep = t.ep.get();
             break;
           }
         }
-        if (ep != nullptr) bin_to_tunnel(sh, current, ep);
+        if (ep != nullptr) bin_to_tunnel(current, ep);
       } else {
-        bin_output(sh, current, out->port, wire);
+        bin_to_port(current, out->port, wire);
       }
     } else if (std::holds_alternative<openflow::ActionOutputController>(a)) {
       emit_event(openflow::PacketIn{current, in_port});
@@ -716,18 +598,18 @@ void SoftSwitch::apply_actions(
       pending_tun_dst = tun->host;
       has_tun_dst = true;
     } else if (const auto* grp = std::get_if<openflow::ActionGroup>(&a)) {
-      // Group state comes from the shard's private copy — no table lock,
-      // no bucket copies. Select-group WRR credit lives in that copy and is
-      // only advanced here, on this shard's thread.
-      const auto type = sh.groups.type(grp->group_id);
+      // Group state comes from the forwarding thread's private copy — no
+      // table lock, no bucket copies. Select-group WRR credit lives in that
+      // copy and is only advanced here.
+      const auto type = dp_.groups.type(grp->group_id);
       if (!type) continue;
       if (*type == openflow::GroupType::kSelect) {
-        if (const auto* b = sh.groups.select(grp->group_id)) {
-          apply_actions(sh, current, in_port, wire, b->actions);
+        if (const auto* b = dp_.groups.select(grp->group_id)) {
+          apply_actions(current, in_port, wire, b->actions);
         }
-      } else if (const auto* bs = sh.groups.buckets(grp->group_id)) {
+      } else if (const auto* bs = dp_.groups.buckets(grp->group_id)) {
         for (const openflow::GroupBucket& b : *bs) {
-          apply_actions(sh, current, in_port, wire, b.actions);
+          apply_actions(current, in_port, wire, b.actions);
         }
       }
     } else if (const auto* rw = std::get_if<openflow::ActionSetDlDst>(&a)) {
@@ -739,24 +621,23 @@ void SoftSwitch::apply_actions(
   }
 }
 
-std::size_t SoftSwitch::process_burst(Shard& sh,
-                                      std::span<net::PacketPtr> pkts,
+std::size_t SoftSwitch::process_burst(std::span<net::PacketPtr> pkts,
                                       PortId in_port,
                                       PortHandle::Port* rx_port) {
   if (pkts.empty()) return 0;
   const std::size_t n = pkts.size();
-  const bool tracing = sh.index == 0 && cfg_.trace_recorder != nullptr;
-  adopt(sh);
+  const bool tracing = cfg_.trace_recorder != nullptr;
+  adopt();
 
   // Wire sizes first, in one tight pass: every byte counter below (port
   // RX, rule, port TX) uses them, so no stage after classification reads
   // a packet again (a header may share its cache line with a refcount
   // other cores are writing).
-  sh.wire.resize(n);
+  dp_.wire.resize(n);
   std::uint64_t rx_bytes = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    sh.wire[i] = pkts[i]->wire_size();
-    rx_bytes += sh.wire[i];
+    dp_.wire[i] = pkts[i]->wire_size();
+    rx_bytes += dp_.wire[i];
   }
   if (rx_port != nullptr) {
     rx_port->rx_packets.fetch_add(n, std::memory_order_relaxed);
@@ -766,22 +647,22 @@ std::size_t SoftSwitch::process_burst(Shard& sh,
   // Stage 1: whole-burst key extraction + microflow probe. Raw action and
   // stat pointers are captured immediately: a stage-2 insert may evict the
   // probed cache entry, but the pointed-to objects belong to the flow
-  // snapshot of the adopted View, which `sh.view` pins for the whole burst.
-  sh.keys.resize(n);
-  sh.resolved.assign(n, Resolved{});
-  sh.miss_idx.clear();
-  sh.miss_dups.clear();
+  // snapshot of the adopted View, which `dp_.view` pins for the whole burst.
+  dp_.keys.resize(n);
+  dp_.resolved.assign(n, Resolved{});
+  dp_.miss_idx.clear();
+  dp_.miss_dups.clear();
   std::uint64_t cache_hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const net::Packet& p = *pkts[i];
     if (tracing && p.trace_id != 0) {
       record_span(p.trace_id, p.trace_hop, trace::Stage::kSwitchIn);
     }
-    sh.keys[i] = MicroflowKey{in_port, p.ether_type, p.src.packed(),
+    dp_.keys[i] = MicroflowKey{in_port, p.ether_type, p.src.packed(),
                               p.dst.packed()};
     if (MicroflowCache::Entry* e =
-            sh.mcache.probe(sh.keys[i], sh.table_epoch)) {
-      sh.resolved[i] = {e->actions.get(), e->stats.get()};
+            dp_.mcache.probe(dp_.keys[i], dp_.table_epoch)) {
+      dp_.resolved[i] = {e->actions.get(), e->stats.get()};
       ++cache_hits;
       continue;
     }
@@ -790,54 +671,54 @@ std::size_t SoftSwitch::process_burst(Shard& sh,
     // 2). They count as cache hits — like the per-packet path, a flow pays
     // one compulsory miss per table epoch, not one per burst position.
     std::size_t u = 0;
-    for (; u < sh.miss_idx.size(); ++u) {
-      if (sh.keys[sh.miss_idx[u]] == sh.keys[i]) break;
+    for (; u < dp_.miss_idx.size(); ++u) {
+      if (dp_.keys[dp_.miss_idx[u]] == dp_.keys[i]) break;
     }
-    if (u < sh.miss_idx.size()) {
-      sh.miss_dups.emplace_back(i, u);
+    if (u < dp_.miss_idx.size()) {
+      dp_.miss_dups.emplace_back(i, u);
     } else {
-      sh.miss_idx.push_back(i);
+      dp_.miss_idx.push_back(i);
     }
   }
-  sh.mcache.count_hits(cache_hits + sh.miss_dups.size());
-  sh.mcache.count_misses(sh.miss_idx.size());
+  dp_.mcache.count_hits(cache_hits + dp_.miss_dups.size());
+  dp_.mcache.count_misses(dp_.miss_idx.size());
 
   // Stage 2: one shared wildcard pass resolves every miss, then the
   // microflows are installed in bulk (negative entries included — known
   // drops are cached too).
-  if (!sh.miss_idx.empty()) {
-    sh.miss_pkts.clear();
-    for (const std::size_t idx : sh.miss_idx) {
-      sh.miss_pkts.push_back(pkts[idx].get());
+  if (!dp_.miss_idx.empty()) {
+    dp_.miss_pkts.clear();
+    for (const std::size_t idx : dp_.miss_idx) {
+      dp_.miss_pkts.push_back(pkts[idx].get());
     }
-    sh.miss_hits.assign(sh.miss_idx.size(), nullptr);
-    sh.view->flows->lookup_batch(
-        std::span<const net::Packet* const>(sh.miss_pkts), in_port,
-        std::span<const openflow::FlowSnapshotEntry*>(sh.miss_hits));
-    for (std::size_t j = 0; j < sh.miss_idx.size(); ++j) {
-      const openflow::FlowSnapshotEntry* hit = sh.miss_hits[j];
-      sh.mcache.insert(sh.keys[sh.miss_idx[j]], sh.table_epoch,
+    dp_.miss_hits.assign(dp_.miss_idx.size(), nullptr);
+    dp_.view->flows->lookup_batch(
+        std::span<const net::Packet* const>(dp_.miss_pkts), in_port,
+        std::span<const openflow::FlowSnapshotEntry*>(dp_.miss_hits));
+    for (std::size_t j = 0; j < dp_.miss_idx.size(); ++j) {
+      const openflow::FlowSnapshotEntry* hit = dp_.miss_hits[j];
+      dp_.mcache.insert(dp_.keys[dp_.miss_idx[j]], dp_.table_epoch,
                        hit ? hit->actions : openflow::SharedActions::Ptr{},
                        hit ? hit->stats : nullptr);
       if (hit != nullptr) {
-        sh.resolved[sh.miss_idx[j]] = {hit->actions.get(), hit->stats.get()};
+        dp_.resolved[dp_.miss_idx[j]] = {hit->actions.get(), hit->stats.get()};
       }
     }
-    for (const auto& [i, u] : sh.miss_dups) {
-      sh.resolved[i] = sh.resolved[sh.miss_idx[u]];
+    for (const auto& [i, u] : dp_.miss_dups) {
+      dp_.resolved[i] = dp_.resolved[dp_.miss_idx[u]];
     }
   }
 
   // Stage 3: account + act, binning outputs by destination.
   std::size_t forwarded = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const Resolved& r = sh.resolved[i];
+    const Resolved& r = dp_.resolved[i];
     net::PacketPtr p = std::move(pkts[i]);
     if (r.actions == nullptr) continue;  // table miss: drop
     ++forwarded;
     if (r.stats != nullptr) {
       r.stats->packets.fetch_add(1, std::memory_order_relaxed);
-      r.stats->bytes.fetch_add(sh.wire[i], std::memory_order_relaxed);
+      r.stats->bytes.fetch_add(dp_.wire[i], std::memory_order_relaxed);
     }
     const auto& actions = *r.actions;
     // Fast path for the dominant rule shape (single output to a local
@@ -845,44 +726,43 @@ std::size_t SoftSwitch::process_burst(Shard& sh,
     if (actions.size() == 1) {
       if (const auto* out = std::get_if<openflow::ActionOutput>(&actions[0]);
           out != nullptr && out->port != kTunnelPort) {
-        bin_output(sh, std::move(p), out->port, sh.wire[i]);
+        bin_to_port(std::move(p), out->port, dp_.wire[i]);
         continue;
       }
     }
-    apply_actions(sh, p, in_port, sh.wire[i], actions);
+    apply_actions(p, in_port, dp_.wire[i], actions);
   }
-  flush_bins(sh);
+  flush_bins();
   return forwarded;
 }
 
-// ---- the shard run loop ----
+// ---- the run loop ----
 
-bool SoftSwitch::shard_has_work(const Shard& sh) const {
+bool SoftSwitch::has_work() const {
   if (!running_.load(std::memory_order_relaxed)) return true;  // wake to exit
-  if (!sh.egress_pending.empty()) return true;
+  if (!dp_.egress_pending.empty()) return true;
   // A newer View counts as work: a just-attached port or tunnel may hold
   // traffic the adopted View can't see yet (likewise a just-changed rate-
   // shaper map).
-  if (gen_.load(std::memory_order_acquire) != sh.generation) return true;
-  for (const auto& [id, port] : sh.ports->poll[sh.index]) {
+  if (gen_.load(std::memory_order_acquire) != dp_.generation) return true;
+  for (const auto& [id, port] : dp_.ports->poll) {
     if (port->to_switch.empty()) continue;
     // A throttled port with an empty bucket is not pollable work: parking
     // is what bounds the shaper's spin, and the park timeout (<= 10 ms)
     // bounds the refill latency.
-    if (sh.rates != nullptr) {
-      auto it = sh.rates->find(id);
-      if (it != sh.rates->end() && !it->second->bucket.ready()) continue;
+    if (dp_.rates != nullptr) {
+      auto it = dp_.rates->find(id);
+      if (it != dp_.rates->end() && !it->second->bucket.ready()) continue;
     }
     return true;
   }
-  for (const TunnelRef& t : sh.view->tunnels->rx[sh.index]) {
+  for (const TunnelRef& t : *dp_.tunnels) {
     if (t.ep->rx_queue_depth() != 0) return true;
   }
-  if (sh.index == 0 && injected_.size() != 0) return true;
-  return false;
+  return injected_.size() != 0;
 }
 
-void SoftSwitch::run_shard(Shard& sh) {
+void SoftSwitch::run() {
   std::uint32_t idle_streak = 0;
 
   while (running_.load(std::memory_order_relaxed)) {
@@ -891,20 +771,20 @@ void SoftSwitch::run_shard(Shard& sh) {
 
     // Adopt the latest View. Bursts adopt again at their start;
     // `loop_view` keeps this one alive for the poll lists below.
-    adopt(sh);
-    if (sh.loop_view != sh.view) sh.loop_view = sh.view;
-    const View* view = sh.loop_view.get();
+    adopt();
+    if (dp_.loop_view != dp_.view) dp_.loop_view = dp_.view;
+    const View* view = dp_.loop_view.get();
 
     // Held egress goes first; while any remains, ingress polling stays
     // paused so a full downstream ring turns into upstream ring pressure
     // (the sender's back-pressure loop) instead of silent drops.
-    if (!sh.egress_pending.empty()) work += drain_egress_backlog(sh);
+    if (!dp_.egress_pending.empty()) work += drain_egress_backlog();
 
-    if (sh.egress_pending.empty()) {
-      // Stage 0: bulk-dequeue a burst per owned port and run it through the
+    if (dp_.egress_pending.empty()) {
+      // Stage 0: bulk-dequeue a burst per port and run it through the
       // batched pipeline. Port counters flush once per burst.
-      const RateMap* rates = sh.rates;  // backed by loop_view
-      for (const auto& [id, port] : view->ports->poll[sh.index]) {
+      const RateMap* rates = dp_.rates;  // backed by loop_view
+      for (const auto& [id, port] : view->ports->poll) {
         // QoS ingress shaping: an empty token bucket defers this port's
         // poll round entirely (never drops — the ring holds the frames and
         // the worker's send loop feels the pressure). Admission is debt-
@@ -921,108 +801,100 @@ void SoftSwitch::run_shard(Shard& sh) {
           }
           continue;
         }
-        sh.port_burst.clear();
+        dp_.port_burst.clear();
         const std::size_t n = port->to_switch.pop_bulk(
-            std::back_inserter(sh.port_burst), cfg_.poll_burst);
+            std::back_inserter(dp_.port_burst), cfg_.poll_burst);
         if (n == 0) continue;
         work += n;
         if (rl != nullptr) {
-          const std::uint64_t bytes = WireBytes(sh.port_burst);
+          const std::uint64_t bytes = WireBytes(dp_.port_burst);
           rl->bucket.spend(static_cast<double>(bytes));
           rl->shaped_bytes.fetch_add(bytes, std::memory_order_relaxed);
         }
         // Shape by the View adopted after the pop, so a packet sent after
         // an impairment was set always meets it.
-        adopt(sh);
-        GuardedShaper* shaper = nullptr;
-        if (sh.ingress_impair != nullptr) {
-          auto it = sh.ingress_impair->find(id);
-          if (it != sh.ingress_impair->end()) shaper = it->second.get();
+        adopt();
+        PacketShaper* shaper = nullptr;
+        if (dp_.impair != nullptr) {
+          auto it = dp_.impair->find(id);
+          if (it != dp_.impair->end()) shaper = it->second.get();
         }
         if (shaper == nullptr) {
           // The pipeline accounts the port's RX in its header pass.
-          forwarded += process_burst(
-              sh, std::span<net::PacketPtr>(sh.port_burst), id, port.get());
+          forwarded += process_burst(std::span<net::PacketPtr>(dp_.port_burst),
+                                     id, port.get());
         } else {
           // RX counts what the port received, before impairment. Then shape
           // the whole burst (one admit per frame, in order — the draw
           // schedule is identical to the per-packet path) and pipeline
-          // whatever survived. Only this shard polls the port, so the guard
-          // is uncontended; taken once per burst.
+          // whatever survived.
           port->rx_packets.fetch_add(n, std::memory_order_relaxed);
-          port->rx_bytes.fetch_add(WireBytes(sh.port_burst),
+          port->rx_bytes.fetch_add(WireBytes(dp_.port_burst),
                                    std::memory_order_relaxed);
-          sh.ingress_scratch.clear();
-          {
-            std::lock_guard ilk(shaper->mu);
-            for (net::PacketPtr& p : sh.port_burst) {
-              shaper->shaper.admit(std::move(p), sh.ingress_scratch,
-                                   CorruptPacket);
-            }
+          dp_.ingress_scratch.clear();
+          for (net::PacketPtr& p : dp_.port_burst) {
+            shaper->admit(std::move(p), dp_.ingress_scratch, CorruptPacket);
           }
           forwarded += process_burst(
-              sh, std::span<net::PacketPtr>(sh.ingress_scratch), id);
-          sh.ingress_scratch.clear();
+              std::span<net::PacketPtr>(dp_.ingress_scratch), id);
+          dp_.ingress_scratch.clear();
         }
-        sh.port_burst.clear();
+        dp_.port_burst.clear();
       }
 
-      // Tunnel ingress for owned endpoints: burst-decode into pool
-      // checkouts (recycled payload buffers — steady RX allocates
-      // nothing). Spares survive empty polls untouched.
-      for (const TunnelRef& t : view->tunnels->rx[sh.index]) {
-        while (sh.rx_spares.size() < cfg_.poll_burst) {
-          sh.rx_spares.push_back(sh.rx_pool->acquire_raw());
+      // Tunnel ingress: burst-decode into pool checkouts (recycled payload
+      // buffers — steady RX allocates nothing). Spares survive empty polls
+      // untouched.
+      for (const TunnelRef& t : *view->tunnels) {
+        while (dp_.rx_spares.size() < cfg_.poll_burst) {
+          dp_.rx_spares.push_back(dp_.rx_pool->acquire_raw());
         }
         const std::size_t n = t.ep->try_recv_burst(
-            std::span<net::Packet*>(sh.rx_spares.data(), cfg_.poll_burst));
+            std::span<net::Packet*>(dp_.rx_spares.data(), cfg_.poll_burst));
         if (n == 0) continue;
-        sh.tun_burst.clear();
+        dp_.tun_burst.clear();
         for (std::size_t i = 0; i < n; ++i) {
-          net::PacketPtr pkt = net::PacketPtr::adopt(sh.rx_spares[i]);
-          if (sh.index == 0 && pkt->trace_id != 0 &&
-              cfg_.trace_recorder != nullptr) {
+          net::PacketPtr pkt = net::PacketPtr::adopt(dp_.rx_spares[i]);
+          if (pkt->trace_id != 0 && cfg_.trace_recorder != nullptr) {
             record_span(pkt->trace_id, pkt->trace_hop,
                         trace::Stage::kTunnelRx);
           }
-          sh.tun_burst.push_back(std::move(pkt));
+          dp_.tun_burst.push_back(std::move(pkt));
         }
-        sh.rx_spares.erase(sh.rx_spares.begin(), sh.rx_spares.begin() + n);
-        forwarded += process_burst(
-            sh, std::span<net::PacketPtr>(sh.tun_burst), kTunnelPort);
-        sh.tun_burst.clear();
+        dp_.rx_spares.erase(dp_.rx_spares.begin(), dp_.rx_spares.begin() + n);
+        forwarded += process_burst(std::span<net::PacketPtr>(dp_.tun_burst),
+                                   kTunnelPort);
+        dp_.tun_burst.clear();
         work += n;
       }
     }
 
-    if (sh.index == 0) {
-      // Controller-injected packets (PacketOut) bypass the ingress pause:
-      // control traffic is sparse and the backlog cap bounds the stash.
-      for (std::size_t i = 0; i < cfg_.poll_burst; ++i) {
-        auto item = injected_.try_pop();
-        if (!item) break;
-        net::PacketPtr pkt = std::move(item->first);
-        forwarded += process_burst(sh, std::span<net::PacketPtr>(&pkt, 1),
-                                   item->second);
-        ++work;
-      }
+    // Controller-injected packets (PacketOut) bypass the ingress pause:
+    // control traffic is sparse and the backlog cap bounds the stash.
+    for (std::size_t i = 0; i < cfg_.poll_burst; ++i) {
+      auto item = injected_.try_pop();
+      if (!item) break;
+      net::PacketPtr pkt = std::move(item->first);
+      forwarded +=
+          process_burst(std::span<net::PacketPtr>(&pkt, 1), item->second);
+      ++work;
     }
 
     if (forwarded != 0) {
-      sh.forwarded.fetch_add(forwarded, std::memory_order_relaxed);
+      dp_.forwarded.fetch_add(forwarded, std::memory_order_relaxed);
     }
 
     // Idle strategy: spin briefly (traffic is bursty — the next packet
     // usually follows immediately), back off exponentially to a 250µs
-    // sleep, then park on the gate so a long-idle shard burns no CPU at
+    // sleep, then park on the gate so a long-idle switch burns no CPU at
     // all. A blocked egress backlog never parks (the held packets need
     // retries) and skips the spin phase: the receiver needs the CPU more
     // than we need latency.
     if (work == 0) {
       ++idle_streak;
-      if (!sh.egress_pending.empty() || idle_streak > kParkStreak) {
-        if (sh.egress_pending.empty()) {
-          sh.gate->park(kParkTimeout, [&] { return shard_has_work(sh); });
+      if (!dp_.egress_pending.empty() || idle_streak > kParkStreak) {
+        if (dp_.egress_pending.empty()) {
+          gate_->park(kParkTimeout, [&] { return has_work(); });
         } else {
           std::this_thread::sleep_for(std::chrono::microseconds(250));
         }
@@ -1041,10 +913,10 @@ void SoftSwitch::run_shard(Shard& sh) {
   }
 
   // Return the spare tunnel-RX checkouts to the pool.
-  for (net::Packet* spare : sh.rx_spares) {
+  for (net::Packet* spare : dp_.rx_spares) {
     net::PacketPtr::adopt(spare);
   }
-  sh.rx_spares.clear();
+  dp_.rx_spares.clear();
 }
 
 }  // namespace typhoon::switchd

@@ -1,16 +1,13 @@
 // SoftSwitch — the per-host software SDN switch (DPDK-OVS analog, Fig 3/7).
 //
 // Workers attach to the switch through SPSC packet rings (the DPDK shared-
-// memory ring ports of the paper). The datapath is N independent forwarding
-// shards (cfg.shards, default 1), each a thread that owns a static RSS-style
-// hash partition of ports and tunnel peers. A shard owns its own microflow
-// cache, RX packet pool, egress backlog, and stat counters — there is no
-// shared mutable hot state between shards; cross-shard reads (packet
-// counts, cache hit rates) aggregate per-shard relaxed counters on demand.
+// memory ring ports of the paper). One forwarding thread per switch polls
+// every port ring and tunnel and owns all of the datapath's hot state: the
+// microflow cache, the tunnel-RX packet pool, the egress backlog and the
+// stat counters. Other threads read the counters (relaxed atomics) only.
 //
-// Inside a shard, the loop is stage-batched over bursts of up to
-// cfg.poll_burst frames (the DPDK/OVS burst idiom the paper's data plane
-// rides):
+// The loop is stage-batched over bursts of up to cfg.poll_burst frames (the
+// DPDK/OVS burst idiom the paper's data plane rides):
 //   1. bulk dequeue — one ring-synchronization round drains a whole burst
 //      from a worker ring (SpscRing::pop_bulk) or a tunnel
 //      (TunnelEndpoint::try_recv_burst into pooled packets);
@@ -20,46 +17,45 @@
 //      installed in bulk;
 //   3. egress coalescing — action application bins packets by destination
 //      (local port or tunnel endpoint); each bin flushes once per burst:
-//      tunnels via try_send_burst, port rings under a single cross-shard
-//      TX lock round with per-bin (not per-packet) stat flushes. Binning
-//      preserves per-destination FIFO: packets enter a bin in processing
-//      order and each bin flushes in order, once, before the next burst.
+//      tunnels via try_send_burst, port rings with per-bin (not per-packet)
+//      stat flushes. Binning preserves per-destination FIFO: packets enter
+//      a bin in processing order and each bin flushes in order, once,
+//      before the next burst.
 //
 // Forwarding fast path (DESIGN.md "Forwarding fast path"): classification
-// is two-tier and lock-free. Tier 1 is an exact-match microflow cache (one
-// per shard) mapping the header tuple straight to the rule's shared action
-// list. Tier 2 is the immutable flow snapshot of the switch's one published
-// View.
+// is two-tier and lock-free. Tier 1 is an exact-match microflow cache
+// mapping the header tuple straight to the rule's shared action list.
+// Tier 2 is the immutable flow snapshot of the switch's one published View.
 //
 // The View is the switch's whole control state: flow snapshot and group
-// table, ports with the output tables and each shard's poll list, tunnels
-// with each shard's RX list, impairment shapers and ingress rate shapers.
-// Control-plane calls build the next View under `mu_` (parts they do not
-// change are shared, not copied) and publish it with one atomic generation.
-// A shard adopts the latest View with one compare at the top of its loop
-// and at the start of each burst, so a packet popped after a change was
-// published is processed against that change. Microflow entries are stamped
-// with the View's table epoch, which only flow and group changes advance:
-// attaching a port or changing a shaper leaves every cached microflow warm.
-// Shards keep a private copy of the group table, re-copied only when the
-// View's groups change, so select-group WRR credit stays single-writer per
-// shard; everything else in the View is shared read-only.
+// table, ports with the output tables and the poll list, tunnels, ingress
+// impairment shapers and ingress rate shapers. Control-plane calls build the
+// next View under `mu_` (parts they do not change are shared, not copied)
+// and publish it with one atomic generation. The forwarding thread adopts
+// the latest View with one compare at the top of its loop and at the start
+// of each burst, so a packet popped after a change was published is
+// processed against that change. Microflow entries are stamped with the
+// View's table epoch, which only flow and group changes advance: attaching
+// a port or changing a shaper leaves every cached microflow warm. The
+// thread keeps a private copy of the group table, re-copied only when the
+// View's groups change, so select-group WRR credit has one writer;
+// everything else in the View is shared read-only.
 //
-// A full egress ring does not drop: the shard holds the packet and pauses
+// A full egress ring does not drop: the thread holds the packet and pauses
 // its ingress polling so the pressure reaches senders' back-pressure loops;
 // only a backlog older than `kEgressHold` reverts to the at-most-once drop
 // (see DESIGN.md "End-to-end back-pressure"). A tunnel bin that meets a
 // full tunnel sends the frame at its head with the blocking send, then
-// resumes bursting, keeping the pre-shard TCP back-pressure semantics.
+// resumes bursting, keeping the TCP back-pressure semantics.
 //
-// Idle shards park: after a short spin-then-backoff ramp, a shard blocks on
-// its WakeupGate, signaled by worker ring pushes, peer tunnel enqueues, and
-// controller PacketOut injection — so an idle N-shard switch burns ~zero
-// CPU instead of N spinning cores.
+// An idle switch parks: after a short spin-then-backoff ramp, the thread
+// blocks on the switch's WakeupGate, signaled by worker ring pushes, peer
+// tunnel enqueues, and controller PacketOut injection — so an idle switch
+// burns ~zero CPU instead of a spinning core.
 //
 // Control-plane calls (rule bundles, PacketOut, stats) may come from
-// any thread; they serialize on `mu_`, which a shard takes only to adopt a
-// newly published View.
+// any thread; they serialize on `mu_`, which the forwarding thread takes
+// only to adopt a newly published View.
 #pragma once
 
 #include <atomic>
@@ -76,7 +72,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/hash.h"
 #include "common/ids.h"
 #include "common/mpmc_queue.h"
 #include "common/spsc_ring.h"
@@ -99,8 +94,9 @@ namespace typhoon::switchd {
 // ring from it. Obtained from SoftSwitch::attach_port.
 class PortHandle {
  public:
-  // Send a packet into the switch. False = ring full (packet dropped by the
-  // caller; mirrors NIC TX-queue overflow).
+  // Send a packet into the switch; wakes the forwarding thread if it may be
+  // parked. False = ring full or port detached (the caller keeps or drops
+  // the packet; mirrors NIC TX-queue overflow).
   bool send(net::PacketPtr p);
   // True once the switch has detached this port (no further sends succeed).
   [[nodiscard]] bool closed() const;
@@ -127,14 +123,8 @@ struct SoftSwitchConfig {
   // Max packets drained per port per poll round — also the batch width of
   // the classify and egress-coalescing stages.
   std::size_t poll_burst = 64;
-  // Forwarding shards (threads). Each shard owns a static hash partition
-  // of ports and tunnel peers with fully private hot state. 1 (default)
-  // keeps the classic single-threaded datapath.
-  std::size_t shards = 1;
-  // Cross-layer tracing ring (single writer by contract): switch-level
-  // spans are recorded by shard 0 only, so multi-shard switches trace the
-  // shard-0 partition and the default single-shard config traces
-  // everything, unchanged. Null disables switch-level spans.
+  // Cross-layer tracing ring (single writer by contract): the forwarding
+  // thread records the switch-level spans. Null disables them.
   std::shared_ptr<trace::FlightRecorder> trace_recorder;
 };
 
@@ -157,20 +147,16 @@ class SoftSwitch : public SwitchControl {
   void detach_port(PortId port) override;
 
   // Register the tunnel endpoint that reaches `peer`. All tunnels share the
-  // single logical tunnel port (Table 3's "tunneling port"); RX polling for
-  // the endpoint lands on the shard owning `peer`'s hash.
+  // single logical tunnel port (Table 3's "tunneling port").
   void add_tunnel(HostId peer, std::shared_ptr<net::TunnelEndpoint> ep);
 
   // ---- fault injection ----
-  // Attach a deterministic impairment stage to one direction of a port:
-  // ingress shapes worker->switch traffic as it is polled, egress shapes
-  // switch->worker delivery (including controller PacketOut control
-  // tuples). Returns the decision engine for counter probes; valid until
-  // the impairment is cleared or the switch destroyed. Thread-safe; the
-  // forwarding path pays nothing while no impairment is configured.
+  // Attach a deterministic impairment stage to a port's ingress: it shapes
+  // worker->switch traffic as the port is polled. Returns the decision
+  // engine for counter probes; valid until the impairment is cleared or the
+  // switch destroyed. Thread-safe; the forwarding path pays nothing while no
+  // impairment is configured.
   faultinject::Impairment* set_port_ingress_impairment(
-      PortId port, const faultinject::ImpairmentConfig& cfg);
-  faultinject::Impairment* set_port_egress_impairment(
       PortId port, const faultinject::ImpairmentConfig& cfg);
   void clear_port_impairments(PortId port);
 
@@ -178,7 +164,7 @@ class SoftSwitch : public SwitchControl {
   // Cap the byte rate at which the port's worker->switch ring is polled
   // (the worker's egress into the fabric — the shaper actuator the QoS
   // controller app programs). Debt-based and lossless: when the port's
-  // token bucket is empty the shard defers polling it, so pressure backs up
+  // token bucket is empty the switch defers polling it, so pressure backs up
   // into the SPSC ring and the worker's own send loop instead of dropping.
   // 0 clears the cap. Thread-safe; the unshaped fast path pays one relaxed
   // load. A live rate change re-seeds tokens proportionally, binding within
@@ -198,8 +184,8 @@ class SoftSwitch : public SwitchControl {
 
   // ---- OpenFlow control interface (SwitchControl) ----
   // One lock, one flow-table rebuild and one View publish per bundle; the
-  // table epoch (and so every shard's microflow cache) moves only when the
-  // bundle changed a rule or a group.
+  // table epoch (and so the microflow cache) moves only when the bundle
+  // changed a rule or a group.
   void apply(const openflow::Bundle& b) override;
   void handle_packet_out(const openflow::PacketOut& po) override;
   [[nodiscard]] std::vector<openflow::PortStats> port_stats() const override;
@@ -212,28 +198,16 @@ class SoftSwitch : public SwitchControl {
   void set_event_sink(std::function<void(HostId, SwitchEvent)> sink) override;
 
   [[nodiscard]] HostId host() const override { return cfg_.host; }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
-  // Static port→shard partition (RSS analog: hash of the port id). Public
-  // so tests and benches can place traffic on specific shards.
-  static std::size_t ShardOfPort(PortId port, std::size_t shards) {
-    return shards <= 1
-               ? 0
-               : static_cast<std::size_t>(common::SplitMix64(port)) % shards;
+  // Total packets forwarded through the pipeline (all ports).
+  [[nodiscard]] std::uint64_t packets_forwarded() const {
+    return dp_.forwarded.load(std::memory_order_relaxed);
   }
-  static std::size_t ShardOfPeer(HostId peer, std::size_t shards) {
-    return shards <= 1
-               ? 0
-               : static_cast<std::size_t>(common::SplitMix64(
-                     0x9e3779b97f4a7c15ull ^ peer)) %
-                     shards;
+  // Microflow-cache accounting (hits include cached drops).
+  [[nodiscard]] std::uint64_t cache_hits() const { return dp_.mcache.hits(); }
+  [[nodiscard]] std::uint64_t cache_misses() const {
+    return dp_.mcache.misses();
   }
-
-  // Total packets forwarded through the pipeline (all ports, all shards).
-  [[nodiscard]] std::uint64_t packets_forwarded() const;
-  // Microflow-cache accounting across shards (hits include cached drops).
-  [[nodiscard]] std::uint64_t cache_hits() const;
-  [[nodiscard]] std::uint64_t cache_misses() const;
   // Table epoch of the published View: the stamp of warm microflow
   // entries, advanced only by flow and group changes.
   [[nodiscard]] std::uint64_t table_epoch() const {
@@ -252,24 +226,14 @@ class SoftSwitch : public SwitchControl {
     std::shared_ptr<net::TunnelEndpoint> ep;
   };
 
+  // Ingress impairment shapers by port. Shaper::admit is single-threaded by
+  // contract; only the forwarding thread calls it.
   using PacketShaper = faultinject::Shaper<net::PacketPtr>;
-  // A shaper plus the mutex serializing admit() on it. Shaper itself is
-  // single-threaded by contract, but a port's *egress* shaper is shared by
-  // every shard (any shard may output to any port), so shaping calls take
-  // the guard. Uncontended in the single-shard config and on ingress
-  // shapers (driven only by the port-owning shard), and only touched while
-  // an impairment is configured.
-  struct GuardedShaper {
-    explicit GuardedShaper(const faultinject::ImpairmentConfig& cfg)
-        : shaper(cfg) {}
-    std::mutex mu;
-    PacketShaper shaper;
-  };
-  using ImpairMap = std::unordered_map<PortId, std::shared_ptr<GuardedShaper>>;
+  using ImpairMap = std::unordered_map<PortId, std::shared_ptr<PacketShaper>>;
 
   // One port's programmed ingress rate cap plus its accounting. The bucket
-  // has internal locking (set_rate races the polling shard); counters are
-  // relaxed atomics written by the owning shard only.
+  // has internal locking (set_rate races the forwarding thread); counters
+  // are relaxed atomics written by the forwarding thread only.
   struct PortRateShaper {
     explicit PortRateShaper(double bps)
         : bucket(bps, common::kByteBurstFloor) {}
@@ -283,23 +247,16 @@ class SoftSwitch : public SwitchControl {
       std::vector<std::pair<PortId, std::shared_ptr<PortHandle::Port>>>;
 
   // The attached ports plus what the forwarding path derives from them:
-  // the output tables (any shard may output to any port; the raw pointers
-  // are backed by `map`) and each shard's poll list, indexed by shard.
+  // the output tables (the raw pointers are backed by `map`) and the poll
+  // list.
   struct PortView {
     PortMap map;
     std::vector<PortHandle::Port*> out_dense;
     std::unordered_map<PortId, PortHandle::Port*> out_sparse;
-    std::vector<PollList> poll;
+    PollList poll;
   };
-  // Every tunnel (egress binning) and each shard's RX list.
-  struct TunnelView {
-    std::vector<TunnelRef> all;
-    std::vector<std::vector<TunnelRef>> rx;
-  };
-  struct ImpairView {
-    ImpairMap ingress;
-    ImpairMap egress;
-  };
+  // Every tunnel: the RX poll list and the egress binning targets.
+  using TunnelList = std::vector<TunnelRef>;
 
   // The switch's whole control state, immutable once published. A change
   // copies the View and replaces only the part it touches; the rest stays
@@ -313,13 +270,13 @@ class SoftSwitch : public SwitchControl {
     std::shared_ptr<const openflow::FlowSnapshot> flows;
     std::shared_ptr<const openflow::GroupTable> groups;
     std::shared_ptr<const PortView> ports;
-    std::shared_ptr<const TunnelView> tunnels;
-    std::shared_ptr<const ImpairView> impair;
+    std::shared_ptr<const TunnelList> tunnels;
+    std::shared_ptr<const ImpairMap> impair;
     std::shared_ptr<const RateMap> rates;
   };
 
   // Classification result for one packet of a burst. The raw pointers are
-  // owned by the shard's adopted View (actions/stats live in the
+  // owned by the adopted View (actions/stats live in the
   // FlowSnapshot entries), so they stay valid for the whole burst even if
   // a later microflow insert evicts the cache entry they came from.
   struct Resolved {
@@ -346,43 +303,34 @@ class SoftSwitch : public SwitchControl {
     std::size_t n_tunnels = 0;
   };
 
-  // One forwarding shard: a thread plus all of its private hot state.
-  struct Shard {
-    explicit Shard(std::size_t idx) : index(idx) {}
-
-    const std::size_t index;
+  // The forwarding thread's hot state. Everything but the counters the
+  // stat getters read (relaxed atomics) is touched by that thread only.
+  struct Datapath {
     MicroflowCache mcache;
-    // Parking gate; shared so ports/tunnels outliving the switch can still
-    // hold a (now inert) reference safely.
-    std::shared_ptr<common::WakeupGate> gate =
-        std::make_shared<common::WakeupGate>();
 
-    // ---- forwarding-thread state (this shard's thread only) ----
     // The adopted View; replaced only at loop and burst boundaries, so the
     // Port* in egress bins stay backed for the whole burst.
     std::shared_ptr<const View> view;
     // What the per-packet path reads of `view`, copied out at adoption so
-    // steady-state forwarding reads only this shard's own memory, not the
-    // shared View. A null map is empty in the View.
+    // steady-state forwarding does not chase the View's pointers. A null
+    // map is empty in the View.
     std::uint64_t generation = 0;
     std::uint64_t table_epoch = 0;
     const PortView* ports = nullptr;
-    const std::vector<TunnelRef>* tunnels = nullptr;
-    const ImpairMap* ingress_impair = nullptr;
-    const ImpairMap* egress_impair = nullptr;
+    const TunnelList* tunnels = nullptr;
+    const ImpairMap* impair = nullptr;
     const RateMap* rates = nullptr;
-    // The View the current loop iteration polls from. A member, not a
-    // per-iteration copy, so shards never contend on the View's refcount.
+    // The View the current loop iteration polls from (bursts may adopt a
+    // newer one meanwhile).
     std::shared_ptr<const View> loop_view;
     // Private copy of view->groups: select-group WRR credit.
     openflow::GroupTable groups;
     // Egress holdover: packets whose destination ring was full. While this
-    // backlog exists, the shard pauses ingress polling so full downstream
+    // backlog exists, the thread pauses ingress polling so full downstream
     // rings become upstream ring pressure instead of silent drops.
     std::deque<std::pair<net::PacketPtr, PortId>> egress_pending;
     common::TimePoint egress_block_since{};
     std::vector<net::PacketPtr> ingress_scratch;
-    std::vector<net::PacketPtr> egress_scratch;
     // Tunnel-RX frame pool + spare checkouts reused across poll rounds.
     std::shared_ptr<net::PacketPool> rx_pool =
         net::PacketPool::Create({.max_free = 1024});
@@ -401,67 +349,69 @@ class SoftSwitch : public SwitchControl {
     std::vector<const openflow::FlowSnapshotEntry*> miss_hits;
     EgressBins bins;
 
-    // Aggregated-on-read stat counters (written relaxed by this shard).
-    alignas(64) std::atomic<std::uint64_t> forwarded{0};
-
-    std::thread thread;
+    std::atomic<std::uint64_t> forwarded{0};
   };
 
-  void run_shard(Shard& sh);
+  void run();
   // Stage-batched pipeline over one burst sharing `in_port`: classify all,
   // then apply actions with per-destination binning, then flush the bins.
   // Reads each packet's wire size once, before classification. A non-null
   // `rx_port` is charged the burst's RX counters before any output.
   // Consumes the packets; returns how many matched a rule (forwarded).
-  std::size_t process_burst(Shard& sh, std::span<net::PacketPtr> pkts,
-                            PortId in_port,
+  std::size_t process_burst(std::span<net::PacketPtr> pkts, PortId in_port,
                             PortHandle::Port* rx_port = nullptr);
   // `wire` is the packet's wire size, read once by process_burst.
-  void apply_actions(Shard& sh, const net::PacketPtr& p, PortId in_port,
+  void apply_actions(const net::PacketPtr& p, PortId in_port,
                      std::size_t wire,
                      const std::vector<openflow::FlowAction>& actions);
-  // Egress-impairment-aware binning of one output (stage-3 entry point).
-  void bin_output(Shard& sh, net::PacketPtr p, PortId port, std::size_t wire);
-  void bin_to_port(Shard& sh, net::PacketPtr p, PortId port, std::size_t wire);
-  void bin_to_tunnel(Shard& sh, net::PacketPtr p, net::TunnelEndpoint* ep);
-  void flush_bins(Shard& sh);
-  void flush_port_bin(Shard& sh, PortBin& bin);
-  void flush_tunnel_bin(Shard& sh, TunnelBin& bin);
-  // Queue behind the shard's egress backlog (ring was or is full).
-  void append_backlog(Shard& sh, net::PacketPtr p, PortId port);
+  // Stage-3 binning of one output.
+  void bin_to_port(net::PacketPtr p, PortId port, std::size_t wire);
+  void bin_to_tunnel(net::PacketPtr p, net::TunnelEndpoint* ep);
+  void flush_bins();
+  void flush_port_bin(PortBin& bin);
+  void flush_tunnel_bin(TunnelBin& bin);
+  // Push `pkts` in order into `port`'s ring until it is full, count the
+  // delivered ones' TX (`bytes` is the summed wire size of all of `pkts`)
+  // and record their kSwitchOut spans. Returns how many were delivered;
+  // the rest are left intact for the caller to hold or drop.
+  std::size_t deliver(PortHandle::Port& port, std::span<net::PacketPtr> pkts,
+                      std::uint64_t bytes);
+  // Queue behind the egress backlog (ring was or is full).
+  void append_backlog(net::PacketPtr p, PortId port);
   // Retry packets held for a full egress ring; returns how many were
   // resolved (delivered, dropped on timeout, or dropped with their port).
-  std::size_t drain_egress_backlog(Shard& sh);
-  // Output port in the shard's adopted View; nullptr if not attached there.
-  static PortHandle::Port* find_out_port(const Shard& sh, PortId port);
+  std::size_t drain_egress_backlog();
+  // Output port in the adopted View; nullptr if not attached there.
+  PortHandle::Port* find_out_port(PortId port) const;
   void emit_event(SwitchEvent ev);
-  // Stamp one switch-level span for a traced packet (shard 0 only).
+  // Stamp one switch-level span for a traced packet.
   void record_span(std::uint64_t trace_id, std::uint8_t hop,
                    trace::Stage stage);
-  // True when any of the shard's ingress sources has pending work, or a
-  // newer View awaits adoption (park recheck).
-  bool shard_has_work(const Shard& sh) const;
+  // True when any ingress source has pending work, or a newer View awaits
+  // adoption (park recheck).
+  bool has_work() const;
 
   // The published View (takes mu_).
   [[nodiscard]] std::shared_ptr<const View> current() const;
   // Publish `next` under the next generation; call with mu_ held. The
-  // generation store is the release point shards synchronize on.
+  // generation store is the release point the forwarding thread
+  // synchronizes on.
   void publish_locked(View next);
   // Publish a View whose `part` is a copy of the current one changed by
   // `edit`; the other parts stay shared. Call with mu_ held.
   template <class T, class Edit>
   void publish_part(std::shared_ptr<const T> View::*part, Edit edit);
-  // Publish `map` as the port set, with its output tables and poll lists.
+  // Publish `map` as the port set, with its output tables and poll list.
   void publish_ports_locked(PortMap map);
   // Attach a new port under the free id `id` and publish it; unlocks `lk`
   // before raising the PortStatus event.
   std::shared_ptr<PortHandle> attach_locked(PortId id,
                                             std::unique_lock<std::mutex>& lk);
-  // Shard-thread only: adopt the published View if the generation moved.
-  void adopt(Shard& sh);
+  // Forwarding thread only: adopt the published View if the generation
+  // moved.
+  void adopt();
 
   SoftSwitchConfig cfg_;
-  bool multi_shard_ = false;  // egress rings need the cross-shard TX lock
 
   // Serializes every control-state change; guards the fields below it.
   mutable std::mutex mu_;
@@ -470,7 +420,12 @@ class SoftSwitch : public SwitchControl {
   PortId next_port_ = 1;
   std::atomic<std::uint64_t> gen_{0};  // view_->generation, readable unlocked
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  Datapath dp_;
+  // Parking gate of the forwarding thread; shared so ports and tunnels
+  // outliving the switch can still hold a (now inert) reference safely.
+  std::shared_ptr<common::WakeupGate> gate_ =
+      std::make_shared<common::WakeupGate>();
+  std::thread thread_;
 
   common::MpmcQueue<std::pair<net::PacketPtr, PortId>> injected_;
 

@@ -193,7 +193,7 @@ TEST_F(FastPathTest, NonTableChangesKeepWarmEntries) {
   auto other = sw_->attach_port();
   auto [near, far] = net::CreateTunnel();
   sw_->add_tunnel(2, near);
-  sw_->set_port_egress_impairment(other->id(), {});
+  sw_->set_port_ingress_impairment(other->id(), {});
   sw_->clear_port_impairments(other->id());
   sw_->set_port_ingress_rate(other->id(), 1e9);
   sw_->set_port_ingress_rate(other->id(), 0.0);
